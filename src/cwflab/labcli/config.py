@@ -28,6 +28,29 @@ SCENARIOS = ("fig1_collapse", "photon_planes", "density_dm", "order_invariance")
 
 COEFF_TOL = 1e-10
 
+# The qubit readout divides D/A and L/R imbalances, at most 2|sin a| in
+# size, by 2 dx sin a with a = g / (dx * pointer_width). Below this floor
+# (about the square root of double precision) resolving the imbalance takes
+# more than ~1e15 trials, and near a = k pi the computed sin a is roundoff
+# (~1e-16 k), so the run would report noise amplified by 1 / sin a.
+SIN_ALPHA_FLOOR = 1e-8
+
+# (section, key, type, lower bound) of the numeric fields: an int must reach
+# its bound, a float (any JSON number) must exceed it, and a key whose
+# default is null may be null. Booleans are not numbers here.
+FIELD_BOUNDS = (
+    (None, "seed", int, 0),
+    (None, "n_trials", int, 0),
+    ("grid", "n_x", int, 2),
+    ("grid", "n_y", int, 2),
+    ("state", "flow_steps", int, 1),
+    ("protocol", "resample_n", int, 1),
+    *(("state", key, float, 0.0) for key in (
+        "w", "lam", "box_length", "sigma_x", "sigma_y", "x_sep", "width")),
+    *(("protocol", key, float, 0.0) for key in (
+        "coupling", "pointer_width", "p_x_window_dp")),
+)
+
 
 class ConfigError(ValidationError):
     pass
@@ -171,10 +194,28 @@ def parse_complex_list(raw) -> np.ndarray:
     return np.asarray(vals, dtype=np.complex128)
 
 
-def _require_positive(section: dict, keys, path: str):
-    for key in keys:
-        if key in section and section[key] is not None and not section[key] > 0:
-            raise ConfigError(f"{path}.{key} must be positive")
+def _is_number(value, kind=float) -> bool:
+    types = (int, float) if kind is float else int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _check_bounds(merged: dict, defaults: dict, name: str):
+    for section, key, kind, low in FIELD_BOUNDS:
+        values = merged[section] if section else merged
+        default = (defaults[section] if section else defaults).get(key)
+        if key not in values or (values[key] is None and default is None):
+            continue
+        value = values[key]
+        # the ordering study admits coupling = 0 (both orderings degenerate)
+        reach = kind is int or (name == "order_invariance"
+                                and key == "coupling")
+        if not (_is_number(value, kind)
+                and (value >= low if reach else value > low)):
+            need = (f"an integer >= {low}" if kind is int
+                    else "a non-negative number" if reach
+                    else "a positive number")
+            path = ".".join(filter(None, ("config", section, key)))
+            raise ConfigError(f"{path} must be {need}")
 
 
 def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
@@ -190,29 +231,23 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
     defaults = {"scenario": name, **DEFAULTS[name]}
     merged = _merge(defaults, data, "config")
 
-    if not isinstance(merged["seed"], int):
-        raise ConfigError("config.seed must be an integer")
-    if not isinstance(merged["n_trials"], int) or merged["n_trials"] < 0:
-        raise ConfigError("config.n_trials must be a non-negative integer")
-    grid = merged["grid"]
-    for axis in ("x", "y"):
-        lo, hi, n = f"{axis}_min", f"{axis}_max", f"n_{axis}"
-        if lo in grid and not grid[lo] < grid[hi]:
-            raise ConfigError(f"config.grid.{lo} must be below {hi}")
-        if n in grid and (not isinstance(grid[n], int) or grid[n] < 2):
-            raise ConfigError(f"config.grid.{n} must be an integer >= 2")
-    _require_positive(merged["state"],
-                      ("w", "lam", "box_length", "sigma_x", "sigma_y",
-                       "x_sep", "width"), "config.state")
-    # the ordering study admits coupling = 0 (both orderings degenerate)
-    coupling_keys = ("pointer_width", "p_x_window_dp") \
-        if name == "order_invariance" else \
-        ("coupling", "pointer_width", "p_x_window_dp")
-    _require_positive(merged["protocol"], coupling_keys, "config.protocol")
-    if name == "order_invariance" and merged["protocol"]["coupling"] < 0:
-        raise ConfigError("config.protocol.coupling must be non-negative")
-    if "plane" in merged["protocol"] and merged["protocol"]["plane"] not in ("A", "B", "C"):
+    _check_bounds(merged, defaults, name)
+    grid, pr = merged["grid"], merged["protocol"]
+    for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
+        if lo in grid and not (_is_number(grid[lo]) and _is_number(grid[hi])
+                               and grid[lo] < grid[hi]):
+            raise ConfigError(f"config.grid.{lo} must be a number below {hi}")
+    if "plane" in pr and pr["plane"] not in ("A", "B", "C"):
         raise ConfigError("config.protocol.plane must be A, B or C")
+    if pr.get("pointer_model", "qubit") == "qubit" and pr.get("coupling"):
+        dx = (grid["x_max"] - grid["x_min"]) / grid["n_x"]
+        alpha = pr["coupling"] / (dx * pr["pointer_width"])
+        if abs(np.sin(alpha)) < SIN_ALPHA_FLOOR:
+            raise ConfigError(
+                f"config.protocol: qubit rotation alpha = g / (dx * "
+                f"pointer_width) = {alpha:.6g} has |sin(alpha)| below "
+                f"{SIN_ALPHA_FLOOR:g}, so the readout 2 dx sin(alpha) "
+                "vanishes")
     if "c" in merged["state"]:
         c = parse_complex_list(merged["state"]["c"])
         if abs(np.sum(np.abs(c) ** 2) - 1.0) > COEFF_TOL:

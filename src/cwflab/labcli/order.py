@@ -18,129 +18,47 @@ histograms, tested per bin with a two-sample chi-square.
 import numpy as np
 
 from .. import weakmeas
-from ..errors import ValidationError
-from ..qgrid import Grid1D, WaveFunction2D
+from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
-from .config import ScenarioConfig
+from .config import RunRecord, ScenarioConfig
 from .planes import replay_records
 
 TABLE_TOL = 1e-12
 P_VALUE_MIN = 1e-3
 
 
-class _RouteTables:
-    """Joint (p cell, Y cell) statistics of one operation ordering.
+def _route_tables(psi, site_index: int, alpha: float, window: float,
+                  y_edges, bs_shift: float, route: str):
+    """Coupling tables of one operation ordering, plus their coherences.
 
-    order "bs_first": splitter, then coupling at the site (the engine's
+    route "bs_first": splitter, then coupling at the site (the engine's
     convention); "coupling_first": coupling, then splitter. Supports
-    alpha = 0 (no coupling; readout carries no signal).
+    alpha = 0 (no coupling; readout carries no signal). The coherences
+    uH conj(uV) are normalized like cell_probs; the readout ratios blow
+    roundoff up on negligible-mass cells, so the operator identity is
+    checked on these instead.
     """
+    gx, gy = psi.grid_x, psi.grid_y
 
-    def __init__(self, psi, site_index: int, alpha: float, window: float,
-                 y_edges, bs_shift: float, order: str):
-        if order not in ("bs_first", "coupling_first"):
-            raise ValidationError(f"unknown ordering {order!r}")
-        gx, gy = psi.grid_x, psi.grid_y
+    def couple(amp):
+        h = amp.copy()
+        h[site_index, :] *= np.cos(alpha)
+        v = np.zeros_like(amp)
+        v[site_index, :] = np.sin(alpha) * amp[site_index, :]
+        return h, v
 
-        def couple(wf):
-            h = wf.amplitudes.copy()
-            h[site_index, :] *= np.cos(alpha)
-            v = np.zeros_like(wf.amplitudes)
-            v[site_index, :] = np.sin(alpha) * wf.amplitudes[site_index, :]
-            return h, v
+    def split(amp):
+        return beam_splitter(WaveFunction2D(gx, gy, amp), bs_shift).amplitudes
 
-        def wf(amp):
-            return WaveFunction2D(gx, gy, amp)
-
-        if order == "bs_first":
-            h, v = couple(beam_splitter(psi, bs_shift))
-        else:
-            h0, v0 = couple(psi)
-            h = beam_splitter(wf(h0), bs_shift).amplitudes
-            v = beam_splitter(wf(v0), bs_shift).amplitudes
-
-        k = 2.0 * np.pi * np.fft.fftfreq(gx.n_points, d=gx.dx)
-        phase = np.exp(-1j * k * gx.x_min)[:, None] * gx.dx
-
-        def to_p(amp):
-            return np.fft.fftshift(np.fft.fft(amp, axis=0) * phase, axes=0)
-
-        uH, uV = to_p(h), to_p(v)
-        nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
-        cross = uH * np.conj(uV)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(nu, 1e-300)
-            self.d_re = np.where(nu > 0, 2.0 * cross.real / safe, 0.0)
-            self.d_im = np.where(nu > 0, -2.0 * cross.imag / safe, 0.0)
-
-        pgrid = gx.conjugate(1.0)
-        self.p_values = pgrid.points
-        measure = pgrid.dx * gy.dx / (2.0 * np.pi)
-        raw = nu * measure
-        self.cell_probs = raw / raw.sum()
-        # coherence numerator on the same footing as cell_probs; the d
-        # ratios above blow roundoff up on negligible-mass cells, so the
-        # operator identity is checked on these instead
-        self.cross_norm = cross * measure / raw.sum()
-        self.win_p = np.abs(self.p_values) < window
-        self.readout_denom = 2.0 * gx.dx * np.sin(alpha)
-
-        edges = np.asarray(y_edges, dtype=float)
-        idx = np.searchsorted(edges, gy.points, side="right") - 1
-        idx[(gy.points < edges[0]) | (gy.points >= edges[-1])] = -1
-        idx[idx == edges.size - 1] = -1
-        self.bin_of_y = idx
-        self.n_bins = edges.size - 1
-        self.n_y = gy.n_points
-
-
-def _mc_counts(tab: _RouteTables, n_trials: int, seed: int,
-               site_index: int) -> np.ndarray:
-    """Readout counts[bin, basis, outcome] from the engine's chunked stream."""
-    flat = tab.cell_probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf /= cdf[-1]
-    win_flat = np.broadcast_to(tab.win_p[:, None],
-                               tab.cell_probs.shape).ravel()
-    bin_flat = np.broadcast_to(tab.bin_of_y, tab.cell_probs.shape).ravel()
-    d_re_flat = tab.d_re.ravel()
-    d_im_flat = tab.d_im.ravel()
-
-    counts = np.zeros((tab.n_bins, 2, 2), dtype=np.int64)
-    done = 0
-    chunk_id = 0
-    while done < n_trials:
-        n = min(weakmeas.CHUNK_TRIALS, n_trials - done)
-        rng = weakmeas._chunk_rng(seed, site_index, chunk_id)
-        cells = np.searchsorted(cdf, rng.random(n), side="right")
-        basis = rng.random(n) < 0.5
-        u_read = rng.random(n)
-        keep = win_flat[cells] & (bin_flat[cells] >= 0)
-        cells, basis, u_read = cells[keep], basis[keep], u_read[keep]
-        bins = bin_flat[cells]
-        d = np.where(basis, d_im_flat[cells], d_re_flat[cells])
-        outcome = (u_read < 0.5 * (1.0 + d)).astype(np.int64)
-        idx = bins * 4 + basis.astype(np.int64) * 2 + outcome
-        counts += np.bincount(idx, minlength=tab.n_bins * 4).reshape(
-            tab.n_bins, 2, 2)
-        done += n
-        chunk_id += 1
-    return counts
-
-
-def _exact_bin_values(tab: _RouteTables) -> np.ndarray:
-    """Pooled exact readout expectations, shape (n_bins, 2) for (re, im)."""
-    probs = tab.cell_probs * tab.win_p[:, None]
-    out = np.full((tab.n_bins, 2), np.nan)
-    for b in range(tab.n_bins):
-        cols = tab.bin_of_y == b
-        mass = probs[:, cols].sum()
-        if mass <= 0:
-            continue
-        out[b, 0] = (probs[:, cols] * tab.d_re[:, cols]).sum() / mass
-        out[b, 1] = (probs[:, cols] * tab.d_im[:, cols]).sum() / mass
-    return out
+    if route == "bs_first":
+        h, v = couple(split(psi.amplitudes))
+    else:
+        h, v = map(split, couple(psi.amplitudes))
+    uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
+    tab = weakmeas._QubitTables(gx, gy, uH, uV, 2.0 * gx.dx * np.sin(alpha),
+                                window, y_edges)
+    return tab, uH * np.conj(uV) * tab.measure / tab.total
 
 
 def run_order_invariance(cfg: ScenarioConfig) -> dict:
@@ -165,31 +83,28 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     all_equal = True
     for site in site_indices:
         x_site = float(gx.points[site])
-        t1 = _RouteTables(psi, site, alpha, window, y_edges, st["bs_shift"],
-                          "bs_first")
-        t2 = _RouteTables(psi, site, alpha, window, y_edges, st["bs_shift"],
-                          "coupling_first")
+        t1, x1 = _route_tables(psi, site, alpha, window, y_edges,
+                               st["bs_shift"], "bs_first")
+        t2, x2 = _route_tables(psi, site, alpha, window, y_edges,
+                               st["bs_shift"], "coupling_first")
         table_dev = max(table_dev,
                         float(np.abs(t1.cell_probs - t2.cell_probs).max()),
-                        float(np.abs(t1.cross_norm - t2.cross_norm).max()))
+                        float(np.abs(x1 - x2).max()))
 
-        e1 = _exact_bin_values(t1)
-        e2 = _exact_bin_values(t2)
+        e1, e2 = t1.pooled(), t2.pooled()
         wv_dev = max(wv_dev, float(np.nanmax(np.abs(e1 - e2))))
+        if not degenerate:
+            e1, e2 = e1 / t1.gains, e2 / t1.gains
         for b in range(t1.n_bins):
-            row = {"x_site": x_site, "bin": b,
-                   "route_bs_first": {"re": float(e1[b, 0]),
-                                      "im": float(e1[b, 1])},
-                   "route_coupling_first": {"re": float(e2[b, 0]),
-                                            "im": float(e2[b, 1])}}
-            if not degenerate:
-                for key in ("route_bs_first", "route_coupling_first"):
-                    row[key] = {k: v / t1.readout_denom
-                                for k, v in row[key].items()}
-            exact_rows.append(row)
+            exact_rows.append({
+                "x_site": x_site, "bin": b,
+                "route_bs_first": {"re": float(e1[b, 0]),
+                                   "im": float(e1[b, 1])},
+                "route_coupling_first": {"re": float(e2[b, 0]),
+                                         "im": float(e2[b, 1])}})
 
-        c1 = _mc_counts(t1, cfg.n_trials, cfg.seed, site)
-        c2 = _mc_counts(t2, cfg.n_trials, cfg.seed, site)
+        c1 = weakmeas._tally(t1, cfg.n_trials, cfg.seed, site)[1]
+        c2 = weakmeas._tally(t2, cfg.n_trials, cfg.seed, site)[1]
         for b in range(t1.n_bins):
             h1 = c1[b].ravel()
             h2 = c2[b].ravel()
@@ -205,7 +120,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 "pass": bool(test["p_value"] > P_VALUE_MIN)})
 
         if pr["compare_planes"]:
-            c3 = _mc_counts(t1, cfg.n_trials, cfg.seed + 1, site)
+            c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
             for b in range(t1.n_bins):
                 test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
                 planes_rows.append({
@@ -244,6 +159,5 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                           "rows": planes_rows},
         "pass": bool(checks_pass),
     }
-    from .config import RunRecord
     return {"report": report, "records": records,
             "record_fields": RunRecord.FIELDS, "wf_tables": {}}

@@ -70,57 +70,23 @@ def replay_records(system, site_index: int, proto: PointerProtocol,
                    cap: int):
     """Per-trial rows for the first chunk of one site's protocol run.
 
-    Repeats the engine's draw order (cells, basis, readout uniform, then the
-    model-specific readout streams) on the same keyed generator, so the rows
-    are exactly the trials run_pointer_protocol consumed.
+    The rows come from the engine's own chunk draw, so they are exactly
+    the trials run_pointer_protocol consumed.
     """
-    tab = weakmeas._CouplingTables(system, site_index, proto)
+    tab = weakmeas._site_tables(system, site_index, proto)
     if tab.gy is None:
         raise ValidationError("trial records need a two-particle system")
     n = min(weakmeas.CHUNK_TRIALS, proto.n_trials)
-    rng = weakmeas._chunk_rng(proto.seed, site_index, 0)
-
-    flat = tab.cell_probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(n), side="right")
-    basis = rng.random(n) < 0.5
-    u_read = rng.random(n)
-
-    p_idx, y_idx = np.divmod(cells, tab.gy.n_points)
-    y_bin = tab.bin_of_y[y_idx]
-    accepted = tab.win_p[p_idx] & (y_bin >= 0)
-
-    outcome = np.full(n, np.nan)
-    if proto.pointer_model == "qubit":
-        d = np.where(basis, tab.d_im[p_idx, y_idx], tab.d_re[p_idx, y_idx])
-        outcome[accepted] = np.where(
-            u_read[accepted] < 0.5 * (1.0 + d[accepted]), 1.0, -1.0)
-    else:
-        acc = np.flatnonzero(accepted)
-        for use_im in (False, True):
-            sel = acc[basis[acc]] if use_im else acc[~basis[acc]]
-            if sel.size == 0:
-                continue
-            pi, yi = p_idx[sel], y_idx[sel]
-            if use_im:
-                outcome[sel] = weakmeas._sample_momentum_readout(
-                    rng, tab.rest[pi, yi], tab.num[pi, yi], tab.s,
-                    tab.sigma_p, proto.hbar)
-            else:
-                outcome[sel] = weakmeas._sample_position_readout(
-                    rng, tab.A[pi, yi], tab.B[pi, yi], tab.C[pi, yi],
-                    tab.s, tab.sigma_q)
-
-    rows = []
-    for i in range(min(n, cap)):
-        rows.append(RunRecord(
-            trial=i, accepted=bool(accepted[i]),
-            p_x=float(tab.p_values[p_idx[i]]),
-            y=float(tab.gy.points[y_idx[i]]), y_bin=int(y_bin[i]),
-            basis="im" if basis[i] else "re",
-            outcome=float(outcome[i]) if accepted[i] else None).row())
-    return rows
+    chunk = weakmeas._draw_chunk(tab, proto.seed, site_index, 0, n)
+    p_idx, y_idx = np.divmod(chunk.cells, tab.gy.n_points)
+    outcome = np.full(n, None, dtype=object)
+    outcome[chunk.kept] = chunk.reading.tolist()
+    return [RunRecord(
+        trial=i, accepted=outcome[i] is not None,
+        p_x=float(tab.p_values[p_idx[i]]), y=float(tab.gy.points[y_idx[i]]),
+        y_bin=int(tab.bin_of_y[y_idx[i]]),
+        basis="im" if chunk.basis[i] else "re", outcome=outcome[i]).row()
+        for i in range(min(n, cap))]
 
 
 def run_photon_planes(cfg: ScenarioConfig) -> dict:

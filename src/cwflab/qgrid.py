@@ -154,13 +154,23 @@ def normalize(wf):
     return WaveFunction2D(wf.grid_x, wf.grid_y, wf.amplitudes / n, "normalized")
 
 
+def momentum_fft(amplitudes: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """dx * sum_j exp(-i k x_j) a_j along axis 0, wavenumbers k ascending.
+
+    Further axes are transformed column by column. Dividing by
+    sqrt(2 pi hbar) gives the unitary transform at p = hbar k.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    phase = np.exp(-1j * k * grid.x_min)
+    phase = phase.reshape((-1,) + (1,) * (amplitudes.ndim - 1))
+    spectrum = np.fft.fft(amplitudes, axis=0) * phase * grid.dx
+    return np.fft.fftshift(spectrum, axes=0)
+
+
 def to_momentum(wf: WaveFunction1D, hbar: float = 1.0) -> WaveFunction1D:
     """Unitary position -> momentum transform; result on grid.conjugate()."""
-    g = wf.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx)
-    phase = np.exp(-1j * k * g.x_min)
-    amp = np.fft.fft(wf.amplitudes) * phase * g.dx / np.sqrt(2.0 * np.pi * hbar)
-    return WaveFunction1D(g.conjugate(hbar), np.fft.fftshift(amp), wf.norm_tag)
+    amp = momentum_fft(wf.amplitudes, wf.grid) / np.sqrt(2.0 * np.pi * hbar)
+    return WaveFunction1D(wf.grid.conjugate(hbar), amp, wf.norm_tag)
 
 
 def to_position(wf_p: WaveFunction1D, grid: Grid1D, hbar: float = 1.0) -> WaveFunction1D:

@@ -50,19 +50,22 @@ Monte Carlo
 The protocol samples the exact joint distribution of (momentum cell,
 Y cell, readout) implied by the unitary coupling, so the simulation is
 faithful at every coupling strength, not only to first order.
-Randomness is counter-based (Philox) keyed by (seed, site, chunk) with a
-fixed chunk size, which makes results independent of how chunks are
-distributed over workers; partial sums merge in fixed chunk order.
+One engine serves every caller: coupling tables built from the coupled
+state's momentum-space branches (qubit uH, uV; gaussian den, num) and one
+per-chunk draw (cells, basis, readout uniform, model readout). Site scans,
+both operation orderings of labcli.order and the per-trial records of
+labcli.planes all pool or list the trials of that draw. Randomness is
+counter-based (Philox) keyed by (seed, site, chunk) with a fixed chunk
+size, which makes results independent of how chunks are distributed over
+workers; partial sums merge in fixed chunk order.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PostSelectionError, ValidationError
-from .qgrid import Grid1D, WaveFunction1D, WaveFunction2D, to_momentum
+from .qgrid import Grid1D, WaveFunction1D, WaveFunction2D, momentum_fft, to_momentum
 
 OVERLAP_FLOOR = 1e-12
 CHUNK_TRIALS = 1 << 16
@@ -233,88 +236,42 @@ class ProtocolResult:
 
 
 class _CouplingTables:
-    """Exact per-(p cell, Y cell) statistics of the coupled, post-selected run."""
+    """Exact per-(p cell, Y cell) statistics of a coupled, post-selected run.
 
-    def __init__(self, system, site_index: int, proto: PointerProtocol):
-        if isinstance(system, WaveFunction1D):
-            gx = system.grid
-            amp = system.amplitudes[:, None]
-            gy = None
-        elif isinstance(system, WaveFunction2D):
-            gx, gy = system.grid_x, system.grid_y
-            amp = system.amplitudes
-        else:
-            raise ValidationError("system must be a 1-D or 2-D wave function")
-        hbar = proto.hbar
-        self.gx, self.gy = gx, gy
-        self.site = site_index
-        self.x_site = gx.points[site_index]
+    The pointer models below reduce the coupled state's momentum-space
+    branches, arrays of shape (n_p, n_y) (n_y = 1 for a lone particle), to
+    a cell weight nu and the expected (re, im) readings `means` of each
+    cell. This base holds the momentum window, the Y-bin map and the cell
+    distribution with its CDF. Each model adds `gains`, which turn pooled
+    readings into weak-value estimates, and readout(rng, cells, basis,
+    u_read), which draws the readings of the given trials. Tables from
+    _site_tables also carry site, x_site and acceptance_expected.
+    """
+
+    def __init__(self, gx, gy, nu, means, window, y_bins, hbar):
         pgrid = gx.conjugate(hbar)
+        self.gx, self.gy = gx, gy
         self.p_values = pgrid.points
-        self.dp = pgrid.dx
-
-        k = 2.0 * np.pi * np.fft.fftfreq(gx.n_points, d=gx.dx)
-        phase = np.exp(-1j * k * gx.x_min)
-        den = np.fft.fftshift(np.fft.fft(amp, axis=0) * phase[:, None] * gx.dx,
-                              axes=0)
-        num = gx.dx * np.exp(-1j * self.p_values[:, None] * self.x_site / hbar) \
-            * amp[site_index, None, :]
-        self.den = den
-        self.num = num
-
-        self.window = proto.p_x_bin if proto.p_x_bin is not None else 1.5 * self.dp
+        self.window = window if window is not None else 1.5 * pgrid.dx
         self.win_p = np.abs(self.p_values) < self.window
-
-        measure = self.dp / (2.0 * np.pi * hbar)
+        self.measure = pgrid.dx / (2.0 * np.pi * hbar)
         if gy is not None:
-            measure *= gy.dx
-        if proto.pointer_model == "qubit":
-            a = proto.coupling / (gx.dx * proto.pointer_width)
-            uH = den + (np.cos(a) - 1.0) * num
-            uV = np.sin(a) * num
-            nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
-            cross = uH * np.conj(uV)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                self.d_re = np.where(nu > 0, 2.0 * cross.real / np.maximum(nu, 1e-300), 0.0)
-                self.d_im = np.where(nu > 0, -2.0 * cross.imag / np.maximum(nu, 1e-300), 0.0)
-            self.readout_denom = 2.0 * gx.dx * np.sin(a)
-            raw = nu * measure
-        else:
-            sigma_q = proto.pointer_width
-            sigma_p = hbar / (2.0 * sigma_q)
-            s = proto.coupling / gx.dx
-            damp = np.exp(-(s * sigma_p) ** 2 / (2.0 * hbar**2))
-            rest = den - num
-            A = np.abs(rest) ** 2
-            B = np.abs(num) ** 2
-            K = np.conj(rest) * num
-            C = 2.0 * K.real * damp
-            nu = A + B + C
-            with np.errstate(invalid="ignore", divide="ignore"):
-                safe = np.maximum(nu, 1e-300)
-                self.mean_q = (B * s + 0.5 * C * s) / safe
-                self.mean_p = (2.0 * K.imag * (s / hbar) * sigma_p**2 * damp) / safe
-            self.A, self.B, self.C, self.K = A, B, C, K
-            self.rest = rest
-            self.s, self.sigma_q, self.sigma_p, self.damp = s, sigma_q, sigma_p, damp
-            raw = nu * measure
-
-        total = raw.sum()
-        self.cell_probs = raw / total
-        base = (np.abs(den) ** 2 * measure)
-        base /= base.sum()
-        self.acceptance_expected = float(base[self.win_p].sum())
+            self.measure *= gy.dx
+        raw = nu * self.measure
+        self.total = raw.sum()
+        self.cell_probs = raw / self.total
+        self.cdf = np.cumsum(self.cell_probs.ravel())
+        self.cdf /= self.cdf[-1]
+        self.means = means
 
         if gy is None:
             self.y_edges = np.array([0.0, 1.0])
             self.bin_of_y = np.zeros(1, dtype=int)
-            self.n_bins = 1
         else:
-            yb = proto.y_bins
-            if np.isscalar(yb):
-                edges = np.linspace(gy.x_min, gy.x_max, int(yb) + 1)
+            if np.isscalar(y_bins):
+                edges = np.linspace(gy.x_min, gy.x_max, int(y_bins) + 1)
             else:
-                edges = np.asarray(yb, dtype=float)
+                edges = np.asarray(y_bins, dtype=float)
                 if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
                     raise ValidationError("y_bins edges must be increasing")
             self.y_edges = edges
@@ -322,7 +279,116 @@ class _CouplingTables:
             idx[(gy.points < edges[0]) | (gy.points >= edges[-1])] = -1
             idx[idx == edges.size - 1] = -1
             self.bin_of_y = idx
-            self.n_bins = edges.size - 1
+        self.n_bins = self.y_edges.size - 1
+        shape = self.cell_probs.shape
+        self.win_flat = np.broadcast_to(self.win_p[:, None], shape).ravel()
+        self.bin_flat = np.broadcast_to(self.bin_of_y, shape).ravel()
+
+    def pooled(self) -> np.ndarray:
+        """Expected (re, im) reading over each Y bin's accepted cells.
+
+        Shape (n_bins, 2); NaN where a bin has no accepted mass.
+        """
+        probs = self.cell_probs * self.win_p[:, None]
+        out = np.full((self.n_bins, 2), np.nan)
+        for b in range(self.n_bins):
+            cols = self.bin_of_y == b
+            mass = probs[:, cols].sum()
+            if mass > 0:
+                out[b] = [(probs[:, cols] * m[:, cols]).sum() / mass
+                          for m in self.means]
+        return out
+
+
+class _QubitTables(_CouplingTables):
+    """Qubit pointer with ancilla branches uH, uV; reads +-1 in D/A or L/R.
+
+    readout_denom = 2 dx sin(alpha) is the gain of both readings; it may be
+    0 (no coupling), and then only the tables themselves are meaningful.
+    """
+
+    def __init__(self, gx, gy, uH, uV, readout_denom, window, y_bins,
+                 hbar=1.0):
+        nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
+        cross = uH * np.conj(uV)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            safe = np.maximum(nu, 1e-300)
+            d_re = np.where(nu > 0, 2.0 * cross.real / safe, 0.0)
+            d_im = np.where(nu > 0, -2.0 * cross.imag / safe, 0.0)
+        super().__init__(gx, gy, nu, (d_re, d_im), window, y_bins, hbar)
+        self.gains = np.array([readout_denom, readout_denom])
+
+    def readout(self, rng, cells, basis, u_read):
+        d_re, d_im = self.means
+        d = np.where(basis, d_im.ravel()[cells], d_re.ravel()[cells])
+        return np.where(u_read < 0.5 * (1.0 + d), 1.0, -1.0)
+
+
+class _GaussianTables(_CouplingTables):
+    """Gaussian pointer shifted by s = g / dx on the coupled share num of the
+    uncoupled amplitude den; reads position (re) or momentum (im)."""
+
+    def __init__(self, gx, gy, den, num, proto: PointerProtocol):
+        hbar = self.hbar = proto.hbar
+        self.sigma_q = proto.pointer_width
+        self.sigma_p = hbar / (2.0 * self.sigma_q)
+        s = self.s = proto.coupling / gx.dx
+        damp = np.exp(-(s * self.sigma_p) ** 2 / (2.0 * hbar**2))
+        self.rest, self.num = den - num, num
+        self.A = np.abs(self.rest) ** 2
+        self.B = np.abs(num) ** 2
+        K = np.conj(self.rest) * num
+        self.C = 2.0 * K.real * damp
+        nu = self.A + self.B + self.C
+        with np.errstate(invalid="ignore", divide="ignore"):
+            safe = np.maximum(nu, 1e-300)
+            mean_q = (self.B * s + 0.5 * self.C * s) / safe
+            mean_p = (2.0 * K.imag * (s / hbar) * self.sigma_p**2 * damp) / safe
+        super().__init__(gx, gy, nu, (mean_q, mean_p), proto.p_x_bin,
+                         proto.y_bins, hbar)
+        self.gains = np.array([
+            GAUSSIAN_POSITION_GAIN * proto.coupling,
+            GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling / hbar])
+
+    def readout(self, rng, cells, basis, u_read):
+        out = np.empty(cells.size)
+        pos, mom = cells[~basis], cells[basis]
+        out[~basis] = _sample_position_readout(
+            rng, self.A.ravel()[pos], self.B.ravel()[pos], self.C.ravel()[pos],
+            self.s, self.sigma_q)
+        out[basis] = _sample_momentum_readout(
+            rng, self.rest.ravel()[mom], self.num.ravel()[mom], self.s,
+            self.sigma_p, self.hbar)
+        return out
+
+
+def _site_tables(system, A_site, proto: PointerProtocol) -> _CouplingTables:
+    """Tables of proto's pointer coupled at A_site (grid index or position)."""
+    if isinstance(system, WaveFunction1D):
+        gx, gy, amp = system.grid, None, system.amplitudes[:, None]
+    elif isinstance(system, WaveFunction2D):
+        gx, gy, amp = system.grid_x, system.grid_y, system.amplitudes
+    else:
+        raise ValidationError("system must be a 1-D or 2-D wave function")
+    site = A_site if isinstance(A_site, (int, np.integer)) \
+        else gx.index_of(float(A_site))
+    x_site = gx.points[site]
+    p_values = gx.conjugate(proto.hbar).points
+    den = momentum_fft(amp, gx)
+    num = gx.dx * np.exp(-1j * p_values[:, None] * x_site / proto.hbar) \
+        * amp[site, None, :]
+    if proto.pointer_model == "qubit":
+        a = proto.coupling / (gx.dx * proto.pointer_width)
+        tab = _QubitTables(gx, gy, den + (np.cos(a) - 1.0) * num,
+                           np.sin(a) * num, 2.0 * gx.dx * np.sin(a),
+                           proto.p_x_bin, proto.y_bins, proto.hbar)
+    else:
+        tab = _GaussianTables(gx, gy, den, num, proto)
+    base = np.abs(den) ** 2 * tab.measure
+    base /= base.sum()
+    tab.site, tab.x_site = site, x_site
+    tab.acceptance_expected = float(base[tab.win_p].sum())
+    return tab
 
 
 def _norm_pdf(q, mean, sigma):
@@ -378,6 +444,70 @@ def _chunk_rng(seed: int, site_index: int, chunk_id: int):
         np.random.SeedSequence([seed, site_index, chunk_id])))
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """The trials of one chunk.
+
+    cells (flat (p, Y) index) and basis (True: the imaginary-part basis)
+    cover every trial; kept indexes the trials inside the momentum window
+    and a Y bin, and bins and reading follow kept.
+    """
+
+    cells: np.ndarray
+    basis: np.ndarray
+    n_window: int
+    kept: np.ndarray
+    bins: np.ndarray
+    reading: np.ndarray
+
+
+def _draw_chunk(tab: _CouplingTables, seed: int, site_index: int,
+                chunk_id: int, n: int) -> _Chunk:
+    """n trials from the stream keyed (seed, site_index, chunk_id).
+
+    Draw order: cells from the CDF, bases, readout uniforms, then the
+    pointer model's readings of the kept trials.
+    """
+    rng = _chunk_rng(seed, site_index, chunk_id)
+    cells = np.searchsorted(tab.cdf, rng.random(n), side="right")
+    basis = rng.random(n) < 0.5
+    u_read = rng.random(n)
+    in_window = tab.win_flat[cells]
+    bins = tab.bin_flat[cells]
+    kept = np.flatnonzero(in_window & (bins >= 0))
+    reading = tab.readout(rng, cells[kept], basis[kept], u_read[kept])
+    return _Chunk(cells, basis, int(np.count_nonzero(in_window)), kept,
+                  bins[kept], reading)
+
+
+def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
+    """Pool n_trials trials of one site's stream, chunk by chunk.
+
+    Returns (n_window, stats): the trials inside the momentum window, and
+    for the qubit pointer counts[bin, basis, outcome] (outcome 1 reads +1),
+    for the gaussian pointer the count, sum and sum of squares of the
+    readings, shape (3, n_bins, 2).
+    """
+    nb = tab.n_bins
+    qubit = isinstance(tab, _QubitTables)
+    stats = (np.zeros((nb, 2, 2), dtype=np.int64) if qubit
+             else np.zeros((3, nb, 2)))
+    n_window = 0
+    for chunk_id, done in enumerate(range(0, n_trials, CHUNK_TRIALS)):
+        chunk = _draw_chunk(tab, seed, site_index, chunk_id,
+                            min(CHUNK_TRIALS, n_trials - done))
+        n_window += chunk.n_window
+        idx = chunk.bins * 2 + chunk.basis[chunk.kept]
+        if qubit:
+            stats += np.bincount(idx * 2 + (chunk.reading > 0),
+                                 minlength=nb * 4).reshape(nb, 2, 2)
+        else:
+            powers = (1.0, chunk.reading, chunk.reading**2)
+            for row, value in enumerate(powers):
+                np.add.at(stats[row].ravel(), idx, value)
+    return n_window, stats
+
+
 def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResult:
     """Monte-Carlo pointer protocol at one coupled site.
 
@@ -386,122 +516,35 @@ def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResu
     the two readout bases, sample the readout, and pool per Y bin. Empty bins
     are flagged, not errors.
     """
-    site = A_site if isinstance(A_site, (int, np.integer)) else None
-    if site is None:
-        grid = system.grid if isinstance(system, WaveFunction1D) else system.grid_x
-        site = grid.index_of(float(A_site))
-    tab = _CouplingTables(system, site, proto)
-    qubit = proto.pointer_model == "qubit"
-
-    flat_probs = tab.cell_probs.ravel()
-    cdf = np.cumsum(flat_probs)
-    cdf /= cdf[-1]
-    bin_flat = np.broadcast_to(tab.bin_of_y, tab.cell_probs.shape).ravel()
-    win_flat = np.broadcast_to(tab.win_p[:, None], tab.cell_probs.shape).ravel()
-
-    nb = tab.n_bins
-    if qubit:
-        d_re_flat = tab.d_re.ravel()
-        d_im_flat = tab.d_im.ravel()
-        counts = np.zeros((nb, 2, 2), dtype=np.int64)  # [bin, basis, outcome]
-    else:
-        rest_flat = tab.rest.ravel()
-        num_flat = tab.num.ravel()
-        sums = np.zeros((nb, 2))
-        sumsq = np.zeros((nb, 2))
-        nobs = np.zeros((nb, 2), dtype=np.int64)
-    n_in_bin = np.zeros(nb, dtype=np.int64)
-    n_accepted = 0
-
-    done = 0
-    chunk_id = 0
-    while done < proto.n_trials:
-        n = min(CHUNK_TRIALS, proto.n_trials - done)
-        rng = _chunk_rng(proto.seed, site, chunk_id)
-        cells = np.searchsorted(cdf, rng.random(n), side="right")
-        basis = rng.random(n) < 0.5
-        u_read = rng.random(n)
-        keep = win_flat[cells]
-        n_accepted += int(np.count_nonzero(keep))
-        cells = cells[keep]
-        basis = basis[keep]
-        u_read = u_read[keep]
-        bins = bin_flat[cells]
-        ok = bins >= 0
-        cells, basis, u_read, bins = cells[ok], basis[ok], u_read[ok], bins[ok]
-        np.add.at(n_in_bin, bins, 1)
-        if qubit:
-            p_plus = np.where(basis, 0.5 * (1.0 + d_im_flat[cells]),
-                              0.5 * (1.0 + d_re_flat[cells]))
-            outcome = (u_read < p_plus).astype(np.int64)
-            idx = (bins * 4 + basis.astype(np.int64) * 2 + outcome)
-            counts += np.bincount(idx, minlength=nb * 4).reshape(nb, 2, 2)
-        else:
-            for use_im in (False, True):
-                sel = basis if use_im else ~basis
-                sub = cells[sel]
-                if sub.size == 0:
-                    continue
-                if use_im:
-                    draws = _sample_momentum_readout(
-                        rng, rest_flat[sub], num_flat[sub], tab.s,
-                        tab.sigma_p, proto.hbar)
-                    col = 1
-                else:
-                    draws = _sample_position_readout(
-                        rng, tab.A.ravel()[sub], tab.B.ravel()[sub],
-                        tab.C.ravel()[sub], tab.s, tab.sigma_q)
-                    col = 0
-                bsub = bins[sel]
-                np.add.at(sums[:, col], bsub, draws)
-                np.add.at(sumsq[:, col], bsub, draws**2)
-                np.add.at(nobs[:, col], bsub, 1)
-        done += n
-        chunk_id += 1
+    tab = _site_tables(system, A_site, proto)
+    n_window, stats = _tally(tab, proto.n_trials, proto.seed, tab.site)
+    if isinstance(tab, _QubitTables):
+        count = stats.sum(axis=2)
+        stats = (count, stats[..., 1] - stats[..., 0], count)
+    count, total, total_sq = stats
 
     bins_out = []
-    for b in range(nb):
-        y_lo, y_hi = float(tab.y_edges[b]), float(tab.y_edges[b + 1])
-        if qubit:
-            n_re = int(counts[b, 0].sum())
-            n_im = int(counts[b, 1].sum())
-            empty = n_re == 0 or n_im == 0
-            if empty:
-                re = im = se_re = se_im = float("nan")
-            else:
-                d = (counts[b, 0, 1] - counts[b, 0, 0]) / n_re
-                l = (counts[b, 1, 1] - counts[b, 1, 0]) / n_im
-                re = d / tab.readout_denom
-                im = l / tab.readout_denom
-                se_re = np.sqrt(max(1.0 - d * d, 0.0) / n_re) / tab.readout_denom
-                se_im = np.sqrt(max(1.0 - l * l, 0.0) / n_im) / tab.readout_denom
+    for b in range(tab.n_bins):
+        n = count[b]
+        empty = not n.all()
+        if empty:
+            est = se = (float("nan"), float("nan"))
         else:
-            n_re = int(nobs[b, 0])
-            n_im = int(nobs[b, 1])
-            empty = n_re == 0 or n_im == 0
-            if empty:
-                re = im = se_re = se_im = float("nan")
-            else:
-                mq = sums[b, 0] / n_re
-                mp = sums[b, 1] / n_im
-                vq = max(sumsq[b, 0] / n_re - mq * mq, 0.0)
-                vp = max(sumsq[b, 1] / n_im - mp * mp, 0.0)
-                re = mq / (GAUSSIAN_POSITION_GAIN * proto.coupling)
-                im = mp * proto.hbar / (GAUSSIAN_MOMENTUM_GAIN
-                                        * tab.sigma_p**2 * proto.coupling)
-                se_re = np.sqrt(vq / n_re) / (GAUSSIAN_POSITION_GAIN * proto.coupling)
-                se_im = np.sqrt(vp / n_im) * proto.hbar / (
-                    GAUSSIAN_MOMENTUM_GAIN * tab.sigma_p**2 * proto.coupling)
-        bins_out.append(BinEstimate(y_lo, y_hi, float(re), float(im),
-                                    float(se_re), float(se_im),
-                                    int(n_in_bin[b]), n_re, n_im, empty))
+            mean = total[b] / n
+            var = np.maximum(total_sq[b] / n - mean * mean, 0.0)
+            est = mean / tab.gains
+            se = np.sqrt(var / n) / tab.gains
+        bins_out.append(BinEstimate(
+            float(tab.y_edges[b]), float(tab.y_edges[b + 1]),
+            float(est[0]), float(est[1]), float(se[0]), float(se[1]),
+            int(n.sum()), int(n[0]), int(n[1]), empty))
 
     return ProtocolResult(
-        site_index=site, x_site=float(tab.x_site),
+        site_index=tab.site, x_site=float(tab.x_site),
         pointer_model=proto.pointer_model, coupling=proto.coupling,
         weakness_ratio=proto.weakness_ratio(tab.gx), window=float(tab.window),
         n_trials=proto.n_trials,
-        acceptance_rate=n_accepted / proto.n_trials,
+        acceptance_rate=n_window / proto.n_trials,
         acceptance_expected=tab.acceptance_expected,
         y_edges=None if tab.gy is None else tab.y_edges,
         bins=tuple(bins_out))
@@ -513,59 +556,11 @@ def protocol_expectation(system, A_site, proto: PointerProtocol):
     Returns (re, im) arrays over Y bins (shape (n_bins,)); bins with zero
     acceptance probability hold NaN.
     """
-    site = A_site if isinstance(A_site, (int, np.integer)) else None
-    if site is None:
-        grid = system.grid if isinstance(system, WaveFunction1D) else system.grid_x
-        site = grid.index_of(float(A_site))
-    tab = _CouplingTables(system, site, proto)
-    probs = tab.cell_probs * tab.win_p[:, None]
-    re = np.full(tab.n_bins, np.nan)
-    im = np.full(tab.n_bins, np.nan)
-    for b in range(tab.n_bins):
-        cols = tab.bin_of_y == b
-        mass = probs[:, cols].sum()
-        if mass <= 0:
-            continue
-        if proto.pointer_model == "qubit":
-            re[b] = (probs[:, cols] * tab.d_re[:, cols]).sum() / mass / tab.readout_denom
-            im[b] = (probs[:, cols] * tab.d_im[:, cols]).sum() / mass / tab.readout_denom
-        else:
-            mq = (probs[:, cols] * tab.mean_q[:, cols]).sum() / mass
-            mp = (probs[:, cols] * tab.mean_p[:, cols]).sum() / mass
-            re[b] = mq / (GAUSSIAN_POSITION_GAIN * proto.coupling)
-            im[b] = mp * proto.hbar / (GAUSSIAN_MOMENTUM_GAIN
-                                       * tab.sigma_p**2 * proto.coupling)
+    tab = _site_tables(system, A_site, proto)
+    re, im = tab.pooled().T / tab.gains[:, None]
     return re, im
 
 
 def scan_pointer_protocol(system, sites, proto: PointerProtocol):
     """run_pointer_protocol at each site; per-site RNG keyed (seed, site, chunk)."""
     return [run_pointer_protocol(system, int(s), proto) for s in sites]
-
-
-def results_to_records(results):
-    rows = []
-    for r in results:
-        for i, b in enumerate(r.bins):
-            rows.append({
-                "x": r.x_site, "y_bin": i, "y_lo": b.y_lo, "y_hi": b.y_hi,
-                "re": b.re, "im": b.im, "se_re": b.se_re, "se_im": b.se_im,
-                "n_accepted": b.n_accepted, "empty": b.empty})
-    return rows
-
-
-def write_protocol_json(path, results, meta=None):
-    payload = {"meta": meta or {}, "records": results_to_records(results)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
-
-
-def write_protocol_csv(path, results):
-    rows = results_to_records(results)
-    fields = ["x", "y_bin", "y_lo", "y_hi", "re", "im", "se_re", "se_im",
-              "n_accepted", "empty"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from cwflab.errors import ValidationError
+from cwflab.qgrid import Grid1D
+from cwflab.states import beam_splitter, two_branch_state
+from cwflab.weakmeas import (
+    CHUNK_TRIALS,
+    GAUSSIAN_MOMENTUM_GAIN,
+    GAUSSIAN_POSITION_GAIN,
+    PointerProtocol,
+    run_pointer_protocol,
+)
 from cwflab.labcli import cli
 from cwflab.labcli.config import (
     ConfigError,
@@ -17,7 +26,11 @@ from cwflab.labcli.config import (
 from cwflab.labcli.density import run_density_dm
 from cwflab.labcli.fig1 import run_fig1
 from cwflab.labcli.order import run_order_invariance
-from cwflab.labcli.planes import run_photon_planes
+from cwflab.labcli.planes import (
+    detection_state,
+    replay_records,
+    run_photon_planes,
+)
 from cwflab.labcli.reports import jsonify
 from cwflab.labcli.selftest import run_selftest
 
@@ -334,6 +347,82 @@ class TestOrder:
             assert row["route_bs_first"] == {"re": 0.0, "im": 0.0}
 
 
+def _protocol(cfg, gx, gy, **kw):
+    pr = cfg.protocol
+    return PointerProtocol(
+        coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
+        pointer_width=pr["pointer_width"],
+        p_x_bin=pr["p_x_window_dp"] * gx.conjugate(1.0).dx,
+        y_bins=[gy.x_min, 0.0, gy.x_max], **kw)
+
+
+def _qubit_gain(proto, gx):
+    return 2.0 * gx.dx * np.sin(proto.coupling / (gx.dx * proto.pointer_width))
+
+
+class TestSharedStream:
+    """The trial records, the protocol run and order's bs_first arm all
+    draw the same trials from the (seed, site, chunk) stream."""
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_records_reproduce_the_run(self, model):
+        n_trials = 20_000
+        assert n_trials <= CHUNK_TRIALS
+        cfg = parse_config({"scenario": "photon_planes", "n_trials": n_trials,
+                            "protocol": {"bs_inserted": True, "plane": "B",
+                                         "pointer_model": model}})
+        _, psi_det, _, _, collapsed, gx, gy = detection_state(cfg)
+        assert collapsed
+        proto = _protocol(cfg, gx, gy, pointer_model=model)
+        if model == "qubit":
+            gains = [_qubit_gain(proto, gx)] * 2
+        else:
+            sigma_p = 1.0 / (2.0 * proto.pointer_width)
+            gains = [GAUSSIAN_POSITION_GAIN * proto.coupling,
+                     GAUSSIAN_MOMENTUM_GAIN * sigma_p**2 * proto.coupling]
+        site = gx.index_of(3.0)
+        rows = replay_records(psi_det, site, proto, n_trials)
+        result = run_pointer_protocol(psi_det, site, proto)
+        assert len(rows) == n_trials
+        for b, est in enumerate(result.bins):
+            in_bin = [r for r in rows if r["accepted"] and r["y_bin"] == b]
+            assert len(in_bin) == est.n_accepted
+            for basis, n, value, gain in (("re", est.n_re, est.re, gains[0]),
+                                          ("im", est.n_im, est.im, gains[1])):
+                got = np.array([r["outcome"] for r in in_bin
+                                if r["basis"] == basis])
+                assert got.size == n > 0
+                if model == "qubit":
+                    assert set(got) <= {-1.0, 1.0}
+                    assert round(value * gain * n) == got.sum()
+                assert got.mean() / gain == pytest.approx(value, rel=1e-9)
+
+    def test_order_bs_first_arm_matches_the_run(self):
+        cfg = parse_config({"scenario": "order_invariance",
+                            "n_trials": 100_000,
+                            "protocol": {"compare_planes": False}})
+        g, st = cfg.grid, cfg.state
+        gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
+        gy = Grid1D(g["y_min"], g["y_max"], g["n_y"])
+        psi = beam_splitter(two_branch_state(gx, gy, st["x_sep"],
+                                             st["sigma_x"], st["sigma_y"]),
+                            st["bs_shift"])
+        proto = _protocol(cfg, gx, gy)
+        gain = _qubit_gain(proto, gx)
+        rows = run_order_invariance(cfg)["report"]["mc_comparison"]["rows"]
+        results = {}
+        for row in rows:
+            site = gx.index_of(row["x_site"])
+            if site not in results:
+                results[site] = run_pointer_protocol(psi, site, proto)
+            est = results[site].bins[row["bin"]]
+            # counts per [basis][outcome]; outcome 1 reads +1
+            a0, a1, l0, l1 = row["counts_bs_first"]
+            assert (est.n_re, est.n_im) == (a0 + a1, l0 + l1)
+            assert round(est.re * gain * est.n_re) == a1 - a0
+            assert round(est.im * gain * est.n_im) == l1 - l0
+
+
 class TestSelftest:
     def test_battery_passes(self):
         rep = run_selftest()
@@ -364,6 +453,31 @@ class TestCli:
             cli.main(["planes", "--plane", "D"])
         assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("planes", {"n_trials": True}, []),
+        ("planes", {"protocol": {"coupling": "0.1"}}, []),
+        ("order", {"protocol": {"coupling": "0.1"}}, []),
+        ("fig1", {"state": {"flow_steps": 0}}, []),
+        ("density", {"protocol": {"resample_n": 0}}, []),
+        ("planes", {}, ["--seed", "-1"]),
+        ("order", {}, ["--seed", "-1"]),
+        # alpha = g / (dx * width) = pi to float precision: sin(alpha) ~ 1e-16
+        ("planes", {"protocol": {"pointer_width": 0.10185916357881303}}, []),
+        ("order", {"protocol": {"pointer_width": 0.10185916357881303}}, []),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
+                                    flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        rc = cli.main([command, "--config", str(path), "--out", str(out_dir),
+                       *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_selftest_exit_zero(self, capsys):
         assert cli.main(["selftest"]) == 0

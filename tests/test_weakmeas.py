@@ -22,7 +22,6 @@ from cwflab.weakmeas import (
     WeakValue,
     momentum_amplitude,
     protocol_expectation,
-    results_to_records,
     run_pointer_protocol,
     scan_pointer_protocol,
     weak_value,
@@ -30,8 +29,6 @@ from cwflab.weakmeas import (
     weak_value_entangled_scan,
     weak_value_pi_x,
     weak_value_scan,
-    write_protocol_csv,
-    write_protocol_json,
 )
 
 
@@ -387,21 +384,6 @@ class TestExports:
         proto = PointerProtocol(coupling=0.02, n_trials=20_000, seed=2)
         return scan_pointer_protocol(psi, [grid256.index_of(0.0),
                                            grid256.index_of(0.5)], proto)
-
-    def test_records_and_files(self, grid256, tmp_path):
-        results = self.make_results(grid256)
-        rows = results_to_records(results)
-        assert len(rows) == 2
-        assert set(rows[0]) == {"x", "y_bin", "y_lo", "y_hi", "re", "im",
-                                "se_re", "se_im", "n_accepted", "empty"}
-        j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_protocol_json(j1, results, meta={"state": "gauss"})
-        write_protocol_json(j2, results, meta={"state": "gauss"})
-        assert j1.read_bytes() == j2.read_bytes()
-        c1 = tmp_path / "a.csv"
-        write_protocol_csv(c1, results)
-        header = c1.read_text().splitlines()[0]
-        assert header == "x,y_bin,y_lo,y_hi,re,im,se_re,se_im,n_accepted,empty"
 
     def test_weak_values_accessor(self, grid256):
         results = self.make_results(grid256)
