@@ -12,7 +12,6 @@ trajectory instead of aborting the batch.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,9 +397,3 @@ def write_trajectories_csv(path, result: EnsembleResult):
         for i in range(result.xs.shape[0]):
             for t, x, y in zip(result.times, result.xs[i], result.ys[i]):
                 writer.writerow([i, repr(float(t)), repr(float(x)), repr(float(y))])
-
-
-def write_equivariance_json(path, report: dict):
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -13,11 +13,15 @@ A config file is a JSON object with the top-level keys
     report      {records_cap, format}
 
 Every key is optional; omitted keys take the scenario default and the fully
-resolved config is echoed into each report. Complex state coefficients are
-written as numbers (real) or [re, im] pairs.
+resolved config is echoed into each report. A given value must have its
+default's JSON type (object, list, string, boolean, integer or number), and
+every number must be finite: json.load accepts Infinity and NaN, which no
+field admits. Complex state coefficients are written as numbers (real) or
+[re, im] pairs.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +40,7 @@ COEFF_TOL = 1e-10
 SIN_ALPHA_FLOOR = 1e-8
 
 # (section, key, type, lower bound) of the numeric fields: an int must reach
-# its bound, a float (any JSON number) must exceed it, and a key whose
+# its bound, a float (any finite JSON number) must exceed it, and a key whose
 # default is null may be null. Booleans are not numbers here.
 FIELD_BOUNDS = (
     (None, "seed", int, 0),
@@ -175,28 +179,52 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
     for key, value in override.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in section {path!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, f"{path}.{key}")
-        else:
-            out[key] = value
+        default, where = defaults[key], f"{path}.{key}"
+        need = _json_type_needed(value, default)
+        if need:
+            raise ConfigError(f"{where} must be {need}")
+        out[key] = (_merge(default, value, where) if isinstance(default, dict)
+                    else value)
     return out
+
+
+def _json_type_needed(value, default):
+    """What value lacks to take default's JSON type; None if nothing.
+
+    A null default leaves the type to FIELD_BOUNDS.
+    """
+    if default is None:
+        return None
+    if _is_number(default, int):
+        return None if _is_number(value, int) else "an integer"
+    if _is_number(default):
+        return None if _is_number(value) else "a finite number"
+    for kind, need in ((bool, "true or false"), (str, "a string"),
+                       (list, "a list"), (dict, "an object")):
+        if isinstance(default, kind):
+            return None if isinstance(value, kind) else need
 
 
 def parse_complex_list(raw) -> np.ndarray:
     vals = []
     for item in raw:
-        if isinstance(item, (int, float)):
+        if _is_number(item):
             vals.append(complex(item))
-        elif isinstance(item, (list, tuple)) and len(item) == 2:
+        elif (isinstance(item, (list, tuple)) and len(item) == 2
+              and all(_is_number(part) for part in item)):
             vals.append(complex(float(item[0]), float(item[1])))
         else:
-            raise ConfigError(f"cannot parse coefficient {item!r}")
+            raise ConfigError(
+                f"config.state.c: cannot parse coefficient {item!r}")
     return np.asarray(vals, dtype=np.complex128)
 
 
 def _is_number(value, kind=float) -> bool:
+    """A finite int (kind int) or finite int or float (kind float), not a
+    bool; ints beyond the float range count as infinite."""
     types = (int, float) if kind is float else int
-    return isinstance(value, types) and not isinstance(value, bool)
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_bounds(merged: dict, defaults: dict, name: str):
@@ -234,15 +262,21 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
     _check_bounds(merged, defaults, name)
     grid, pr = merged["grid"], merged["protocol"]
     for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
-        if lo in grid and not (_is_number(grid[lo]) and _is_number(grid[hi])
-                               and grid[lo] < grid[hi]):
+        if lo in grid and not grid[lo] < grid[hi]:
             raise ConfigError(f"config.grid.{lo} must be a number below {hi}")
     if "plane" in pr and pr["plane"] not in ("A", "B", "C"):
         raise ConfigError("config.protocol.plane must be A, B or C")
+    if "sites" in pr and not (pr["sites"]
+                              and all(_is_number(x) for x in pr["sites"])):
+        raise ConfigError("config.protocol.sites must be a non-empty list "
+                          "of numbers")
     if pr.get("pointer_model", "qubit") == "qubit" and pr.get("coupling"):
         dx = (grid["x_max"] - grid["x_min"]) / grid["n_x"]
-        alpha = pr["coupling"] / (dx * pr["pointer_width"])
-        if abs(np.sin(alpha)) < SIN_ALPHA_FLOOR:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            alpha = np.float64(pr["coupling"]) / (dx * pr["pointer_width"])
+            sin_alpha = abs(np.sin(alpha))
+        # not >=: a NaN (alpha = inf) fails too
+        if not sin_alpha >= SIN_ALPHA_FLOOR:
             raise ConfigError(
                 f"config.protocol: qubit rotation alpha = g / (dx * "
                 f"pointer_width) = {alpha:.6g} has |sin(alpha)| below "

@@ -21,7 +21,7 @@ from ..errors import ValidationError
 from ..qgrid import Grid1D, WaveFunction1D, normalize
 from ..states import beam_splitter, branch_waves, two_branch_state
 from ..stats import fidelity, fidelity_debiased, fidelity_debiased_sigma
-from ..weakmeas import PointerProtocol, protocol_expectation, scan_pointer_protocol
+from ..weakmeas import PointerProtocol, scan_pointer_protocol
 from .config import RunRecord, ScenarioConfig
 
 # max branch probability mass allowed on the wrong side of x = 0
@@ -118,10 +118,9 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
     sites = select_sites(psi_det, pr["site_density_floor"])
     x_sites = gx.points[sites]
     results = scan_pointer_protocol(psi_det, sites, proto)
-    exact_cols = [protocol_expectation(psi_det, int(s), proto) for s in sites]
     n_bins = len(y_edges) - 1
-    exact = np.array([[complex(re[b], im[b]) for b in range(n_bins)]
-                      for re, im in exact_cols])
+    exact = np.array([[complex(re, im) for re, im in r.expectation]
+                      for r in results])
 
     draws = bohm.sample_qeh(psi_det, pr["cwf_samples"], cfg.seed)
 

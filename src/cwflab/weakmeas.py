@@ -58,6 +58,19 @@ labcli.planes all pool or list the trials of that draw. Randomness is
 counter-based (Philox) keyed by (seed, site, chunk) with a fixed chunk
 size, which makes results independent of how chunks are distributed over
 workers; partial sums merge in fixed chunk order.
+
+Cells are drawn by indexed search (Chen & Asau): a guide table over the
+CDF, built once per table, maps floor(u * M) (M the smallest power of two
+>= the cell count) to a lower bound of the cell, and only the trials whose
+guide cell is not the answer (3.5% of planes B/on trials, 2.6% of A/off)
+fall back to a binary search. The cells are exactly those of
+searchsorted(cdf, u, side="right"), so the stream and the artifacts do not
+depend on the lookup.
+
+Tables are built once per site: run_pointer_protocol also returns the
+exact expectation of the tables it drew from (ProtocolResult.expectation,
+the same numbers as protocol_expectation), and each site's tables are
+freed before the next site's are built.
 """
 
 from dataclasses import dataclass
@@ -182,8 +195,9 @@ class PointerProtocol:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.coupling > 0 and self.pointer_width > 0):
-            raise ValidationError("coupling and pointer_width must be positive")
+        if not (0 < self.coupling < np.inf and 0 < self.pointer_width < np.inf):
+            raise ValidationError(
+                "coupling and pointer_width must be positive and finite")
         if self.n_trials <= 0:
             raise ValidationError("n_trials must be positive")
         if self.pointer_model not in ("qubit", "gaussian"):
@@ -228,6 +242,7 @@ class ProtocolResult:
     acceptance_expected: float
     y_edges: np.ndarray
     bins: tuple
+    expectation: np.ndarray   # (n_bins, 2) exact (re, im) limits of bins
 
     def weak_values(self):
         return [WeakValue(b.value, f"pi_x(x={self.x_site:g})",
@@ -242,10 +257,11 @@ class _CouplingTables:
     branches, arrays of shape (n_p, n_y) (n_y = 1 for a lone particle), to
     a cell weight nu and the expected (re, im) readings `means` of each
     cell. This base holds the momentum window, the Y-bin map and the cell
-    distribution with its CDF. Each model adds `gains`, which turn pooled
-    readings into weak-value estimates, and readout(rng, cells, basis,
-    u_read), which draws the readings of the given trials. Tables from
-    _site_tables also carry site, x_site and acceptance_expected.
+    distribution with its CDF and the CDF's guide table. Each model adds
+    `gains`, which turn pooled readings into weak-value estimates, and
+    readout(rng, cells, basis, u_read), which draws the readings of the
+    given trials. Tables from _site_tables also carry site, x_site and
+    acceptance_expected.
     """
 
     def __init__(self, gx, gy, nu, means, window, y_bins, hbar):
@@ -262,6 +278,7 @@ class _CouplingTables:
         self.cell_probs = raw / self.total
         self.cdf = np.cumsum(self.cell_probs.ravel())
         self.cdf /= self.cdf[-1]
+        self.guide = _guide_table(self.cdf)
         self.means = means
 
         if gy is None:
@@ -298,6 +315,11 @@ class _CouplingTables:
                 out[b] = [(probs[:, cols] * m[:, cols]).sum() / mass
                           for m in self.means]
         return out
+
+    def expectation(self) -> np.ndarray:
+        """Infinite-trial limit of the (re, im) bin estimates, shape
+        (n_bins, 2); NaN where a bin has no accepted mass."""
+        return self.pooled() / self.gains
 
 
 class _QubitTables(_CouplingTables):
@@ -439,6 +461,29 @@ def _sample_momentum_readout(rng, rest, num, s, sigma_p, hbar):
     return out
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """guide[k] = searchsorted(cdf, k / M, side="right") for k < M.
+
+    M is the smallest power of two >= cdf.size, so k / M is exact and
+    guide[floor(u * M)] is a lower bound of searchsorted(cdf, u, "right").
+    """
+    m = 1 << (cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(m) / m, side="right")
+
+
+def _guide_lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray):
+    """searchsorted(cdf, u, side="right") by indexed search (Chen & Asau).
+
+    Exact for a non-decreasing cdf with cdf[-1] == 1 and u in [0, 1): the
+    guide cell j = guide[floor(u * M)] never exceeds the answer, so j is
+    the answer wherever cdf[j] > u; only the other trials are searched.
+    """
+    cells = guide[(u * guide.size).astype(np.intp)]
+    rest = np.flatnonzero(cdf[cells] <= u)
+    cells[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return cells
+
+
 def _chunk_rng(seed: int, site_index: int, chunk_id: int):
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence([seed, site_index, chunk_id])))
@@ -469,7 +514,7 @@ def _draw_chunk(tab: _CouplingTables, seed: int, site_index: int,
     pointer model's readings of the kept trials.
     """
     rng = _chunk_rng(seed, site_index, chunk_id)
-    cells = np.searchsorted(tab.cdf, rng.random(n), side="right")
+    cells = _guide_lookup(tab.cdf, tab.guide, rng.random(n))
     basis = rng.random(n) < 0.5
     u_read = rng.random(n)
     in_window = tab.win_flat[cells]
@@ -547,17 +592,17 @@ def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResu
         acceptance_rate=n_window / proto.n_trials,
         acceptance_expected=tab.acceptance_expected,
         y_edges=None if tab.gy is None else tab.y_edges,
-        bins=tuple(bins_out))
+        bins=tuple(bins_out), expectation=tab.expectation())
 
 
 def protocol_expectation(system, A_site, proto: PointerProtocol):
     """Infinite-trial limit of the protocol estimators, computed exactly.
 
     Returns (re, im) arrays over Y bins (shape (n_bins,)); bins with zero
-    acceptance probability hold NaN.
+    acceptance probability hold NaN. run_pointer_protocol returns the same
+    numbers as ProtocolResult.expectation.
     """
-    tab = _site_tables(system, A_site, proto)
-    re, im = tab.pooled().T / tab.gains[:, None]
+    re, im = _site_tables(system, A_site, proto).expectation().T
     return re, im
 
 

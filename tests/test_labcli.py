@@ -1,9 +1,13 @@
 """Scenario runners, the config layer, and the command-line front end."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwflab.errors import ValidationError
 from cwflab.qgrid import Grid1D
@@ -17,6 +21,8 @@ from cwflab.weakmeas import (
 )
 from cwflab.labcli import cli
 from cwflab.labcli.config import (
+    DEFAULTS,
+    SCENARIOS,
     ConfigError,
     RunRecord,
     default_config,
@@ -82,6 +88,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="x_min"):
             parse_config({"scenario": "photon_planes",
                           "grid": {"x_min": 2.0, "x_max": -2.0}})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, bad):
+        # an infinite gaussian shift s = g / dx never accepts a draw, so the
+        # run would hang: the parser must refuse it
+        with pytest.raises(ConfigError, match="coupling"):
+            parse_config({"scenario": "photon_planes",
+                          "protocol": {"coupling": bad,
+                                       "pointer_model": "gaussian"}})
+        with pytest.raises(ConfigError, match="shift"):
+            parse_config({"scenario": "density_dm", "state": {"shift": bad}})
+        with pytest.raises(ConfigError, match="x_max"):
+            parse_config({"scenario": "photon_planes",
+                          "grid": {"x_max": bad}})
+        with pytest.raises(ConfigError, match="sites"):
+            parse_config({"scenario": "order_invariance",
+                          "protocol": {"sites": [3.0, bad]}})
+        with pytest.raises(ConfigError, match="coefficient"):
+            parse_config({"scenario": "fig1_collapse",
+                          "state": {"c": [[bad, 0.0], [0.0, 0.0]]}})
 
     def test_load_config_json_errors_line_anchored(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -423,6 +449,53 @@ class TestSharedStream:
             assert round(est.im * gain * est.n_im) == l1 - l0
 
 
+def _field_paths(tree, path=()):
+    for key, value in tree.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, path + (key,))
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                     st.integers(), st.floats(),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+_JSON_LIKE = st.one_of(
+    _SCALARS, st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+                       max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from([(name, path) for name in SCENARIOS
+                              for path in _field_paths(DEFAULTS[name])]),
+       value=_JSON_LIKE)
+def test_config_field_replaced_parses_or_is_refused(field, value):
+    """One default field replaced by any JSON-like value: parse_config
+    refuses it with ConfigError or returns only finite numbers. No
+    scenario runs, since a drawn grid size could allocate without limit."""
+    name, path = field
+    data = copy.deepcopy(DEFAULTS[name])
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cfg = parse_config({"scenario": name, **data})
+    except ConfigError:
+        return
+    for number in _numbers(cfg.to_dict()):
+        assert math.isfinite(float(number)), (path, value)
+
+
 class TestSelftest:
     def test_battery_passes(self):
         rep = run_selftest()
@@ -465,6 +538,10 @@ class TestCli:
         # alpha = g / (dx * width) = pi to float precision: sin(alpha) ~ 1e-16
         ("planes", {"protocol": {"pointer_width": 0.10185916357881303}}, []),
         ("order", {"protocol": {"pointer_width": 0.10185916357881303}}, []),
+        # json.load reads Infinity; these used to exit 1 or 3
+        ("planes", {"protocol": {"coupling": math.inf}}, []),
+        ("density", {"state": {"shift": math.inf}}, []),
+        ("density", {"state": {"width": math.inf}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):
@@ -498,6 +575,24 @@ class TestCli:
         assert set(first) == {"report.json", "records.csv", "psi_initial.csv",
                               "mode_1.csv", "mode_2.csv", "cwf_branch_1.csv",
                               "cwf_branch_2.csv"}
+        assert first == second
+
+    @pytest.mark.parametrize("args", [
+        ["planes", "--bs", "on", "--seed", "4", "--trials", "20000"],
+        ["order", "--seed", "4", "--trials", "3000"],
+    ])
+    def test_rerun_byte_identical(self, tmp_path, capsys, args):
+        out_dir = tmp_path / "run"
+
+        def artifacts():
+            assert cli.main(args + ["--out", str(out_dir)]) == 0
+            return {str(p.relative_to(out_dir)): p.read_bytes()
+                    for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+        first = artifacts()
+        second = artifacts()
+        capsys.readouterr()
+        assert {"report.json", "records.csv"} <= set(first)
         assert first == second
 
     def test_planes_tags_follow_flags(self, tmp_path, capsys):

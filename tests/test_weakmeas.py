@@ -14,6 +14,7 @@ from conftest import random_state_1d
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
 from cwflab.states import beam_splitter, gaussian_1d, product_2d, two_branch_state
+from cwflab import weakmeas
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
     OVERLAP_FLOOR,
@@ -236,6 +237,12 @@ class TestPointerProtocolConfig:
             PointerProtocol(coupling=0.1, n_trials=0)
         with pytest.raises(ValidationError):
             PointerProtocol(coupling=0.1, n_trials=10, pointer_model="dial")
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                PointerProtocol(coupling=bad, n_trials=10,
+                                pointer_model="gaussian")
+            with pytest.raises(ValidationError):
+                PointerProtocol(coupling=0.1, n_trials=10, pointer_width=bad)
 
     def test_weakness_ratio(self, grid256):
         q = PointerProtocol(coupling=0.02, n_trials=10)
@@ -330,6 +337,86 @@ class TestPointerMonteCarlo:
         res = run_pointer_protocol(psi, 0.5, proto)
         assert res.site_index == grid256.index_of(0.5)
         assert res.weakness_ratio == proto.weakness_ratio(grid256)
+
+
+class TestGuideLookup:
+    """The chunk draw's indexed search equals a full binary search of the CDF."""
+
+    @staticmethod
+    def check(mass, extra_u=()):
+        cdf = np.cumsum(np.asarray(mass, dtype=float))
+        cdf /= cdf[-1]
+        guide = weakmeas._guide_table(cdf)
+        m = guide.size
+        assert m >= cdf.size and m & (m - 1) == 0 and m < 2 * max(cdf.size, 1)
+        grid_u = np.arange(m) / m
+        u = np.concatenate([
+            grid_u, np.nextafter(grid_u[1:], 0.0),
+            cdf[cdf < 1.0], np.nextafter(cdf[cdf < 1.0], 0.0),
+            np.asarray(extra_u, dtype=float)])
+        got = weakmeas._guide_lookup(cdf, guide, u)
+        np.testing.assert_array_equal(
+            got, np.searchsorted(cdf, u, side="right"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=st.lists(st.tuples(st.booleans(), st.integers(1, 70)),
+                         min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_mass_runs(self, runs, seed):
+        """Stretches of zero mass anywhere, sizes mostly not powers of two."""
+        rng = np.random.default_rng(seed)
+        mass = np.concatenate([np.zeros(n) if empty else rng.random(n)
+                               for empty, n in runs])
+        if not mass.any():
+            mass[rng.integers(mass.size)] = 1.0
+        self.check(mass, rng.random(2000))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 100, 256, 257])
+    def test_single_cell_carries_all_mass(self, size):
+        for cell in {0, size // 2, size - 1}:
+            mass = np.zeros(size)
+            mass[cell] = 2.5
+            self.check(mass, [0.0, 0.5, np.nextafter(1.0, 0.0)])
+
+    def test_uneven_masses_with_ties(self):
+        # masses spanning 30 decades make cdf steps far below 1 / M
+        rng = np.random.default_rng(11)
+        mass = 10.0 ** rng.uniform(-30, 0, 3000)
+        mass[::7] = 0.0
+        self.check(mass, rng.random(5000))
+
+    def test_chunk_cells_follow_the_stream(self, grid128):
+        """The cells of a chunk are the CDF's searchsorted of the stream's
+        first n uniforms."""
+        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
+                            2.5)
+        proto = PointerProtocol(coupling=0.02, n_trials=5000, seed=9,
+                                y_bins=[grid128.x_min, 0.0, grid128.x_max])
+        site = grid128.index_of(2.0)
+        tab = weakmeas._site_tables(Psi, site, proto)
+        chunk = weakmeas._draw_chunk(tab, proto.seed, site, 0, 5000)
+        u = weakmeas._chunk_rng(proto.seed, site, 0).random(5000)
+        np.testing.assert_array_equal(
+            chunk.cells, np.searchsorted(tab.cdf, u, side="right"))
+
+
+class TestScanExpectation:
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_bitwise_equal_to_protocol_expectation(self, grid128, model):
+        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
+                            2.5)
+        # the last bin holds no grid point, so its expectation is NaN
+        edges = [grid128.x_min, 0.0, 7.0, 7.01, 7.05]
+        proto = PointerProtocol(coupling=0.02, n_trials=2000, seed=5,
+                                y_bins=edges, pointer_model=model)
+        sites = [grid128.index_of(x) for x in (-3.0, 1.5, 3.0)]
+        results = scan_pointer_protocol(Psi, sites, proto)
+        for site, res in zip(sites, results):
+            re, im = protocol_expectation(Psi, site, proto)
+            assert np.isnan(re[-1]) and np.isnan(im[-1])
+            assert res.expectation.shape == (len(edges) - 1, 2)
+            assert (res.expectation.tobytes()
+                    == np.column_stack([re, im]).tobytes())
 
 
 class TestBiasStudy:
