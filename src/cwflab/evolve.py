@@ -52,18 +52,6 @@ def harmonic_potential(grid: Grid1D, omega: float, mass: float = 1.0, center: fl
     return 0.5 * mass * omega**2 * (grid.points - center) ** 2
 
 
-def box_potential(grid: Grid1D, box_min: float, length: float, v0: float = 1e6) -> np.ndarray:
-    """Hard-wall box realized as a large finite potential outside [box_min, box_min+length]."""
-    x = grid.points
-    return np.where((x >= box_min) & (x <= box_min + length), 0.0, v0)
-
-
-def default_timestep(grid, mass: float = 1.0, hbar: float = 1.0) -> float:
-    """Conservative default dt = 0.25 dx^2 m / hbar (grid or min over grids)."""
-    grids = grid if isinstance(grid, (tuple, list)) else (grid,)
-    return 0.25 * min(g.dx for g in grids) ** 2 * mass / hbar
-
-
 def _kinetic_phase_1d(grid: Grid1D, mass, hbar, dt):
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     return np.exp(-0.5j * hbar * dt * k**2 / mass)
@@ -100,18 +88,6 @@ def propagate(wf, ham: Hamiltonian, dt: float, steps: int):
             psi *= exp_v
         return WaveFunction2D(wf.grid_x, wf.grid_y, psi, wf.norm_tag)
     raise ValidationError(f"cannot propagate {type(wf).__name__}")
-
-
-def hamiltonian_matrix(ham: Hamiltonian, grid: Grid1D) -> np.ndarray:
-    """Dense Hermitian matrix of the 1-D grid Hamiltonian (spectral kinetic)."""
-    if ham.potential.shape != (grid.n_points,):
-        raise ValidationError("potential does not match grid")
-    n = grid.n_points
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    kin = ham.hbar**2 * k**2 / (2.0 * ham.masses[0])
-    m = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    m += np.diag(ham.potential)
-    return 0.5 * (m + m.conj().T)
 
 
 @dataclass(frozen=True)

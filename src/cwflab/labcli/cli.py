@@ -78,12 +78,19 @@ def _load_data(args) -> dict:
     if args.out is not None:
         data["output_dir"] = args.out
     if args.format is not None:
-        data.setdefault("report", {})["format"] = args.format
+        _set_flag(data, "report", "format", args.format)
     if getattr(args, "plane", None) is not None:
-        data.setdefault("protocol", {})["plane"] = args.plane
+        _set_flag(data, "protocol", "plane", args.plane)
     if getattr(args, "bs", None) is not None:
-        data.setdefault("protocol", {})["bs_inserted"] = args.bs == "on"
+        _set_flag(data, "protocol", "bs_inserted", args.bs == "on")
     return data
+
+
+def _set_flag(data: dict, section: str, key: str, value) -> None:
+    """Write a flag into its config section; a section that is not an
+    object is left for parse_config to refuse."""
+    if isinstance(data.setdefault(section, {}), dict):
+        data[section][key] = value
 
 
 def _pass_lines(node, prefix: str):

@@ -49,6 +49,8 @@ FIELD_BOUNDS = (
     ("grid", "n_y", int, 2),
     ("state", "flow_steps", int, 1),
     ("protocol", "resample_n", int, 1),
+    ("protocol", "cwf_samples", int, 1),
+    ("report", "records_cap", int, 0),
     *(("state", key, float, 0.0) for key in (
         "w", "lam", "box_length", "sigma_x", "sigma_y", "x_sep", "width")),
     *(("protocol", key, float, 0.0) for key in (

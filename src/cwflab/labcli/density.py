@@ -12,6 +12,7 @@ import numpy as np
 from .. import polar
 from ..qgrid import Grid1D
 from .config import ScenarioConfig
+from .reports import check_record
 
 EXACT_TOL = 1e-10
 AVERAGING_TOL = 1e-12
@@ -28,11 +29,6 @@ def _estimate_json(m: np.ndarray) -> dict:
     """Raw reconstruction entries; resampled estimates need not be Hermitian."""
     return {"basis": ["H", "V"], "re": m.real.tolist(), "im": m.imag.tolist(),
             "trace": float(np.trace(m).real)}
-
-
-def _check(name: str, distance: float, tol: float) -> dict:
-    return {"name": name, "distance": distance, "tol": tol,
-            "pass": bool(distance < tol)}
 
 
 def run_density_dm(cfg: ScenarioConfig) -> dict:
@@ -60,9 +56,11 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         seed=cfg.seed)
 
     checks = [
-        _check("direct_equals_rdm", _distance(direct_all, rdm.matrix), tol),
-        _check("rdm_is_half_identity",
-               _distance(rdm.matrix, half_identity), EXACT_TOL),
+        check_record("direct_equals_rdm",
+                     distance=_distance(direct_all, rdm.matrix), tol=tol),
+        check_record("rdm_is_half_identity",
+                     distance=_distance(rdm.matrix, half_identity),
+                     tol=EXACT_TOL),
     ]
     matrices = {"unconditioned": _estimate_json(direct_all)}
     targets = {"rdm": polar.dm_to_json_dict(rdm)}
@@ -80,11 +78,13 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         direct_Y = polar.direct_dm_measurement(
             rho, Y, four_phase=four_phase, resample_n=resample_n,
             seed=cfg.seed)
-        checks.append(_check(f"direct_equals_cdm_{label}",
-                             _distance(direct_Y, cdm.matrix), tol))
-        checks.append(_check(f"cdm_{label}_matches_branch_target",
-                             _distance(cdm.matrix, branch_targets[label]),
-                             EXACT_TOL))
+        checks.append(check_record(
+            f"direct_equals_cdm_{label}",
+            distance=_distance(direct_Y, cdm.matrix), tol=tol))
+        checks.append(check_record(
+            f"cdm_{label}_matches_branch_target",
+            distance=_distance(cdm.matrix, branch_targets[label]),
+            tol=EXACT_TOL))
         matrices[label] = _estimate_json(direct_Y)
         targets[f"cdm_{label}"] = polar.dm_to_json_dict(cdm)
 
@@ -93,8 +93,9 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
     total = np.zeros((2, 2), dtype=np.complex128)
     for y in spec.pos2.points:
         total += polar.conditional_dm(rho, float(y)).matrix
-    checks.append(_check("averaging_law", _distance(total, rdm.matrix),
-                         AVERAGING_TOL))
+    checks.append(check_record("averaging_law",
+                               distance=_distance(total, rdm.matrix),
+                               tol=AVERAGING_TOL))
 
     report = {
         "scenario": "density_dm",

@@ -26,7 +26,7 @@ from .. import bohm
 from ..errors import ValidationError
 from ..qgrid import Grid1D
 from ..states import box_superposition, gaussian_1d, product_2d
-from ..stats import chi2_gof
+from ..stats import chi2_gof, chi2_joint
 from .config import ScenarioConfig, parse_complex_list
 from scipy import stats as _stats
 
@@ -220,13 +220,6 @@ def transport(modes: BoxModes, w: float, starts, lam: float, steps: int):
     return X, Y, failed
 
 
-def _combine(rx: dict, ry: dict) -> dict:
-    chi2 = rx["chi2"] + ry["chi2"]
-    dof = rx["dof"] + ry["dof"]
-    return {"chi2": float(chi2), "dof": int(dof),
-            "p_value": float(_stats.chi2.sf(chi2, dof))}
-
-
 def _mode_pair_integrals(modes: BoxModes, edges):
     """I[n, m, b] = integral of u_n u_m over x bin b (continuum, exact)."""
     xi = np.clip((np.asarray(edges) - modes.box_min) / modes.length, 0.0, 1.0)
@@ -271,7 +264,7 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
 
     cx = np.histogram(X, bins=bins, range=(gx.x_min, gx.x_max))[0]
     cy = np.histogram(Y, bins=bins, range=(gy.x_min, gy.x_max))[0]
-    return _combine(chi2_gof(cx, px), chi2_gof(cy, py))
+    return chi2_joint(chi2_gof(cx, px), chi2_gof(cy, py))
 
 
 def run_fig1(cfg: ScenarioConfig) -> dict:

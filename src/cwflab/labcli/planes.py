@@ -116,6 +116,11 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         pointer_model=pr["pointer_model"])
 
     sites = select_sites(psi_det, pr["site_density_floor"])
+    if sites.size == 0:
+        raise ValidationError(
+            "config.protocol.site_density_floor = "
+            f"{pr['site_density_floor']:g} selects no site: no x cell's "
+            "marginal density exceeds floor * max (the floor must be below 1)")
     x_sites = gx.points[sites]
     results = scan_pointer_protocol(psi_det, sites, proto)
     n_bins = len(y_edges) - 1

@@ -31,6 +31,28 @@ def jsonify(obj):
     return obj
 
 
+def check_record(name: str, tol=None, bounds=None, minimum=None,
+                 **measured) -> dict:
+    """One named pass/fail check of one measured value.
+
+    measured holds the value under its report key (say observed=...);
+    the check passes when it lies below tol, within bounds or above
+    minimum, whichever is given first, and that limit is recorded too.
+    """
+    (key, value), = measured.items()
+    out = {"name": name, key: float(value)}
+    if tol is not None:
+        out["tol"] = tol
+        out["pass"] = bool(value < tol)
+    elif bounds is not None:
+        out["bounds"] = list(bounds)
+        out["pass"] = bool(bounds[0] <= value <= bounds[1])
+    else:
+        out["minimum"] = minimum
+        out["pass"] = bool(value > minimum)
+    return out
+
+
 def write_report_json(path, report: dict):
     with open(path, "w") as fh:
         json.dump(jsonify(report), fh, sort_keys=True, indent=2, allow_nan=False)
@@ -54,27 +76,16 @@ def _cell(value):
 
 
 def write_rows_json(path, fieldnames, rows):
-    payload = [{k: jsonify(_cell_json(row.get(k))) for k in fieldnames}
-               for row in rows]
+    payload = [{k: jsonify(row.get(k)) for k in fieldnames} for row in rows]
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _cell_json(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def write_wf_csv(path, xs, values):
-    values = np.asarray(values)
-    rows = [{"x": repr(float(x)), "re": repr(float(v.real)),
-             "im": repr(float(v.imag))} for x, v in zip(xs, values)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["x", "re", "im"])
-        writer.writeheader()
-        writer.writerows(rows)
+    write_rows_csv(path, ("x", "re", "im"),
+                   ({"x": x, "re": v.real, "im": v.imag}
+                    for x, v in zip(xs, np.asarray(values))))
 
 
 def emit(output_dir, report: dict, records=None, record_fields=None,

@@ -10,25 +10,11 @@ from .. import bohm, polar, weakmeas
 from ..evolve import Hamiltonian, free_potential, harmonic_potential, propagate
 from ..qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, \
     to_momentum, to_position
-from ..states import beam_splitter, two_branch_state
+from ..states import beam_splitter, gaussian_1d, two_branch_state
+from .reports import check_record
 
 EQUIVARIANCE_P_MIN = 1e-3
 MOMENT_SIGMAS = 5.0
-
-
-def _check(name: str, observed: float, tol: float = None, bounds=None,
-           minimum: float = None) -> dict:
-    out = {"name": name, "observed": float(observed)}
-    if tol is not None:
-        out["tol"] = tol
-        out["pass"] = bool(observed < tol)
-    elif bounds is not None:
-        out["bounds"] = list(bounds)
-        out["pass"] = bool(bounds[0] <= observed <= bounds[1])
-    else:
-        out["minimum"] = minimum
-        out["pass"] = bool(observed > minimum)
-    return out
 
 
 def _random_state(grid: Grid1D, seed: int, modes: int = 12) -> WaveFunction1D:
@@ -44,33 +30,27 @@ def _random_state(grid: Grid1D, seed: int, modes: int = 12) -> WaveFunction1D:
     return normalize(WaveFunction1D(grid, amp))
 
 
-def _gaussian(grid: Grid1D, center: float, sigma: float,
-              k0: float = 0.0) -> WaveFunction1D:
-    x = grid.points
-    amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * x)
-    return normalize(WaveFunction1D(grid, amp))
-
-
 def check_transform_round_trip() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
     psi = _random_state(grid, seed=3)
     back = to_position(to_momentum(psi), grid)
     dev = float(np.abs(back.amplitudes - psi.amplitudes).max())
-    return _check("transform_round_trip", dev, tol=1e-10)
+    return check_record("transform_round_trip", observed=dev, tol=1e-10)
 
 
 def check_norm_drift() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
-    psi = _gaussian(grid, 1.0, 0.7, k0=0.5)
+    psi = gaussian_1d(grid, 1.0, 0.7, k0=0.5)
     ham = Hamiltonian((1.0,), harmonic_potential(grid, 1.0))
     out = propagate(psi, ham, dt=1e-3, steps=1000)
-    return _check("norm_drift_1000_steps", abs(out.norm() - 1.0), tol=1e-9)
+    return check_record("norm_drift_1000_steps",
+                        observed=abs(out.norm() - 1.0), tol=1e-9)
 
 
 def check_split_step_convergence() -> dict:
     """Error ratio under dt halving, against a much finer reference run."""
     grid = Grid1D(-8.0, 8.0, 256)
-    psi = _gaussian(grid, 1.0, 1.0 / np.sqrt(2.0))
+    psi = gaussian_1d(grid, 1.0, 1.0 / np.sqrt(2.0))
     ham = Hamiltonian((1.0,), harmonic_potential(grid, 1.0))
     T, n = 1.0, 64
 
@@ -80,7 +60,8 @@ def check_split_step_convergence() -> dict:
 
     ref = propagate(psi, ham, T / (16 * n), 16 * n)
     ratio = err(n, ref) / err(2 * n, ref)
-    return _check("split_step_convergence_ratio", ratio, bounds=(3.5, 4.5))
+    return check_record("split_step_convergence_ratio", observed=ratio,
+                        bounds=(3.5, 4.5))
 
 
 def check_velocity_two_forms() -> dict:
@@ -96,18 +77,18 @@ def check_velocity_two_forms() -> dict:
     series, ok = bohm.VelocityField1D(psi).velocity(grid.points[keep],
                                                     on_node="mask")
     dev = float(np.abs(series[ok] - j_route[ok]).max())
-    return _check("velocity_two_forms", dev, tol=1e-8)
+    return check_record("velocity_two_forms", observed=dev, tol=1e-8)
 
 
 def check_scan_identity_pure() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
-    psi = _gaussian(grid, 0.4, 0.9, k0=0.3)
+    psi = gaussian_1d(grid, 0.4, 0.9, k0=0.3)
     scan = weakmeas.weak_value_scan(psi)
     const = scan[np.argmax(np.abs(psi.amplitudes))] / \
         psi.amplitudes[np.argmax(np.abs(psi.amplitudes))]
     dev = float(np.abs(scan - const * psi.amplitudes).max()
                 / np.abs(scan).max())
-    return _check("scan_identity_pure", dev, tol=1e-9)
+    return check_record("scan_identity_pure", observed=dev, tol=1e-9)
 
 
 def check_scan_identity_conditional() -> dict:
@@ -125,7 +106,8 @@ def check_scan_identity_conditional() -> dict:
             slc.amplitudes[np.argmax(np.abs(slc.amplitudes))]
         dev = max(dev, float(np.abs(scan - const * slc.amplitudes).max()
                              / np.abs(scan).max()))
-    return _check("scan_identity_conditional", dev, tol=1e-9)
+    return check_record("scan_identity_conditional", observed=dev,
+                        tol=1e-9)
 
 
 def check_equivariance_transport() -> dict:
@@ -137,13 +119,13 @@ def check_equivariance_transport() -> dict:
     ham = Hamiltonian((1.0, 1.0), free_potential(gx, gy))
     rep = bohm.equivariance_check(psi, ham, dt=5e-3, steps=40, n=2000,
                                   seed=11, bins=16)
-    return _check("equivariance_transport_p", rep["p_value"],
-                  minimum=EQUIVARIANCE_P_MIN)
+    return check_record("equivariance_transport_p",
+                        observed=rep["p_value"], minimum=EQUIVARIANCE_P_MIN)
 
 
 def check_qeh_moments() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
-    psi = _gaussian(grid, -0.3, 0.8)
+    psi = gaussian_1d(grid, -0.3, 0.8)
     n = 20_000
     draws = bohm.sample_qeh(psi, n, seed=5)
     p = psi.density() / psi.density().sum()
@@ -151,7 +133,8 @@ def check_qeh_moments() -> dict:
     sd = float(np.sqrt(p @ (grid.points - mean) ** 2))
     z_mean = abs(draws.mean() - mean) / (sd / np.sqrt(n))
     z_sd = abs(draws.std() - sd) / (sd / np.sqrt(2.0 * n))
-    return _check("qeh_moments_z", max(z_mean, z_sd), tol=MOMENT_SIGMAS)
+    return check_record("qeh_moments_z", observed=max(z_mean, z_sd),
+                        tol=MOMENT_SIGMAS)
 
 
 def check_dm_identities() -> dict:
@@ -162,7 +145,7 @@ def check_dm_identities() -> dict:
     cond = polar.direct_dm_measurement(rho, Y_postselect=3.0)
     target = polar.normalize_dm(polar.conditional_dm(rho, 3.0)).matrix
     dev = max(dev, float(np.abs(cond - target).max()))
-    return _check("dm_direct_identities", dev, tol=1e-10)
+    return check_record("dm_direct_identities", observed=dev, tol=1e-10)
 
 
 def check_dm_averaging_law() -> dict:
@@ -172,7 +155,7 @@ def check_dm_averaging_law() -> dict:
     for y in spec.pos2.points:
         total += polar.conditional_dm(rho, float(y)).matrix
     dev = float(np.abs(total - polar.reduced_dm(rho).matrix).max())
-    return _check("dm_averaging_law", dev, tol=1e-12)
+    return check_record("dm_averaging_law", observed=dev, tol=1e-12)
 
 
 CHECKS = (

@@ -16,7 +16,6 @@ pi_VV yields (V, H); the circular-basis variant carries an extra -i
 agreement.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,9 +319,3 @@ def dm_to_json_dict(rho: DensityOperator) -> dict:
         "trace": rho.trace(),
         "norm_tag": rho.norm_tag,
     }
-
-
-def write_dm_json(path, rho: DensityOperator):
-    with open(path, "w") as fh:
-        json.dump(dm_to_json_dict(rho), fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -42,6 +42,15 @@ def chi2_gof(counts, probs) -> dict:
     return {"chi2": chi2, "dof": dof, "p_value": float(sps.chi2.sf(chi2, dof))}
 
 
+def chi2_joint(rx: dict, ry: dict) -> dict:
+    """Joint test of two independent chi-square results: statistics and
+    degrees of freedom add."""
+    chi2 = rx["chi2"] + ry["chi2"]
+    dof = rx["dof"] + ry["dof"]
+    return {"chi2": float(chi2), "dof": int(dof),
+            "p_value": float(sps.chi2.sf(chi2, dof))}
+
+
 def chi2_two_sample(counts_a, counts_b) -> dict:
     """Homogeneity test for two binned samples (shared binning)."""
     a = np.asarray(counts_a, dtype=float)

@@ -145,15 +145,6 @@ def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0,
     return np.exp(-1j * p_x * x / hbar) * psi.amplitudes / den
 
 
-def weak_value_pi_x(psi: WaveFunction1D, x: float, p_x: float,
-                    hbar: float = 1.0) -> WeakValue:
-    """Weak value of the projector density at x, post-selected on momentum p_x."""
-    k = psi.grid.index_of(x)
-    value = weak_value_scan(psi, p_x, hbar)[k]
-    return WeakValue(complex(value), f"pi_x(x={psi.grid.points[k]:g})",
-                     f"p_x={p_x:g}")
-
-
 def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float, Y: float,
                               hbar: float = 1.0) -> np.ndarray:
     """Scan of exp(-i p_x x/hbar) Psi(x, Y) / <p_x|Psi(., Y)> over x.
@@ -164,14 +155,6 @@ def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float, Y: float,
     column = WaveFunction1D(Psi.grid_x, Psi.amplitudes[:, j],
                             norm_tag="unnormalized")
     return weak_value_scan(column, p_x, hbar)
-
-
-def weak_value_entangled(Psi: WaveFunction2D, x: float, p_x: float, Y: float,
-                         hbar: float = 1.0) -> WeakValue:
-    k = Psi.grid_x.index_of(x)
-    value = weak_value_entangled_scan(Psi, p_x, Y, hbar)[k]
-    return WeakValue(complex(value), f"pi_x(x={Psi.grid_x.points[k]:g})",
-                     f"p_x={p_x:g};Y={Y:g}")
 
 
 @dataclass(frozen=True)

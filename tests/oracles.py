@@ -2,10 +2,15 @@
 
 Everything here is derived by hand from textbook formulas and implemented
 without touching the package's numerical paths, so tests compare two
-independent routes to the same quantity.
+independent routes to the same quantity. The dense box Hamiltonian at the
+end is the reference that the split-operator box revival is checked against.
 """
 
 import numpy as np
+
+from cwflab.errors import ValidationError
+from cwflab.evolve import Hamiltonian
+from cwflab.qgrid import Grid1D
 
 HBAR = 1.0
 
@@ -60,3 +65,21 @@ def momentum_gaussian(p, sigma=1.0, center_x=0.0, hbar=HBAR):
     sp = hbar / (2.0 * sigma)
     return (2.0 * np.pi * sp**2) ** -0.25 * np.exp(-(p**2) / (4.0 * sp**2)
                                                    - 1j * p * center_x / hbar)
+
+
+def box_potential(grid: Grid1D, box_min: float, length: float, v0: float = 1e6) -> np.ndarray:
+    """Hard-wall box realized as a large finite potential outside [box_min, box_min+length]."""
+    x = grid.points
+    return np.where((x >= box_min) & (x <= box_min + length), 0.0, v0)
+
+
+def hamiltonian_matrix(ham: Hamiltonian, grid: Grid1D) -> np.ndarray:
+    """Dense Hermitian matrix of the 1-D grid Hamiltonian (spectral kinetic)."""
+    if ham.potential.shape != (grid.n_points,):
+        raise ValidationError("potential does not match grid")
+    n = grid.n_points
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    kin = ham.hbar**2 * k**2 / (2.0 * ham.masses[0])
+    m = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    m += np.diag(ham.potential)
+    return 0.5 * (m + m.conj().T)

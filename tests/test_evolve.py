@@ -8,10 +8,7 @@ from cwflab.evolve import (
     ObservableSpec,
     apply_impulse,
     box_eigenbasis,
-    box_potential,
-    default_timestep,
     free_potential,
-    hamiltonian_matrix,
     harmonic_potential,
     propagate,
 )
@@ -19,7 +16,7 @@ from cwflab.qgrid import Grid1D, WaveFunction1D, inner_product, normalize
 from cwflab.states import box_superposition, gaussian_1d, product_2d
 
 from conftest import random_state_1d, random_state_2d
-from oracles import free_gaussian, spreading_width
+from oracles import box_potential, free_gaussian, hamiltonian_matrix, spreading_width
 
 
 class TestPropagate1D:
@@ -57,7 +54,7 @@ class TestPropagate1D:
     def test_norm_drift_under_1e9_per_1000_steps(self, grid256):
         wf = random_state_1d(grid256, seed=9)
         ham = Hamiltonian((1.0,), harmonic_potential(grid256, 2.0))
-        out = propagate(wf, ham, default_timestep(grid256), 1000)
+        out = propagate(wf, ham, 0.25 * grid256.dx**2, 1000)
         assert abs(out.norm() - 1.0) < 1e-9
 
     def test_second_order_convergence(self, grid256):
@@ -99,7 +96,7 @@ class TestPropagate2D:
         psi = random_state_2d(grid128, gy, seed=31)
         v = np.add.outer(harmonic_potential(grid128, 1.0), harmonic_potential(gy, 0.5))
         ham = Hamiltonian((1.0, 2.0), v)
-        out = propagate(psi, ham, default_timestep((grid128, gy)), 1000)
+        out = propagate(psi, ham, 0.25 * min(grid128.dx, gy.dx)**2, 1000)
         assert abs(out.norm() - 1.0) < 1e-9
 
 
@@ -215,9 +212,3 @@ class TestImpulse:
         _, basis, _, _ = impulse_setup
         with pytest.raises(ValidationError):
             ImpulsiveCoupling(basis, 0.05, target="x")
-
-
-def test_default_timestep(grid256):
-    assert np.isclose(default_timestep(grid256), 0.25 * grid256.dx**2)
-    gy = Grid1D(0.0, 1.0, 64)
-    assert np.isclose(default_timestep((grid256, gy)), 0.25 * gy.dx**2)

@@ -542,6 +542,14 @@ class TestCli:
         ("planes", {"protocol": {"coupling": math.inf}}, []),
         ("density", {"state": {"shift": math.inf}}, []),
         ("density", {"state": {"width": math.inf}}, []),
+        # a floor >= 1 couples no site
+        ("planes", {"protocol": {"site_density_floor": 2.0}}, []),
+        # flags aimed at a section that is not an object
+        ("planes", {"report": 5}, ["--format", "json"]),
+        ("planes", {"protocol": 5}, ["--plane", "B"]),
+        ("planes", {"protocol": 5}, ["--bs", "on"]),
+        ("planes", {"protocol": {"cwf_samples": -1}}, []),
+        ("planes", {"report": {"records_cap": -1}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):

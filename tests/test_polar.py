@@ -1,8 +1,6 @@
 """Polarization density-matrix algebra: reduced and conditional matrices,
 mixed-state weak values, and the entrywise direct reconstruction."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,16 +326,6 @@ class TestExport:
         assert abs(d["trace"] - 1.0) < 1e-12
         assert d["norm_tag"] == "trace-one"
         assert np.max(np.abs(np.array(d["re"]) - np.eye(2) / 2.0)) < 1e-12
-
-    def test_json_file_deterministic(self, tmp_path):
-        spec = make_spec()
-        red = polar.reduced_dm(polar.make_state_psi2(spec, 1.0))
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        polar.write_dm_json(p1, red)
-        polar.write_dm_json(p2, red)
-        assert p1.read_bytes() == p2.read_bytes()
-        loaded = json.loads(p1.read_text())
-        assert set(loaded) == {"basis", "re", "im", "trace", "norm_tag"}
 
     def test_export_needs_2x2(self):
         spec = make_spec(8)

@@ -26,9 +26,7 @@ from cwflab.weakmeas import (
     run_pointer_protocol,
     scan_pointer_protocol,
     weak_value,
-    weak_value_entangled,
     weak_value_entangled_scan,
-    weak_value_pi_x,
     weak_value_scan,
 )
 
@@ -152,17 +150,9 @@ class TestMomentumScan:
         with pytest.raises(PostSelectionError):
             weak_value_scan(odd, 0.0)
 
-    def test_pi_x_value_and_descriptors(self, grid256):
-        psi = gaussian_1d(grid256, 0.0, 1.0)
-        wv = weak_value_pi_x(psi, 0.5, 0.0)
-        k = grid256.index_of(0.5)
-        assert wv.value == complex(weak_value_scan(psi, 0.0)[k])
-        assert "0.5" in wv.observable
-        assert wv.postselection == "p_x=0"
-
     def test_matches_generic_weak_value_with_plane_wave_bra(self, grid256):
-        # pi_x route equals weak_value with A = cell projector density and
-        # b = delta-normalized plane wave
+        # the scan at x equals weak_value with A = cell projector density
+        # and b = delta-normalized plane wave
         psi = gaussian_1d(grid256, 0.2, 1.0, k0=0.9)
         p = 0.4
         k = grid256.index_of(-0.3)
@@ -171,7 +161,7 @@ class TestMomentumScan:
         plane = WaveFunction1D(grid256, np.exp(1j * p * grid256.points),
                                norm_tag="unnormalized")
         generic = weak_value(proj, psi, plane).value
-        direct = weak_value_pi_x(psi, -0.3, p).value
+        direct = weak_value_scan(psi, p)[k]
         assert abs(generic - direct) < 1e-12 * abs(direct)
 
 
@@ -226,7 +216,7 @@ class TestEntangledScan:
     def test_off_grid_Y_raises(self, grid128):
         Psi = two_branch_state(grid128, grid128, 3.0, 0.5, 0.7)
         with pytest.raises(OffGridError):
-            weak_value_entangled(Psi, 0.0, 0.0, 99.0)
+            weak_value_entangled_scan(Psi, 0.0, 99.0)
 
 
 class TestPointerProtocolConfig:
@@ -270,7 +260,7 @@ class TestPointerMonteCarlo:
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=400_000, seed=12)
         res = run_pointer_protocol(psi, grid256.index_of(0.5), proto)
-        wv = weak_value_pi_x(psi, 0.5, 0.0).value
+        wv = weak_value_scan(psi, 0.0)[grid256.index_of(0.5)]
         b = res.bins[0]
         assert abs(b.re - wv.real) < 3 * b.se_re
         assert abs(b.im - wv.imag) < 3 * b.se_im
