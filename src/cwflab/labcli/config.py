@@ -75,7 +75,7 @@ DEFAULTS = {
             "box_length": 1.0,
             "w": 0.1,          # pointer amplitude scale: phi0 ~ exp(-y^2/2w^2)
             "lam": None,       # impulse strength; None -> 8 w / min-gap
-            "flow_steps": 256,
+            "flow_steps": 32,
         },
         "protocol": {},
         "report": {"records_cap": 10_000, "format": "csv"},

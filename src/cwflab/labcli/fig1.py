@@ -17,15 +17,23 @@ and the continuity equation of i d_s Psi = (A p_y) Psi fixes the flow
 by a total x-derivative, which is what makes the pair divergence-free).
 Both currents carry a single factor of u_n near a wall while the density
 carries two, so the flow turns parallel to the wall instead of crossing
-it. Positions transport by RK4 in s; outcomes are read off the final Y.
+it.
+
+For real c_n, Psi vanishes on moving nodal lines, where rho = |Psi|^2 = 0
+but j_y = -|d_x Psi|^2 / 2 is not: v = j / rho grows like 1/d^2 at
+distance d from a node, and trajectories cross nodes at finite s. The
+field (j_x, j_y, rho) is smooth and divergence-free in (x, y, s), so
+positions transport in Sundman time tau, ds/dtau = rho / rho_ref and
+d(x, y)/dtau = (j_x, j_y) / rho_ref: the same curves, reparametrised, on
+which a node crossing costs a few ordinary steps. Outcomes are read off Y
+at s = lam.
 """
 
 import numpy as np
 
-from .. import bohm
 from ..errors import ValidationError
 from ..qgrid import Grid1D
-from ..states import box_superposition, gaussian_1d, product_2d
+from ..states import box_superposition
 from ..stats import chi2_gof, chi2_joint
 from .config import ScenarioConfig, parse_complex_list
 from scipy import stats as _stats
@@ -49,14 +57,11 @@ class BoxModes:
         self.R = np.real(np.outer(self.c, np.conj(self.c)))
 
     def u(self, x):
-        """Mode values and x-derivatives at points x; zero outside the box."""
+        """Mode values at points x; zero outside the box."""
         xi = (np.asarray(x) - self.box_min) / self.length
         inside = (xi > 0.0) & (xi < 1.0)
-        k = self.numbers[:, None] * np.pi
-        root = np.sqrt(2.0 / self.length)
-        vals = root * np.sin(k * xi) * inside
-        ders = root * (k / self.length) * np.cos(k * xi) * inside
-        return vals, ders
+        return (np.sqrt(2.0 / self.length)
+                * np.sin(self.numbers[:, None] * np.pi * xi) * inside)
 
     def min_gap(self) -> float:
         if self.a.size < 2:
@@ -64,180 +69,179 @@ class BoxModes:
         return float(np.min(np.diff(np.sort(self.a))))
 
 
-def _pointer(y, centers, w):
-    """Gaussian pointer amplitudes (sans normalization) and y-derivatives."""
-    centers = np.asarray(centers)
-    if centers.ndim == 1:
-        z = np.asarray(y) - centers[:, None]
-    else:
-        z = np.asarray(y) - centers
-    phi = np.exp(-(z**2) / (2.0 * w**2))
-    return phi, -(z / w**2) * phi
-
-
 def flow_velocity(modes: BoxModes, w: float, X, Y, s):
-    """(v_x, v_y, rho) of the impulse flow at positions (X, Y).
+    """(j_x, j_y, rho) of the impulse flow at positions (X, Y).
 
-    s may be a scalar or a per-position array (adaptive substeps)."""
-    u, du = modes.u(X)
-    phi, dphi = _pointer(Y, np.multiply.outer(modes.a, np.asarray(s)), w)
-    rho = np.zeros_like(np.asarray(X, dtype=float))
-    jx = np.zeros_like(rho)
-    jy = np.zeros_like(rho)
-    n_act = modes.c.size
-    for n in range(n_act):
-        for m in range(n_act):
-            r = modes.R[n, m]
-            if r == 0.0:
-                continue
-            pp = phi[n] * phi[m]
-            rho += r * u[n] * u[m] * pp
-            jx += r * du[n] * u[m] * phi[n] * dphi[m]
-            jy += r * (2.0 * modes.a[n] * u[n] * u[m]
-                       - 0.5 * du[n] * du[m]) * pp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe = np.maximum(rho, 1e-300)
-        return jx / safe, jy / safe, rho
-
-
-SUBSTEP_RHO = 1e-9      # fraction of rho_max that triggers step halving
-SUBSTEP_DISP = 0.05     # per-step displacement that triggers halving
-MIN_STEP_FRACTION = 2.0**-26
-ADAPTIVE_BUDGET = 20_000
+    s is a scalar or one impulse parameter per position. The mode sums
+    Psi, d_x Psi, d_y Psi and d_x^2 Psi use the sines' continuation past
+    the walls, so a Runge-Kutta stage that strays outside the box sees the
+    same smooth field."""
+    k = modes.numbers[:, None] * np.pi
+    theta = k * ((X - modes.box_min) / modes.length)
+    z = Y - modes.a[:, None] * s
+    phi = np.sqrt(2.0 / modes.length) * np.exp(-(z * z) / (2.0 * w * w))
+    u_phi = np.sin(theta) * phi
+    coef = np.stack([modes.c.real, modes.c.imag])
+    # rows: real and imaginary part of each mode sum
+    psi = coef @ u_phi
+    psi_x = coef @ (np.cos(theta) * phi * (k / modes.length))
+    psi_y = coef @ (u_phi * (-z / (w * w)))
+    psi_xx = (coef * (-2.0 * modes.a)) @ u_phi
+    rho = np.sum(psi * psi, axis=0)
+    jx = np.sum(psi_x * psi_y, axis=0)
+    jy = -np.sum(psi * psi_xx, axis=0) - 0.5 * np.sum(psi_x * psi_x, axis=0)
+    return jx, jy, rho
 
 
-class _Flow:
-    """Adaptive RK4 transport of the impulse flow.
+POSITION_TOL = 1e-6     # absolute error allowed per step in x, y and s
+MIN_STEP = 1e-10        # a step below this fraction of the first one fails
+ROUND_BUDGET = 10_000   # lockstep rounds before unfinished trajectories fail
+CDF_BISECTIONS = 40     # x draws resolve the box to 2**-40 of its length
 
-    The flow is stiff: trajectories circulate in (x, y) while the pointer
-    branches separate and the speed diverges near moving nodes. Every outer
-    step is first taken in one RK4 sweep; trajectories whose sweep leaves
-    the box, dips below a density safety floor, or moves farther than
-    SUBSTEP_DISP are redone with per-trajectory adaptive substeps (halving
-    on rejection, doubling on success). At the minimum substep a soft
-    rejection is accepted; wall crossing, non-finite positions and density
-    under the node floor freeze and flag the trajectory.
-    """
+# Dormand-Prince 5(4): stage rows (the last is the 5th-order solution, whose
+# slope starts the next step), error weights b5 - b4, and the coefficients
+# of the 4th-order continuous extension (Hairer, Norsett & Wanner, Solving
+# ODEs I, sections II.4-5).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
 
-    def __init__(self, modes: BoxModes, w: float, rho_max: float):
-        self.modes = modes
-        self.w = w
-        self.lo = modes.box_min
-        self.hi = modes.box_min + modes.length
-        self.soft = SUBSTEP_RHO * rho_max
-        self.hard = bohm.NODE_FLOOR * rho_max
 
-    def _rk4(self, x, y, s, ds):
-        f = flow_velocity
-        k1x, k1y, r1 = f(self.modes, self.w, x, y, s)
-        k2x, k2y, r2 = f(self.modes, self.w, x + 0.5 * ds * k1x,
-                         y + 0.5 * ds * k1y, s + 0.5 * ds)
-        k3x, k3y, r3 = f(self.modes, self.w, x + 0.5 * ds * k2x,
-                         y + 0.5 * ds * k2y, s + 0.5 * ds)
-        k4x, k4y, r4 = f(self.modes, self.w, x + ds * k3x,
-                         y + ds * k3y, s + ds)
-        xn = x + (ds / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        yn = y + (ds / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        _, _, rn = f(self.modes, self.w, xn, yn, s + ds)
-        rmin = np.minimum.reduce([r1, r2, r3, r4, rn])
-        return xn, yn, rmin
+def _combine(weights, ks):
+    """sum_i weights[i] * ks[i] over the nonzero weights."""
+    return sum(c * k for c, k in zip(weights, ks) if c != 0.0)
 
-    def _classify(self, x, y, xn, yn, rmin):
-        finite = np.isfinite(xn) & np.isfinite(yn)
-        inside = finite & (xn > self.lo) & (xn < self.hi)
-        disp = np.maximum(np.abs(xn - x), np.abs(yn - y))
-        good = inside & (rmin >= self.soft) & (disp <= SUBSTEP_DISP)
-        hard = ~inside | (rmin < self.hard)
-        return good, hard
 
-    def _adaptive(self, x, y, s0, span):
-        """Advance the cohort over [s0, s0 + span] with per-element steps."""
-        x = x.copy()
-        y = y.copy()
-        n = x.size
-        done = np.zeros(n)
-        dt = np.full(n, 0.5 * span)
-        ok = np.ones(n, dtype=bool)
-        active = np.ones(n, dtype=bool)
-        dt_min = span * MIN_STEP_FRACTION
-        for _ in range(ADAPTIVE_BUDGET):
-            if not active.any():
-                break
-            ia = np.flatnonzero(active)
-            step = np.minimum(dt[ia], span - done[ia])
-            xn, yn, rmin = self._rk4(x[ia], y[ia], s0 + done[ia], step)
-            good, hard = self._classify(x[ia], y[ia], xn, yn, rmin)
-            tiny = dt[ia] <= dt_min
-            accept = good | (tiny & ~hard)
-            fail = tiny & hard
-            acc = ia[accept]
-            x[acc] = xn[accept]
-            y[acc] = yn[accept]
-            done[acc] += step[accept]
-            dt[acc] = np.minimum(dt[acc] * 2.0, span)
-            dt[ia[~accept & ~fail]] *= 0.5
-            ok[ia[fail]] = False
-            active[ia] = (done[ia] < span * (1.0 - 1e-12)) & ok[ia]
-        leftover = active
-        ok[leftover] = False
-        return x, y, ok
+def _landing(z0, z1, h, ks, lam):
+    """Dense-output point where s = lam inside each step (s0 < lam <= s1).
 
-    def step(self, x, y, s, ds):
-        """One outer step for the whole cohort; returns (x, y, ok).
-
-        Failed trajectories keep their last accepted position."""
-        xn, yn, rmin = self._rk4(x, y, s, ds)
-        good, _ = self._classify(x, y, xn, yn, rmin)
-        ok = np.ones(x.size, dtype=bool)
-        if not good.all():
-            redo = ~good
-            xb, yb, okb = self._adaptive(x[redo], y[redo], s, ds)
-            xn[redo] = xb
-            yn[redo] = yb
-            ok[redo] = okb
-        return xn, yn, ok
+    Newton on the s row of the continuous extension, started from the
+    secant; s grows monotonically through the step since ds/dtau >= 0."""
+    r2 = z1 - z0
+    r3 = h * ks[0] - r2
+    r4 = r2 - h * ks[-1] - r3
+    r5 = h * _combine(_DP_D, ks)
+    t = np.clip((lam - z0[2]) / r2[2], 0.0, 1.0)
+    for _ in range(6):
+        t1 = 1.0 - t
+        s = z0[2] + t * (r2[2] + t1 * (r3[2] + t * (r4[2] + t1 * r5[2])))
+        ds = (r2[2] + (1.0 - 2.0 * t) * r3[2] + t * (2.0 - 3.0 * t) * r4[2]
+              + 2.0 * t * t1 * (1.0 - 2.0 * t) * r5[2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(np.where(ds > 0.0, t - (s - lam) / ds, t), 0.0, 1.0)
+    t1 = 1.0 - t
+    return z0 + t * (r2 + t1 * (r3 + t * (r4 + t1 * r5)))
 
 
 def transport(modes: BoxModes, w: float, starts, lam: float, steps: int):
-    """Transport (X, Y) over s in [0, lam]; failed trajectories freeze.
+    """Transport (X, Y) over s in [0, lam] in Sundman time; returns
+    (X, Y, failed).
 
-    Returns (X, Y, failed)."""
-    X = np.array(starts[:, 0], dtype=float)
-    Y = np.array(starts[:, 1], dtype=float)
-    failed = np.zeros(X.size, dtype=bool)
-    _, _, rho0 = flow_velocity(modes, w, X, Y, 0.0)
-    flow = _Flow(modes, w, float(rho0.max()))
-    ds = lam / steps
-    for k in range(steps):
-        alive = ~failed
-        if not alive.any():
+    One lockstep loop of Dormand-Prince 5(4) steps, each trajectory with
+    its own step. A step is accepted only when its error estimate is within
+    POSITION_TOL and its endpoint is finite and inside the box; the step
+    that crosses s = lam lands on it by dense output. rho_ref bounds rho,
+    so ds/dtau <= 1 and the first step, lam / steps, advances s by at most
+    lam / steps; every later step is capped at lam / steps over ds/dtau at
+    its start. A trajectory whose step falls below MIN_STEP of the first,
+    or that is unfinished after ROUND_BUDGET rounds, fails and freezes at
+    its last accepted point."""
+    Z = np.array([starts[:, 0], starts[:, 1], np.zeros(len(starts))],
+                 dtype=float)
+    rho_ref = 2.0 / modes.length * float(np.sum(np.abs(modes.c))) ** 2
+
+    def field(z):
+        return np.array(flow_velocity(modes, w, z[0], z[1], z[2])) / rho_ref
+
+    def admissible(z):
+        return (np.isfinite(z).all(axis=0) & (z[0] > modes.box_min)
+                & (z[0] < modes.box_min + modes.length))
+
+    slope = field(Z)
+    first = lam / steps
+    h = np.full(Z.shape[1], first)
+    active = np.ones(Z.shape[1], dtype=bool)
+    failed = np.zeros(Z.shape[1], dtype=bool)
+    for _ in range(ROUND_BUDGET):
+        ia = np.flatnonzero(active)
+        if ia.size == 0:
             break
-        xn, yn, ok = flow.step(X[alive], Y[alive], k * ds, ds)
-        X[alive] = xn
-        Y[alive] = yn
-        idx = np.flatnonzero(alive)
-        failed[idx[~ok]] = True
-    return X, Y, failed
+        z0, hh = Z[:, ia], h[ia]
+        ks = [slope[:, ia]]
+        for row in _DP_A:
+            z1 = z0 + hh * _combine(row, ks)
+            ks.append(field(z1))
+        err = np.max(np.abs(hh * _combine(_DP_E, ks)), axis=0) / POSITION_TOL
+        ok = (err <= 1.0) & admissible(z1)
+        land = ok & (z1[2] >= lam)
+        if land.any():
+            il = np.flatnonzero(land)
+            zl = _landing(z0[:, il], z1[:, il], hh[il],
+                          [k[:, il] for k in ks], lam)
+            stray = il[~admissible(zl)]
+            ok[stray] = land[stray] = False
+            zl[2] = lam
+            z1[:, il] = zl
+        with np.errstate(divide="ignore"):
+            grow = 0.9 * err**-0.2
+        grow = np.where(ok, np.fmax(np.fmin(grow, 5.0), 0.2),
+                        np.fmax(np.fmin(grow, 0.5), 0.2))
+        acc = ia[ok]
+        Z[:, acc] = z1[:, ok]
+        slope[:, acc] = ks[-1][:, ok]
+        with np.errstate(divide="ignore"):
+            cap = first / slope[2, ia]
+        h[ia] = np.minimum(hh * grow, cap)
+        tiny = ~land & (h[ia] < MIN_STEP * first)
+        failed[ia[tiny]] = True
+        active[ia[land | tiny]] = False
+    failed |= active
+    return Z[0], Z[1], failed
 
 
-def _mode_pair_integrals(modes: BoxModes, edges):
-    """I[n, m, b] = integral of u_n u_m over x bin b (continuum, exact)."""
-    xi = np.clip((np.asarray(edges) - modes.box_min) / modes.length, 0.0, 1.0)
-    nums = modes.numbers
-    k = nums.size
-    out = np.zeros((k, k, xi.size - 1))
+def _anti(n: int, m: int, t):
+    """Antiderivative of 2 sin(n pi t) sin(m pi t), zero at t = 0."""
+    if n == m:
+        return t - np.sin(2.0 * n * np.pi * t) / (2.0 * n * np.pi)
+    return (np.sin((n - m) * np.pi * t) / ((n - m) * np.pi)
+            - np.sin((n + m) * np.pi * t) / ((n + m) * np.pi))
 
-    def anti(n, m, t):
-        if n == m:
-            return t - np.sin(2.0 * n * np.pi * t) / (2.0 * n * np.pi)
-        return (np.sin((n - m) * np.pi * t) / ((n - m) * np.pi)
-                - np.sin((n + m) * np.pi * t) / ((n + m) * np.pi))
 
-    for i, n in enumerate(nums):
-        for j, m in enumerate(nums):
-            vals = anti(int(n), int(m), xi)
-            out[i, j] = np.diff(vals)
-    return out
+def _pair_anti(modes: BoxModes, xi):
+    """A[n, m, ...] = integral of u_n u_m from the left wall to box
+    fraction xi (continuum, exact)."""
+    return np.array([[_anti(int(n), int(m), xi) for m in modes.numbers]
+                     for n in modes.numbers])
+
+
+def sample_initial(modes: BoxModes, w: float, n: int, seed: int):
+    """n exact draws from |Psi_0|^2 = |psi(x)|^2 |phi0(y)|^2, shape (n, 2).
+
+    y is (w / sqrt 2) times a standard normal; x inverts the closed-form
+    CDF sum_nm R_nm A_nm(xi) by vectorised bisection. Both come from one
+    Philox stream keyed by seed."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    target = rng.random(n) * np.trace(modes.R)
+    y = (w / np.sqrt(2.0)) * rng.standard_normal(n)
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    for _ in range(CDF_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        mass = np.einsum("nm,nmi->i", modes.R, _pair_anti(modes, mid))
+        lo = np.where(mass < target, mid, lo)
+        hi = np.where(mass < target, hi, mid)
+    x = modes.box_min + modes.length * 0.5 * (lo + hi)
+    return np.column_stack([x, y])
 
 
 def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
@@ -258,9 +262,9 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
 
     shifts = s * (modes.a[:, None] - modes.a[None, :])
     overlaps = np.exp(-(shifts**2) / (4.0 * w**2))
-    coupling = np.real(np.outer(modes.c, np.conj(modes.c))) * overlaps
-    I = _mode_pair_integrals(modes, x_edges)
-    px = np.einsum("nm,nmb->b", coupling, I)
+    xi = np.clip((x_edges - modes.box_min) / modes.length, 0.0, 1.0)
+    px = np.einsum("nm,nmb->b", modes.R * overlaps,
+                   np.diff(_pair_anti(modes, xi), axis=-1))
 
     cx = np.histogram(X, bins=bins, range=(gx.x_min, gx.x_max))[0]
     cy = np.histogram(Y, bins=bins, range=(gy.x_min, gy.x_max))[0]
@@ -288,16 +292,9 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
         raise ValidationError("y grid does not cover the outcome range")
 
     psi_x = box_superposition(gx, st["box_min"], st["box_length"], coeffs)
-    phi_y = gaussian_1d(gy, 0.0, w / np.sqrt(2.0))
-    psi0 = product_2d(psi_x, phi_y)
 
     n = cfg.n_trials
-    starts = bohm.sample_qeh(psi0, n, cfg.seed)
-    # spread each grid-cell draw uniformly over its cell; the bare lattice
-    # of cell centers aliases through the flow map into the final histogram
-    jit = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([cfg.seed, 1])))
-    starts = starts + jit.uniform(-0.5, 0.5, starts.shape) * [gx.dx, gy.dx]
+    starts = sample_initial(modes, w, n, cfg.seed)
     before = _flow_marginal_chi2(modes, w, 0.0, gx, gy, starts[:, 0],
                                  starts[:, 1], EQUIVARIANCE_BINS)
 
@@ -358,7 +355,7 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
                      "outcome_mode", "overlap", "failed")
 
     wf_tables = {"psi_initial": (gx.points, psi_x.amplitudes)}
-    u_grid, _ = modes.u(gx.points)
+    u_grid = modes.u(gx.points)
     for i, mode_number in enumerate(modes.numbers):
         wf_tables[f"mode_{int(mode_number)}"] = (gx.points, u_grid[i])
         sample = np.flatnonzero(ok & (outcome == i))

@@ -10,24 +10,35 @@ from .errors import ValidationError
 MIN_EXPECTED = 5.0
 
 
-def _pool(counts: np.ndarray, expected: np.ndarray):
+def _pool(counts, expected, decide=None):
+    """Pool the cells expecting fewer than MIN_EXPECTED counts into one
+    collective cell. A collective cell that itself expects fewer is folded
+    into the smallest kept cell instead, unless no kept cell is left.
+
+    `decide` (default `expected`) holds the expectations that choose the
+    cells, so that two samples can share one binning."""
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
-    keep = expected >= MIN_EXPECTED
-    if keep.all():
+    decide = expected if decide is None else decide
+    small = decide < MIN_EXPECTED
+    if not small.any():
         return counts, expected
-    pooled_c = np.append(counts[keep], counts[~keep].sum())
-    pooled_e = np.append(expected[keep], expected[~keep].sum())
-    if pooled_e[-1] == 0.0:
-        pooled_c, pooled_e = pooled_c[:-1], pooled_e[:-1]
-    return pooled_c, pooled_e
+    kept = np.flatnonzero(~small)
+    c, e = counts[kept], expected[kept]
+    pooled_c, pooled_e = counts[small].sum(), expected[small].sum()
+    if kept.size and decide[small].sum() < MIN_EXPECTED:
+        j = np.argmin(decide[kept])
+        c[j] += pooled_c
+        e[j] += pooled_e
+        return c, e
+    return np.append(c, pooled_c), np.append(e, pooled_e)
 
 
 def chi2_gof(counts, probs) -> dict:
     """Goodness of fit of observed counts against cell probabilities.
 
     Returns {"chi2", "dof", "p_value"}; cells with expected count < 5 are
-    pooled into one cell, dof = (#cells after pooling) - 1.
+    pooled (see _pool), dof = (#cells after pooling) - 1.
     """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -63,15 +74,9 @@ def chi2_two_sample(counts_a, counts_b) -> dict:
     na, nb = a.sum(), b.sum()
     ea = tot * na / (na + nb)
     eb = tot * nb / (na + nb)
-    (ca, eca) = _pool(a, ea)
-    (cb, ecb) = _pool(b, eb)
-    if ca.size != cb.size:
-        # pooling disagreed between the samples; redo with joint mask
-        keep = np.minimum(ea, eb) >= MIN_EXPECTED
-        ca = np.append(a[keep], a[~keep].sum())
-        cb = np.append(b[keep], b[~keep].sum())
-        eca = np.append(ea[keep], ea[~keep].sum())
-        ecb = np.append(eb[keep], eb[~keep].sum())
+    decide = np.minimum(ea, eb)
+    ca, eca = _pool(a, ea, decide)
+    cb, ecb = _pool(b, eb, decide)
     chi2 = float(np.sum((ca - eca) ** 2 / eca) + np.sum((cb - ecb) ** 2 / ecb))
     dof = max(ca.size - 1, 1)
     return {"chi2": chi2, "dof": dof, "p_value": float(sps.chi2.sf(chi2, dof))}

@@ -2,8 +2,9 @@
 
 Everything here is derived by hand from textbook formulas and implemented
 without touching the package's numerical paths, so tests compare two
-independent routes to the same quantity. The dense box Hamiltonian at the
-end is the reference that the split-operator box revival is checked against.
+independent routes to the same quantity. The dense box Hamiltonian is the
+reference that the split-operator box revival is checked against, and the
+mode-pair sum at the end is the reference for the fig1 impulse flow.
 """
 
 import numpy as np
@@ -83,3 +84,34 @@ def hamiltonian_matrix(ham: Hamiltonian, grid: Grid1D) -> np.ndarray:
     m = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
     m += np.diag(ham.potential)
     return 0.5 * (m + m.conj().T)
+
+
+def box_flow_pairs(numbers, coeffs, box_min, length, w, X, Y, s):
+    """(j_x, j_y, rho) of the fig1 impulse flow as a double sum over mode
+    pairs (n, m) with weights Re(c_n conj c_m), from
+        rho = sum R_nm u_n u_m phi_n phi_m
+        j_x = sum R_nm u_n' u_m phi_n phi_m'
+        j_y = sum R_nm (2 a_n u_n u_m - u_n' u_m' / 2) phi_n phi_m
+    with u_n = sqrt(2/L) sin(n pi xi), phi_n = exp(-(Y - s a_n)^2 / 2w^2)."""
+    c = np.asarray(coeffs, dtype=complex)
+    R = np.real(np.outer(c, np.conj(c)))
+    xi = (np.asarray(X) - box_min) / length
+    rho = np.zeros_like(xi)
+    jx = np.zeros_like(xi)
+    jy = np.zeros_like(xi)
+    terms = []
+    for n in numbers:
+        k = n * np.pi
+        a = (k / length) ** 2 / 2.0
+        z = np.asarray(Y) - s * a
+        phi = np.exp(-(z**2) / (2.0 * w**2))
+        terms.append((a, np.sqrt(2.0 / length) * np.sin(k * xi),
+                      np.sqrt(2.0 / length) * (k / length) * np.cos(k * xi),
+                      phi, -(z / w**2) * phi))
+    for i, (a_n, u_n, du_n, phi_n, _) in enumerate(terms):
+        for j, (_, u_m, du_m, phi_m, dphi_m) in enumerate(terms):
+            rho += R[i, j] * u_n * u_m * phi_n * phi_m
+            jx += R[i, j] * du_n * u_m * phi_n * dphi_m
+            jy += R[i, j] * (2.0 * a_n * u_n * u_m
+                             - 0.5 * du_n * du_m) * phi_n * phi_m
+    return jx, jy, rho

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy import stats as sps
+
+from oracles import box_flow_pairs
 
 from cwflab.errors import ValidationError
 from cwflab.qgrid import Grid1D
+from cwflab.stats import chi2_gof
 from cwflab.states import beam_splitter, two_branch_state
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
@@ -30,7 +35,13 @@ from cwflab.labcli.config import (
     parse_config,
 )
 from cwflab.labcli.density import run_density_dm
-from cwflab.labcli.fig1 import run_fig1
+from cwflab.labcli.fig1 import (
+    BoxModes,
+    flow_velocity,
+    run_fig1,
+    sample_initial,
+    transport,
+)
 from cwflab.labcli.order import run_order_invariance
 from cwflab.labcli.planes import (
     detection_state,
@@ -201,6 +212,83 @@ class TestFig1:
                             "state": {"lam": 0.4}})
         with pytest.raises(ValidationError):
             run_fig1(cfg)
+
+
+EQUAL_PAIR = [2.0**-0.5, 2.0**-0.5]
+THREE_MODES = [0.6, 0.48j, 0.64]
+
+
+class TestFig1Flow:
+    @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES])
+    def test_flow_matches_mode_pair_sum(self, coeffs):
+        modes = BoxModes(coeffs, 0.0, 1.0)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.01, 0.99, 400)
+        Y = rng.uniform(-0.3, 1.3, 400)
+        s = rng.uniform(0.0, 0.06, 400)
+        got = flow_velocity(modes, 0.1, X, Y, s)
+        want = box_flow_pairs(modes.numbers, modes.c, 0.0, 1.0, 0.1, X, Y, s)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=0.0,
+                                       atol=1e-12 * np.abs(r).max())
+
+    def test_flow_is_divergence_free_in_x_y_s(self):
+        modes = BoxModes(THREE_MODES, 0.0, 1.0)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.05, 0.95, 200)
+        Y = rng.uniform(-0.2, 0.5, 200)
+        s = rng.uniform(0.0, 0.03, 200)
+
+        def diff(i, h):
+            # central difference of (j_x, j_y, rho)[i] along (x, y, s)[i]
+            plus = [X, Y, s]
+            minus = [X, Y, s]
+            plus[i] = plus[i] + h
+            minus[i] = minus[i] - h
+            return (flow_velocity(modes, 0.1, *plus)[i]
+                    - flow_velocity(modes, 0.1, *minus)[i]) / (2.0 * h)
+
+        # s moves the pointer by a_3 = 44 per unit, so it gets a finer step
+        terms = [diff(0, 1e-6), diff(1, 1e-6), diff(2, 1e-8)]
+        scale = max(np.abs(t).max() for t in terms)
+        assert np.abs(sum(terms)).max() < 1e-7 * scale
+
+    def test_node_and_wall_starts_reach_lam(self):
+        # 1e-9 either side of u_1 + u_2's node at x = 2/3, where the
+        # s-velocity diverges, and 1e-3 from each wall
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        lam = 8.0 * w / modes.min_gap()
+        xs = (2.0 / 3.0 - 1e-9, 2.0 / 3.0 + 1e-9, 1e-3, 1.0 - 1e-3)
+        starts = np.array([[x, y] for x in xs for y in (-0.1, 0.0, 0.1)])
+        X, Y, failed = transport(modes, w, starts, lam, 32)
+        assert not failed.any()
+        assert np.all((X > 0.0) & (X < 1.0)) and np.isfinite(Y).all()
+
+    def test_pooled_initial_sample_follows_closed_form(self):
+        # 20 seeds x 10k draws; a grid-cell draw jittered inside its cell
+        # (n_y = 256 on [-2, 4]) fails the y marginal at p ~ 1e-10
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        sigma = w / np.sqrt(2.0)
+        draws = np.concatenate([sample_initial(modes, w, 10_000, seed)
+                                for seed in range(20)])
+        bins = 32
+        x_edges = np.linspace(0.0, 1.0, bins + 1)
+
+        def density(x):
+            # |(u_1 + u_2) / sqrt 2|^2 with u_n = sqrt 2 sin(n pi x)
+            return (np.sin(np.pi * x) + np.sin(2.0 * np.pi * x)) ** 2
+
+        px = [integrate.quad(density, a, b)[0]
+              for a, b in zip(x_edges[:-1], x_edges[1:])]
+        y_edges = np.linspace(-4.0 * sigma, 4.0 * sigma, bins + 1)
+        py = np.diff(sps.norm.cdf(y_edges, scale=sigma))
+        cx = np.histogram(draws[:, 0], bins=x_edges)[0]
+        cy = np.histogram(draws[:, 1], bins=y_edges)[0]
+        assert cx.sum() == draws.shape[0]
+        assert chi2_gof(cx, np.asarray(px))["p_value"] > 1e-3
+        assert chi2_gof(cy, py)["p_value"] > 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +656,12 @@ class TestCli:
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS selftest overall" in out
+
+    @pytest.mark.parametrize("seed", [4, 100, 1110781798])
+    def test_fig1_exits_zero(self, tmp_path, capsys, seed):
+        args = ["fig1", "--seed", str(seed), "--out", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        capsys.readouterr()
 
     def test_fig1_rerun_byte_identical(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
