@@ -14,9 +14,6 @@ trajectory instead of aborting the batch.
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.stats (used by .stats) before scipy.interpolate: the other order
-# makes importing the package about 25 ms slower with scipy 1.17
-import scipy.stats  # noqa: F401
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import GridExitError, NodeError, ValidationError

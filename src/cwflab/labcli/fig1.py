@@ -30,13 +30,13 @@ at s = lam.
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..errors import ValidationError
 from ..qgrid import Grid1D
 from ..states import box_superposition
 from ..stats import chi2_gof, chi2_joint
 from .config import ScenarioConfig, parse_complex_list
-from scipy import stats as _stats
 
 EQUIVARIANCE_BINS = 16
 
@@ -256,8 +256,7 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
     y_edges = np.linspace(gy.x_min, gy.x_max, bins + 1)
     weights = np.abs(modes.c) ** 2
     sigma = w / np.sqrt(2.0)
-    cdf = _stats.norm.cdf(y_edges[None, :], loc=s * modes.a[:, None],
-                          scale=sigma)
+    cdf = ndtr((y_edges[None, :] - s * modes.a[:, None]) / sigma)
     py = weights @ np.diff(cdf, axis=1)
 
     shifts = s * (modes.a[:, None] - modes.a[None, :])

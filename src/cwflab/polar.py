@@ -6,6 +6,15 @@ weight 1). Reduced and conditional density matrices, mixed-state weak
 values and the entrywise direct reconstruction of the 2x2 polarization
 matrix live here.
 
+Representation: a DensityOperator holds a factor K of shape dims + (r,)
+with rho = K K^dagger, so a full-space state is K[pol1, pol2, y, r] and a
+pure state has r = 1. Every operation the scenarios use is a contraction
+of K: a pol1 operator acts on axis 0, the pol2 trace is a sum, the Y
+selector is an index and the beam splitter is a roll along y. Each costs
+O(n_y r); the dense 4 n_y x 4 n_y matrix is formed only when `.matrix` is
+asked for. An explicit matrix is factored once by eigh, which is also its
+Hermiticity and positivity check.
+
 Off-diagonal reconstruction: with X = |D><D| - |A><A| and pi_HH = |H><H|,
 
     P(D) <pi_HH>_W^D - P(A) <pi_HH>_W^A = Tr[X pi_HH sigma] = <H|sigma|V>,
@@ -16,7 +25,7 @@ pi_VV yields (V, H); the circular-basis variant carries an extra -i
 agreement.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,50 +83,74 @@ PI_HH = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 PI_VV = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+def _factor_matrix(m: np.ndarray, dims: tuple) -> np.ndarray:
+    """K with m = K K^dagger, checking that m is Hermitian and PSD."""
+    dim = int(np.prod(dims))
+    if m.shape != (dim, dim):
+        raise ValidationError(f"matrix shape {m.shape} does not match dims {dims}")
+    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
+        raise ValidationError("density matrix is not Hermitian")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -PSD_TOL * scale:
+        raise ValidationError("density matrix is not positive semidefinite")
+    keep = w > dim * np.finfo(float).eps * max(w[-1], 0.0)
+    return (v[:, keep] * np.sqrt(w[keep])).reshape(dims + (-1,))
+
+
 class DensityOperator:
     """Hermitian PSD operator on the composite space or a marginal of it.
 
     dims is the tensor factorization, e.g. (2, 2, n_y) for the full space
-    or (2,) for a single polarization. Full-space operators carry their
-    HilbertSpec so position-conditioned operations can resolve Y.
+    or (2,) for a single polarization. Pass either an explicit matrix or
+    `factor` (shape dims + (r,), rho = K K^dagger, PSD by construction).
+    Full-space operators carry their HilbertSpec so position-conditioned
+    operations can resolve Y.
     """
 
-    matrix: np.ndarray
-    dims: tuple
-    norm_tag: str = "trace-one"
-    flags: frozenset = field(default_factory=frozenset)
-    spec: HilbertSpec = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
-        dim = int(np.prod(self.dims))
-        if self.spec is not None and tuple(self.dims) != self.spec.dims:
+    def __init__(self, matrix, dims, norm_tag="trace-one",
+                 flags=frozenset(), spec=None, *, factor=None):
+        dims = tuple(int(d) for d in dims)
+        if spec is not None and dims != spec.dims:
             raise ValidationError("dims do not match the attached HilbertSpec")
-        if m.shape != (dim, dim):
-            raise ValidationError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
-            raise ValidationError("density matrix is not Hermitian")
-        if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL * scale:
-            raise ValidationError("density matrix is not positive semidefinite")
-        if self.norm_tag == "trace-one":
-            if abs(np.trace(m) - 1.0) > TRACE_TOL:
+        if factor is None:
+            m = np.array(matrix, dtype=np.complex128)
+            k = _factor_matrix(m, dims)
+            trace = float(np.trace(m).real)
+            m.flags.writeable = False
+        else:
+            k = np.array(factor, dtype=np.complex128)
+            if k.shape[:-1] != dims:
+                raise ValidationError(f"factor shape {k.shape} does not match dims {dims}")
+            m, trace = None, float(np.vdot(k, k).real)
+        if norm_tag == "trace-one":
+            if abs(trace - 1.0) > TRACE_TOL:
                 raise ValidationError("trace-one matrix has trace != 1")
-        elif self.norm_tag != "unnormalized":
-            raise ValidationError(f"unknown norm_tag {self.norm_tag!r}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        elif norm_tag != "unnormalized":
+            raise ValidationError(f"unknown norm_tag {norm_tag!r}")
+        k.flags.writeable = False
+        self.factor, self.dims, self.norm_tag = k, dims, norm_tag
+        self.flags, self.spec = frozenset(flags), spec
+        self._matrix, self._trace = m, trace
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, formed from the factor on first request."""
+        if self._matrix is None:
+            k = self.factor.reshape(-1, self.factor.shape[-1])
+            m = k @ k.conj().T
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return self._trace
 
 
 def pure_dm(ket: np.ndarray, spec: HilbertSpec, flags=frozenset()) -> DensityOperator:
     ket = np.asarray(ket, dtype=np.complex128)
-    return DensityOperator(np.outer(ket, ket.conj()), spec.dims, "trace-one",
-                           flags, spec)
+    return DensityOperator(None, spec.dims, "trace-one", flags, spec,
+                           factor=ket.reshape(spec.dims + (1,)))
 
 
 def _sampled_gaussian(grid: Grid1D, center: float, width: float) -> np.ndarray:
@@ -134,37 +167,14 @@ def ket_psi1(spec: HilbertSpec, width: float = 0.5) -> np.ndarray:
     return ket.ravel()
 
 
-def ket_psi2(spec: HilbertSpec, shift: float, width: float = 0.5) -> np.ndarray:
-    """(phi+ |HH> + phi- |VV>)/sqrt(2) with pointers displaced to +-shift."""
-    ket = np.zeros(spec.dims, dtype=np.complex128)
-    ket[0, 0] = _sampled_gaussian(spec.pos2, +shift, width) / np.sqrt(2.0)
-    ket[1, 1] = _sampled_gaussian(spec.pos2, -shift, width) / np.sqrt(2.0)
-    return ket.ravel()
-
-
 def make_state_psi1(spec: HilbertSpec, width: float = 0.5) -> DensityOperator:
     return pure_dm(ket_psi1(spec, width), spec)
-
-
-def make_state_psi2(spec: HilbertSpec, shift: float, width: float = 0.5) -> DensityOperator:
-    """Displaced-pointer state; flags record the well-separated regime."""
-    flags = frozenset(["well-separated"]) if shift > 2.0 * width else frozenset()
-    return pure_dm(ket_psi2(spec, shift, width), spec, flags)
 
 
 def _as_full(rho: DensityOperator) -> np.ndarray:
     if len(rho.dims) != 3 or rho.spec is None:
         raise ValidationError("operation needs a density matrix on the full space")
-    return rho.matrix
-
-
-def reduced_dm(rho: DensityOperator) -> DensityOperator:
-    """Partial trace over pol2 (x) pos2 down to the 2x2 pol1 matrix."""
-    m = _as_full(rho)
-    d = rho.dims
-    six = m.reshape(d + d)
-    red = np.einsum("ajybjy->ab", six)
-    return DensityOperator(red, (2,), rho.norm_tag)
+    return rho.factor
 
 
 def _pos_index(spec_grid: Grid1D, Y: float) -> int:
@@ -174,73 +184,64 @@ def _pos_index(spec_grid: Grid1D, Y: float) -> int:
     return j
 
 
+def _pol1_rows(rho: DensityOperator, Y) -> np.ndarray:
+    """The factor as (pol1, rest), restricted to the pos2 cell Y if given."""
+    if Y is None:
+        k = rho.factor
+    else:
+        k = _as_full(rho)[:, :, _pos_index(rho.spec.pos2, Y)]
+    return k.reshape(2, -1)
+
+
+def reduced_dm(rho: DensityOperator) -> DensityOperator:
+    """Partial trace over pol2 (x) pos2 down to the 2x2 pol1 matrix."""
+    k = _as_full(rho)
+    return DensityOperator(None, (2,), rho.norm_tag, factor=k.reshape(2, -1))
+
+
 def conditional_dm(rho: DensityOperator, Y: float) -> DensityOperator:
     """Tr_pol2 of the position-diagonal block at Y; unnormalized."""
-    m = _as_full(rho)
-    d = rho.dims
-    j = _pos_index(rho.spec.pos2, Y)
-    six = m.reshape(d + d)
-    block = six[:, :, j, :, :, j]
-    cond = np.einsum("ajbj->ab", block)
-    return DensityOperator(cond, (2,), "unnormalized")
+    return DensityOperator(None, (2,), "unnormalized",
+                           factor=_pol1_rows(rho, Y))
 
 
 def normalize_dm(rho: DensityOperator) -> DensityOperator:
-    tr = np.trace(rho.matrix).real
+    tr = rho.trace()
     if tr <= POSTSELECT_FLOOR:
         raise PostSelectionError(f"cannot normalize: trace {tr:.3e}")
-    return DensityOperator(rho.matrix / tr, rho.dims, "trace-one",
-                           rho.flags, rho.spec)
-
-
-def _promote_pol1(A: np.ndarray, dims: tuple) -> np.ndarray:
-    A = np.asarray(A, dtype=np.complex128)
-    rest = int(np.prod(dims[1:])) if len(dims) > 1 else 1
-    return np.kron(A, np.eye(rest))
-
-
-def _selector(rho: DensityOperator, b: PolarizationState, Y) -> np.ndarray:
-    """Projector |b><b| (x) I_pol2 (x) (|Y><Y| or I)."""
-    pol = np.eye(2, dtype=np.complex128) if b is None else np.outer(b.vector, b.vector.conj())
-    if len(rho.dims) == 1:
-        return pol
-    n_y = rho.dims[2]
-    pos = np.eye(n_y)
-    if Y is not None:
-        j = _pos_index(rho.spec.pos2, Y)
-        pos = np.zeros((n_y, n_y))
-        pos[j, j] = 1.0
-    return np.kron(pol, np.kron(np.eye(2), pos))
+    return DensityOperator(None, rho.dims, "trace-one", rho.flags, rho.spec,
+                           factor=rho.factor / np.sqrt(tr))
 
 
 def weak_value_mixed(A: np.ndarray, rho: DensityOperator,
                      b: PolarizationState = None, Y: float = None) -> complex:
     """<b| A rho |b> / <b| rho |b> (with Y conditioning when given).
 
-    A may be 2x2 (acting on pol1, promoted with identities) or full-space.
-    With b is None and Y is None this is Tr[A rho].
+    A is a 2x2 operator on pol1 (identity on the rest). With b is None and
+    Y is None this is Tr[A rho].
     """
     A = np.asarray(A, dtype=np.complex128)
-    dim = rho.matrix.shape[0]
-    if A.shape == (2, 2) and dim != 2:
-        A = _promote_pol1(A, rho.dims)
-    if A.shape != rho.matrix.shape:
-        raise ValidationError("operator shape does not match the density matrix")
+    if A.shape != (2, 2):
+        raise ValidationError("operator must be a 2x2 pol1 matrix")
+    k = _pol1_rows(rho, Y)
+    ak = A @ k
     if b is None and Y is None:
-        return complex(np.trace(A @ rho.matrix))
-    S = _selector(rho, b, Y)
-    den = np.trace(S @ rho.matrix)
-    if abs(den) < POSTSELECT_FLOOR * max(rho.trace(), POSTSELECT_FLOOR):
-        raise PostSelectionError(f"post-selection weight {abs(den):.3e} below floor")
-    num = np.trace(S @ A @ rho.matrix)
-    return complex(num / den)
+        return complex(np.vdot(k, ak))
+    if b is not None:
+        bc = b.vector.conj()
+        k, ak = bc @ k, bc @ ak
+    den = np.vdot(k, k).real
+    if den < POSTSELECT_FLOOR * max(rho.trace(), POSTSELECT_FLOOR):
+        raise PostSelectionError(f"post-selection weight {den:.3e} below floor")
+    return complex(np.vdot(k, ak) / den)
 
 
 def _postselect_probability(rho, b, Y) -> float:
-    S = _selector(rho, b, Y)
-    p = np.trace(S @ rho.matrix).real
+    k = _pol1_rows(rho, Y)
+    kb = b.vector.conj() @ k
+    p = np.vdot(kb, kb).real
     if Y is not None:
-        base = np.trace(_selector(rho, None, Y) @ rho.matrix).real
+        base = np.vdot(k, k).real
         if base <= POSTSELECT_FLOOR:
             raise PostSelectionError("Y slice has vanishing weight")
         return p / base
@@ -282,35 +283,25 @@ def direct_dm_measurement(rho: DensityOperator, Y_postselect: float = None,
     return np.array([[hh, hv], [vh, vv]], dtype=np.complex128)
 
 
-def beam_splitter_matrix(spec: HilbertSpec, shift: float) -> np.ndarray:
-    """|H><H|_2 (x) T(+shift) + |V><V|_2 (x) T(-shift) on the full space.
+def apply_beam_splitter(rho: DensityOperator, shift: float) -> DensityOperator:
+    """|H><H|_2 (x) T(+shift) + |V><V|_2 (x) T(-shift) applied to rho.
 
     T are cyclic cell translations, so shift must be an integer number of
     pos2 cells; edge support should be negligible for physical states.
     """
-    dy = spec.pos2.dx
-    cells = shift / dy
+    k = _as_full(rho)
+    cells = shift / rho.spec.pos2.dx
     if abs(cells - round(cells)) > 1e-9:
         raise ValidationError("shift must be an integer number of pos2 cells")
     c = int(round(cells))
-    n_y = spec.n_y
-    T_plus = np.roll(np.eye(n_y), c, axis=0)
-    T_minus = np.roll(np.eye(n_y), -c, axis=0)
-    block = np.zeros((2 * n_y, 2 * n_y))
-    block[:n_y, :n_y] = T_plus
-    block[n_y:, n_y:] = T_minus
-    return np.kron(np.eye(2), block)
-
-
-def apply_beam_splitter(rho: DensityOperator, shift: float) -> DensityOperator:
-    _as_full(rho)
-    U = beam_splitter_matrix(rho.spec, shift)
-    return DensityOperator(U @ rho.matrix @ U.conj().T, rho.dims,
-                           rho.norm_tag, rho.flags, rho.spec)
+    out = np.stack([np.roll(k[:, 0], c, axis=1), np.roll(k[:, 1], -c, axis=1)],
+                   axis=1)
+    return DensityOperator(None, rho.dims, rho.norm_tag, rho.flags, rho.spec,
+                           factor=out)
 
 
 def dm_to_json_dict(rho: DensityOperator) -> dict:
-    if rho.matrix.shape != (2, 2):
+    if rho.dims != (2,):
         raise ValidationError("JSON export is for 2x2 polarization matrices")
     return {
         "basis": ["H", "V"],

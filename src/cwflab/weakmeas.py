@@ -449,9 +449,12 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 
     M is the smallest power of two >= cdf.size, so k / M is exact and
     guide[floor(u * M)] is a lower bound of searchsorted(cdf, u, "right").
+    Built by counting in O(cells): cdf[i] <= k / M exactly when
+    ceil(cdf[i] * M) <= k, since scaling by a power of two is exact.
     """
     m = 1 << (cdf.size - 1).bit_length()
-    return np.searchsorted(cdf, np.arange(m) / m, side="right")
+    first = np.ceil(cdf * m).astype(np.intp)
+    return np.cumsum(np.bincount(first, minlength=m + 1)[:m])
 
 
 def _guide_lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray):

@@ -3,12 +3,15 @@
 Everything here is derived by hand from textbook formulas and implemented
 without touching the package's numerical paths, so tests compare two
 independent routes to the same quantity. The dense box Hamiltonian is the
-reference that the split-operator box revival is checked against, and the
-mode-pair sum at the end is the reference for the fig1 impulse flow.
+reference that the split-operator box revival is checked against, the
+mode-pair sum is the reference for the fig1 impulse flow, and the dense
+4 n_y x 4 n_y polarization algebra at the end is the reference for the
+factored density operators of `cwflab.polar`.
 """
 
 import numpy as np
 
+from cwflab import polar
 from cwflab.errors import ValidationError
 from cwflab.evolve import Hamiltonian
 from cwflab.qgrid import Grid1D
@@ -115,3 +118,60 @@ def box_flow_pairs(numbers, coeffs, box_min, length, w, X, Y, s):
             jy += R[i, j] * (2.0 * a_n * u_n * u_m
                              - 0.5 * du_n * du_m) * phi_n * phi_m
     return jx, jy, rho
+
+
+def ket_psi2(spec, shift, width=0.5):
+    """(phi+ |HH> + phi- |VV>)/sqrt(2), flat, with Gaussian pointers of
+    std `width` displaced to +-shift on the pos2 grid (unit vector norm)."""
+    y = spec.pos2.points
+
+    def pointer(center):
+        amp = np.exp(-((y - center) ** 2) / (4.0 * width**2))
+        return amp / np.linalg.norm(amp)
+
+    ket = np.zeros(spec.dims, dtype=np.complex128)
+    ket[0, 0] = pointer(+shift) / np.sqrt(2.0)
+    ket[1, 1] = pointer(-shift) / np.sqrt(2.0)
+    return ket.ravel()
+
+
+def make_state_psi2(spec, shift, width=0.5):
+    """The displaced-pointer state; flags record the well-separated regime."""
+    flags = frozenset(["well-separated"]) if shift > 2.0 * width else frozenset()
+    return polar.pure_dm(ket_psi2(spec, shift, width), spec, flags)
+
+
+def beam_splitter_matrix(spec, shift):
+    """|H><H|_2 (x) T(+shift) + |V><V|_2 (x) T(-shift) as a dense matrix on
+    pol1 (x) pol2 (x) pos2, with T cyclic translations by whole cells."""
+    c = int(round(shift / spec.pos2.dx))
+    n_y = spec.n_y
+    block = np.zeros((2 * n_y, 2 * n_y))
+    block[:n_y, :n_y] = np.roll(np.eye(n_y), c, axis=0)
+    block[n_y:, n_y:] = np.roll(np.eye(n_y), -c, axis=0)
+    return np.kron(np.eye(2), block)
+
+
+def dense_selector(n_y, b=None, j=None):
+    """|b><b| (x) I_pol2 (x) |j><j| on the full space; None means identity."""
+    pol = np.eye(2) if b is None else np.outer(b, np.conj(b))
+    pos = np.eye(n_y) if j is None else np.diag(np.eye(n_y)[j])
+    return np.kron(pol, np.kron(np.eye(2), pos))
+
+
+def dense_reduced(m, n_y):
+    """Tr_{pol2, pos2} of a dense 4 n_y x 4 n_y matrix."""
+    return np.einsum("ajybjy->ab", m.reshape(2, 2, n_y, 2, 2, n_y))
+
+
+def dense_conditional(m, n_y, j):
+    """Tr_pol2 of the pos2-diagonal block at cell j (unnormalized)."""
+    six = m.reshape(2, 2, n_y, 2, 2, n_y)
+    return np.einsum("ajbj->ab", six[:, :, j, :, :, j])
+
+
+def dense_weak_value(a, m, n_y, b=None, j=None):
+    """Tr[S (a (x) I) m] / Tr[S m] with S = dense_selector(n_y, b, j)."""
+    s = dense_selector(n_y, b, j)
+    full = np.kron(a, np.eye(2 * n_y))
+    return np.trace(s @ full @ m) / np.trace(s @ m)

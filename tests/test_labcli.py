@@ -3,6 +3,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from scipy import stats as sps
 
 from oracles import box_flow_pairs
 
+import cwflab
 from cwflab.errors import ValidationError
 from cwflab.qgrid import Grid1D
 from cwflab.stats import chi2_gof
@@ -651,6 +656,19 @@ class TestCli:
         assert err.startswith("error: config")
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_import_leaves_out_scipy_stats(self):
+        """Importing the command line must not load scipy.stats, which is
+        most of the package's import time; checked in a fresh interpreter."""
+        src = str(Path(cwflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, cwflab.labcli.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_selftest_exit_zero(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -1,7 +1,10 @@
 """Polarization density-matrix algebra: reduced and conditional matrices,
 mixed-state weak values, and the entrywise direct reconstruction."""
 
+import tracemalloc
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +40,7 @@ def random_pure_composite(spec, seed):
 
 
 def pointer_branches(spec, shift, width):
-    ket = polar.ket_psi2(spec, shift, width).reshape(spec.dims)
+    ket = oracles.ket_psi2(spec, shift, width).reshape(spec.dims)
     return np.sqrt(2.0) * ket[0, 0], np.sqrt(2.0) * ket[1, 1]
 
 
@@ -58,12 +61,12 @@ class TestStates:
     def test_state_norms(self):
         spec = make_spec()
         assert abs(polar.make_state_psi1(spec).trace() - 1.0) < 1e-12
-        assert abs(polar.make_state_psi2(spec, 2.0).trace() - 1.0) < 1e-12
+        assert abs(oracles.make_state_psi2(spec, 2.0).trace() - 1.0) < 1e-12
 
     def test_psi2_zero_shift_is_psi1(self):
         spec = make_spec()
         k1 = polar.ket_psi1(spec, width=0.5)
-        k2 = polar.ket_psi2(spec, 0.0, width=0.5)
+        k2 = oracles.ket_psi2(spec, 0.0, width=0.5)
         assert np.array_equal(k1, k2)
 
     def test_pointer_overlap_formula(self):
@@ -82,8 +85,8 @@ class TestStates:
 
     def test_well_separated_flag(self):
         spec = make_spec()
-        assert "well-separated" in polar.make_state_psi2(spec, 2.0, 0.5).flags
-        assert "well-separated" not in polar.make_state_psi2(spec, 0.5, 0.5).flags
+        assert "well-separated" in oracles.make_state_psi2(spec, 2.0, 0.5).flags
+        assert "well-separated" not in oracles.make_state_psi2(spec, 0.5, 0.5).flags
 
 
 class TestDensityOperator:
@@ -119,7 +122,7 @@ class TestDensityOperator:
 class TestReducedDm:
     def test_both_states_maximally_mixed(self):
         spec = make_spec()
-        for rho in (polar.make_state_psi1(spec), polar.make_state_psi2(spec, 2.0)):
+        for rho in (polar.make_state_psi1(spec), oracles.make_state_psi2(spec, 2.0)):
             red = polar.reduced_dm(rho)
             assert np.max(np.abs(red.matrix - np.eye(2) / 2.0)) < 1e-12
             assert red.norm_tag == "trace-one"
@@ -142,7 +145,7 @@ class TestReducedDm:
 class TestConditionalDm:
     def test_branch_selection(self):
         spec = make_spec()
-        rho = polar.make_state_psi2(spec, 2.0, 0.5)
+        rho = oracles.make_state_psi2(spec, 2.0, 0.5)
         cplus = polar.normalize_dm(polar.conditional_dm(rho, 2.0))
         cminus = polar.normalize_dm(polar.conditional_dm(rho, -2.0))
         assert np.max(np.abs(cplus.matrix - np.diag([1.0, 0.0]))) < 1e-12
@@ -163,7 +166,7 @@ class TestConditionalDm:
 
     def test_averaging_law(self):
         spec = make_spec()
-        for rho in (polar.make_state_psi2(spec, 1.0, 0.5),
+        for rho in (oracles.make_state_psi2(spec, 1.0, 0.5),
                     random_pure_composite(spec, 3)):
             acc = np.zeros((2, 2), dtype=np.complex128)
             for y in spec.pos2.points:
@@ -177,7 +180,7 @@ class TestConditionalDm:
 
     def test_empty_slice_cannot_normalize(self):
         spec = make_spec()
-        rho = polar.make_state_psi2(spec, 2.0, 0.35)
+        rho = oracles.make_state_psi2(spec, 2.0, 0.35)
         with pytest.raises(PostSelectionError):
             polar.normalize_dm(polar.conditional_dm(rho, -8.0))
 
@@ -199,13 +202,13 @@ class TestWeakValueMixed:
 
     def test_identity_observable(self):
         spec = make_spec()
-        rho = polar.make_state_psi2(spec, 2.0)
+        rho = oracles.make_state_psi2(spec, 2.0)
         for b in (polar.H, polar.D, polar.L):
             assert abs(polar.weak_value_mixed(np.eye(2), rho, b) - 1.0) < 1e-12
 
     def test_no_postselection_is_trace(self):
         spec = make_spec()
-        rho = polar.make_state_psi2(spec, 1.0)
+        rho = oracles.make_state_psi2(spec, 1.0)
         got = polar.weak_value_mixed(polar.PI_HH, rho)
         want = np.trace(polar.PI_HH @ polar.reduced_dm(rho).matrix)
         assert abs(got - want) < 1e-12
@@ -233,13 +236,13 @@ class TestWeakValueMixed:
 class TestDirectMeasurement:
     def test_no_postselection_equals_reduced(self):
         spec = make_spec()
-        for rho in (polar.make_state_psi1(spec), polar.make_state_psi2(spec, 2.0)):
+        for rho in (polar.make_state_psi1(spec), oracles.make_state_psi2(spec, 2.0)):
             got = polar.direct_dm_measurement(rho)
             assert np.max(np.abs(got - np.eye(2) / 2.0)) < 1e-12
 
     def test_branch_postselection(self):
         spec = make_spec()
-        rho = polar.make_state_psi2(spec, 2.0, 0.5)
+        rho = oracles.make_state_psi2(spec, 2.0, 0.5)
         got = polar.direct_dm_measurement(rho, Y_postselect=2.0)
         assert np.max(np.abs(got - np.diag([1.0, 0.0]))) < 1e-10
 
@@ -302,19 +305,101 @@ class TestDirectMeasurement:
 class TestBeamSplitter:
     def test_unitary(self):
         spec = make_spec(16)
-        U = polar.beam_splitter_matrix(spec, 1.0)
+        U = oracles.beam_splitter_matrix(spec, 1.0)
         assert np.array_equal(U @ U.conj().T, np.eye(spec.dim))
 
     def test_maps_psi1_to_psi2(self):
         spec = make_spec()
         shifted = polar.apply_beam_splitter(polar.make_state_psi1(spec), 2.0)
-        want = polar.make_state_psi2(spec, 2.0)
+        want = oracles.make_state_psi2(spec, 2.0)
         assert np.max(np.abs(shifted.matrix - want.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("state", ["pure", "mixed_pol2_H", "mixed_pol2_V"])
+    def test_matches_dense_conjugation(self, state):
+        """The factor roll equals U rho U^dagger with the dense splitter."""
+        spec = make_spec(64)
+        if state == "pure":
+            rho = polar.make_state_psi1(spec)
+        else:
+            cell = 10 if state == "mixed_pol2_H" else spec.n_y + 7
+            rho = embed_pol1(random_mixed_2x2(5), spec, cell)
+        U = oracles.beam_splitter_matrix(spec, 2.0)
+        got = polar.apply_beam_splitter(rho, 2.0)
+        assert got.factor.shape == rho.factor.shape
+        want = U @ rho.matrix @ U.conj().T
+        assert np.max(np.abs(got.matrix - want)) < 1e-12
 
     def test_non_integer_shift_raises(self):
         spec = make_spec()
         with pytest.raises(ValidationError):
-            polar.beam_splitter_matrix(spec, 0.3)
+            polar.apply_beam_splitter(polar.make_state_psi1(spec), 0.3)
+
+
+class TestFactorAgainstDense:
+    """Factor contractions against the dense 4 n_y x 4 n_y formulas."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_random_factor(self, rank):
+        spec = make_spec(16)
+        n_y = spec.n_y
+        rng = np.random.default_rng(rank)
+        k = rng.normal(size=spec.dims + (rank,)) \
+            + 1j * rng.normal(size=spec.dims + (rank,))
+        k /= np.linalg.norm(k)
+        rho = polar.DensityOperator(None, spec.dims, spec=spec, factor=k)
+        flat = k.reshape(spec.dim, rank)
+        m = flat @ flat.conj().T
+        assert np.max(np.abs(rho.matrix - m)) < 1e-15
+        red = polar.reduced_dm(rho).matrix
+        assert np.max(np.abs(red - oracles.dense_reduced(m, n_y))) < 1e-12
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        obs = g + g.conj().T
+        got = polar.weak_value_mixed(obs, rho)
+        assert abs(got - np.trace(np.kron(obs, np.eye(2 * n_y)) @ m)) < 1e-12
+        for j in (0, 5, n_y - 1):
+            Y = float(spec.pos2.points[j])
+            cond = polar.conditional_dm(rho, Y).matrix
+            assert np.max(np.abs(cond - oracles.dense_conditional(m, n_y, j))) < 1e-12
+            for b in (None, polar.H, polar.D, polar.L):
+                vec = None if b is None else b.vector
+                got = polar.weak_value_mixed(obs, rho, b, Y)
+                want = oracles.dense_weak_value(obs, m, n_y, vec, j)
+                assert abs(got - want) < 1e-12
+        for b in (polar.V, polar.A, polar.R):
+            got = polar.weak_value_mixed(obs, rho, b)
+            want = oracles.dense_weak_value(obs, m, n_y, b.vector)
+            assert abs(got - want) < 1e-12
+
+    def test_explicit_matrix_is_factored_at_its_rank(self):
+        spec = make_spec(16)
+        rho = embed_pol1(random_mixed_2x2(2), spec)
+        assert rho.factor.shape == spec.dims + (2,)
+        k = rho.factor.reshape(spec.dim, -1)
+        assert np.max(np.abs(k @ k.conj().T - rho.matrix)) < 1e-15
+
+    def test_factor_shape_must_match_dims(self):
+        spec = make_spec(16)
+        with pytest.raises(ValidationError):
+            polar.DensityOperator(None, spec.dims, spec=spec,
+                                  factor=np.ones((2, 2, 8, 1)) / 8.0)
+
+    def test_scale_4096_cells_without_dense_matrices(self):
+        """psi1 behind the splitter at n_y = 4096: the readouts match the
+        reduced and the conditioned targets; a dense rho would need 4.3 GB."""
+        tracemalloc.start()
+        try:
+            spec = polar.HilbertSpec(Grid1D(-8.0, 8.0, 4096))
+            rho = polar.apply_beam_splitter(polar.make_state_psi1(spec), 3.0)
+            red = polar.reduced_dm(rho).matrix
+            assert np.max(np.abs(polar.direct_dm_measurement(rho) - red)) < 1e-10
+            for Y in (3.0, -3.0):
+                got = polar.direct_dm_measurement(rho, Y_postselect=Y)
+                want = polar.normalize_dm(polar.conditional_dm(rho, Y)).matrix
+                assert np.max(np.abs(got - want)) < 1e-10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestExport:

@@ -361,6 +361,28 @@ class TestGuideLookup:
             mass[rng.integers(mass.size)] = 1.0
         self.check(mass, rng.random(2000))
 
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+           on_grid=st.floats(0.0, 1.0), repeats=st.floats(0.0, 0.9))
+    def test_guide_table_is_searchsorted_of_the_grid(self, size, seed,
+                                                     on_grid, repeats):
+        """The counting build equals its searchsorted definition, also for
+        CDF entries sitting exactly on a grid point k / M and for runs of
+        equal entries (zero-mass cells)."""
+        rng = np.random.default_rng(seed)
+        m = 1 << (size - 1).bit_length()
+        cdf = rng.random(size)
+        snap = rng.random(size) < on_grid
+        cdf[snap] = rng.integers(0, m + 1, snap.sum()) / m
+        cdf = np.sort(cdf)
+        tie = np.flatnonzero(rng.random(size - 1) < repeats) + 1
+        for i in tie:
+            cdf[i] = cdf[i - 1]
+        cdf[-1] = 1.0
+        np.testing.assert_array_equal(
+            weakmeas._guide_table(cdf),
+            np.searchsorted(cdf, np.arange(m) / m, side="right"))
+
     @pytest.mark.parametrize("size", [1, 2, 3, 100, 256, 257])
     def test_single_cell_carries_all_mass(self, size):
         for cell in {0, size // 2, size - 1}:
