@@ -153,7 +153,6 @@ def main(argv=None) -> int:
     report = result["report"]
     path = reports.emit(cfg.output_dir, report,
                         records=result.get("records"),
-                        record_fields=result.get("record_fields"),
                         wf_tables=result.get("wf_tables"),
                         fmt=cfg.report.get("format", "csv"))
     _print_report(report, out)

@@ -158,24 +158,6 @@ class ScenarioConfig:
         }
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One Monte-Carlo trial of the pointer protocol."""
-
-    trial: int
-    accepted: bool
-    p_x: float
-    y: float
-    y_bin: int
-    basis: str    # "re" | "im"
-    outcome: float
-
-    FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
-
-    def row(self) -> dict:
-        return {k: getattr(self, k) for k in self.FIELDS}
-
-
 def _merge(defaults: dict, override: dict, path: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():

@@ -112,5 +112,4 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         "checks": checks,
         "pass": bool(all(c["pass"] for c in checks)),
     }
-    return {"report": report, "records": None, "record_fields": None,
-            "wf_tables": {}}
+    return {"report": report, "records": None, "wf_tables": {}}

@@ -345,13 +345,10 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
 
     cap = cfg.report.get("records_cap", 10_000)
     m = min(n, cap)
-    records = [{"trial": i, "x0": starts[i, 0], "y0": starts[i, 1],
-                "x_final": X[i], "y_final": Y[i],
-                "outcome_mode": int(modes.numbers[outcome[i]]),
-                "overlap": overlap[i], "failed": bool(failed[i])}
-               for i in range(m)]
-    record_fields = ("trial", "x0", "y0", "x_final", "y_final",
-                     "outcome_mode", "overlap", "failed")
+    records = {"trial": np.arange(m), "x0": starts[:m, 0],
+               "y0": starts[:m, 1], "x_final": X[:m], "y_final": Y[:m],
+               "outcome_mode": modes.numbers[outcome[:m]],
+               "overlap": overlap[:m], "failed": failed[:m]}
 
     wf_tables = {"psi_initial": (gx.points, psi_x.amplitudes)}
     u_grid = modes.u(gx.points)
@@ -365,5 +362,4 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
             cwf /= np.linalg.norm(cwf)
             wf_tables[f"cwf_branch_{int(mode_number)}"] = (gx.points, cwf)
 
-    return {"report": report, "records": records,
-            "record_fields": record_fields, "wf_tables": wf_tables}
+    return {"report": report, "records": records, "wf_tables": wf_tables}

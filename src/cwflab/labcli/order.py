@@ -21,15 +21,15 @@ from .. import weakmeas
 from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
-from .config import RunRecord, ScenarioConfig
-from .planes import replay_records
+from .config import ScenarioConfig
+from .planes import RECORD_FIELDS, replay_records
 
 TABLE_TOL = 1e-12
 P_VALUE_MIN = 1e-3
 
 
-def _route_tables(psi, site_index: int, alpha: float, window: float,
-                  y_edges, bs_shift: float, route: str):
+def _route_tables(psi, site_index: int, alpha: float, cells, bs_shift: float,
+                  route: str):
     """Coupling tables of one operation ordering, plus their coherences.
 
     route "bs_first": splitter, then coupling at the site (the engine's
@@ -56,9 +56,8 @@ def _route_tables(psi, site_index: int, alpha: float, window: float,
     else:
         h, v = map(split, couple(psi.amplitudes))
     uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
-    tab = weakmeas._QubitTables(gx, gy, uH, uV, 2.0 * gx.dx * np.sin(alpha),
-                                window, y_edges)
-    return tab, uH * np.conj(uV) * tab.measure / tab.total
+    tab = weakmeas._QubitTables(cells, uH, uV, 2.0 * gx.dx * np.sin(alpha))
+    return tab, uH * np.conj(uV) * cells.measure / tab.total
 
 
 def run_order_invariance(cfg: ScenarioConfig) -> dict:
@@ -74,6 +73,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     window = pr["p_x_window_dp"] * dp
     y_edges = [gy.x_min, 0.0, gy.x_max]
     site_indices = [int(gx.index_of(float(x))) for x in pr["sites"]]
+    cells = weakmeas._Cells(gx, gy, window, y_edges, 1.0)
 
     table_dev = 0.0
     wv_dev = 0.0
@@ -83,10 +83,10 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     all_equal = True
     for site in site_indices:
         x_site = float(gx.points[site])
-        t1, x1 = _route_tables(psi, site, alpha, window, y_edges,
-                               st["bs_shift"], "bs_first")
-        t2, x2 = _route_tables(psi, site, alpha, window, y_edges,
-                               st["bs_shift"], "coupling_first")
+        t1, x1 = _route_tables(psi, site, alpha, cells, st["bs_shift"],
+                               "bs_first")
+        t2, x2 = _route_tables(psi, site, alpha, cells, st["bs_shift"],
+                               "coupling_first")
         table_dev = max(table_dev,
                         float(np.abs(t1.cell_probs - t2.cell_probs).max()),
                         float(np.abs(x1 - x2).max()))
@@ -95,7 +95,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
         wv_dev = max(wv_dev, float(np.nanmax(np.abs(e1 - e2))))
         if not degenerate:
             e1, e2 = e1 / t1.gains, e2 / t1.gains
-        for b in range(t1.n_bins):
+        for b in range(cells.n_bins):
             exact_rows.append({
                 "x_site": x_site, "bin": b,
                 "route_bs_first": {"re": float(e1[b, 0]),
@@ -105,7 +105,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
 
         c1 = weakmeas._tally(t1, cfg.n_trials, cfg.seed, site)[1]
         c2 = weakmeas._tally(t2, cfg.n_trials, cfg.seed, site)[1]
-        for b in range(t1.n_bins):
+        for b in range(cells.n_bins):
             h1 = c1[b].ravel()
             h2 = c2[b].ravel()
             test = chi2_two_sample(h1, h2)
@@ -121,7 +121,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
 
         if pr["compare_planes"]:
             c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
-            for b in range(t1.n_bins):
+            for b in range(cells.n_bins):
                 test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
                 planes_rows.append({
                     "x_site": x_site, "bin": b,
@@ -132,7 +132,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                    and all(r["pass"] for r in mc_rows)
                    and all(r["pass"] for r in planes_rows))
 
-    records = []
+    records = {name: [] for name in RECORD_FIELDS}
     if not degenerate:
         proto = weakmeas.PointerProtocol(
             coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
@@ -159,5 +159,4 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                           "rows": planes_rows},
         "pass": bool(checks_pass),
     }
-    return {"report": report, "records": records,
-            "record_fields": RunRecord.FIELDS, "wf_tables": {}}
+    return {"report": report, "records": records, "wf_tables": {}}

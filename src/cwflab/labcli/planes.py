@@ -22,11 +22,16 @@ from ..qgrid import Grid1D, WaveFunction1D, normalize
 from ..states import beam_splitter, branch_waves, two_branch_state
 from ..stats import fidelity, fidelity_debiased, fidelity_debiased_sigma
 from ..weakmeas import PointerProtocol, scan_pointer_protocol
-from .config import RunRecord, ScenarioConfig
+from .config import ScenarioConfig
 
 # max branch probability mass allowed on the wrong side of x = 0
 SUPPORT_LEAK_TOL = 1e-6
 RECON_FIDELITY_MIN = 0.99
+
+# Columns of the per-trial protocol records: trial index, accepted (inside
+# the momentum window and a Y bin), the trial's p_x and Y cell, its Y bin
+# (-1: none), readout basis ("re" or "im") and reading (None if rejected).
+RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 
 ORDERINGS = {
     "A": "detect_upstream_of_bs",
@@ -67,26 +72,33 @@ def select_sites(psi_det, floor: float) -> np.ndarray:
 
 
 def replay_records(system, site_index: int, proto: PointerProtocol,
-                   cap: int):
-    """Per-trial rows for the first chunk of one site's protocol run.
+                   cap: int) -> dict:
+    """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials
+    of the first chunk of one site's protocol run.
 
     The rows come from the engine's own chunk draw, so they are exactly
-    the trials run_pointer_protocol consumed.
+    the trials run_pointer_protocol consumed; every trial's cell is the
+    search of the whole CDF for the chunk's first uniforms.
     """
-    tab = weakmeas._site_tables(system, site_index, proto)
-    if tab.gy is None:
+    tab = weakmeas._site_tables(weakmeas._state(system, proto), site_index,
+                                proto)
+    c = tab.cells
+    if c.gy is None:
         raise ValidationError("trial records need a two-particle system")
     n = min(weakmeas.CHUNK_TRIALS, proto.n_trials)
+    m = min(n, cap)
     chunk = weakmeas._draw_chunk(tab, proto.seed, site_index, 0, n)
-    p_idx, y_idx = np.divmod(chunk.cells, tab.gy.n_points)
-    outcome = np.full(n, None, dtype=object)
-    outcome[chunk.kept] = chunk.reading.tolist()
-    return [RunRecord(
-        trial=i, accepted=outcome[i] is not None,
-        p_x=float(tab.p_values[p_idx[i]]), y=float(tab.gy.points[y_idx[i]]),
-        y_bin=int(tab.bin_of_y[y_idx[i]]),
-        basis="im" if chunk.basis[i] else "re", outcome=outcome[i]).row()
-        for i in range(min(n, cap))]
+    u = weakmeas._chunk_rng(proto.seed, site_index, 0).random(m)
+    p_idx, y_idx = np.divmod(np.searchsorted(tab.cdf, u, side="right"),
+                             c.gy.n_points)
+    kept = chunk.kept[chunk.kept < m]
+    accepted = np.zeros(m, dtype=bool)
+    accepted[kept] = True
+    outcome = np.full(m, None, dtype=object)
+    outcome[kept] = chunk.reading[:kept.size].tolist()
+    return dict(zip(RECORD_FIELDS, (
+        np.arange(m), accepted, c.p_values[p_idx], c.gy.points[y_idx],
+        c.bin_of_y[y_idx], np.where(chunk.basis[:m], "im", "re"), outcome)))
 
 
 def run_photon_planes(cfg: ScenarioConfig) -> dict:
@@ -219,5 +231,4 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         "empty_bins": empty_bins,
         "pass": bool(all_pass),
     }
-    return {"report": report, "records": records,
-            "record_fields": RunRecord.FIELDS, "wf_tables": wf_tables}
+    return {"report": report, "records": records, "wf_tables": wf_tables}

@@ -4,7 +4,6 @@ Reports are plain JSON with sorted keys; NaN/inf are mapped to null and
 numpy scalars to Python numbers so reruns are byte-identical.
 """
 
-import csv
 import json
 import math
 import os
@@ -59,56 +58,56 @@ def write_report_json(path, report: dict):
         fh.write("\n")
 
 
-def write_rows_csv(path, fieldnames, rows):
+def _column_cells(column):
+    """Text of each cell: str of its Python value (for a float, its shortest
+    repr), an empty cell for None."""
+    values = np.asarray(column)
+    if values.dtype == object:
+        return ("" if v is None else str(v) for v in values.tolist())
+    return map(str, values.tolist())
+
+
+def write_columns_csv(path, columns: dict):
+    """CSV of equal-length columns {name: values}, header first, with the
+    csv module's excel line ends; no cell (a number, bool or bare word)
+    needs quoting."""
+    rows = zip(*map(_column_cells, columns.values()))
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(row.get(k)) for k in fieldnames})
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def _cell(value):
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
-def write_rows_json(path, fieldnames, rows):
-    payload = [{k: jsonify(row.get(k)) for k in fieldnames} for row in rows]
+def write_columns_json(path, columns: dict):
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    payload = [{k: jsonify(v) for k, v in zip(columns, row)} for row in rows]
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def write_wf_csv(path, xs, values):
-    write_rows_csv(path, ("x", "re", "im"),
-                   ({"x": x, "re": v.real, "im": v.imag}
-                    for x, v in zip(xs, np.asarray(values))))
-
-
-def emit(output_dir, report: dict, records=None, record_fields=None,
-         wf_tables=None, fmt: str = "csv"):
+def emit(output_dir, report: dict, records=None, wf_tables=None,
+         fmt: str = "csv"):
     """Write the standard artifact set and return the report path.
 
-    wf_tables: {name: (xs, complex values)} written under output_dir/wf/.
-    fmt selects the records container (records.csv or records.json);
-    report.json is always written.
+    records: {field: column} of per-trial records; wf_tables: {name: (xs,
+    complex values)} written under output_dir/wf/. fmt selects the records
+    container (records.csv or records.json); report.json is always written.
     """
     os.makedirs(output_dir, exist_ok=True)
     write_report_json(os.path.join(output_dir, "report.json"), report)
     if records is not None:
         if fmt == "json":
-            write_rows_json(os.path.join(output_dir, "records.json"),
-                            record_fields, records)
+            write_columns_json(os.path.join(output_dir, "records.json"),
+                               records)
         else:
-            write_rows_csv(os.path.join(output_dir, "records.csv"),
-                           record_fields, records)
+            write_columns_csv(os.path.join(output_dir, "records.csv"),
+                              records)
     if wf_tables:
         wf_dir = os.path.join(output_dir, "wf")
         os.makedirs(wf_dir, exist_ok=True)
         for name in sorted(wf_tables):
             xs, values = wf_tables[name]
-            write_wf_csv(os.path.join(wf_dir, f"{name}.csv"), xs, values)
+            values = np.asarray(values)
+            write_columns_csv(os.path.join(wf_dir, f"{name}.csv"),
+                              {"x": xs, "re": values.real, "im": values.imag})
     return os.path.join(output_dir, "report.json")

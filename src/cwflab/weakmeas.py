@@ -59,18 +59,16 @@ counter-based (Philox) keyed by (seed, site, chunk) with a fixed chunk
 size, which makes results independent of how chunks are distributed over
 workers; partial sums merge in fixed chunk order.
 
-Cells are drawn by indexed search (Chen & Asau): a guide table over the
-CDF, built once per table, maps floor(u * M) (M the smallest power of two
->= the cell count) to a lower bound of the cell, and only the trials whose
-guide cell is not the answer (3.5% of planes B/on trials, 2.6% of A/off)
-fall back to a binary search. The cells are exactly those of
-searchsorted(cdf, u, side="right"), so the stream and the artifacts do not
-depend on the lookup.
+Only the trials inside the momentum window are located to a cell. p
+ascends, so the window is one flat cell range [s, e) of the (p, Y) CDF: a
+trial is inside exactly when cdf[s-1] <= u < cdf[e-1], and its cell, that of
+searchsorted(cdf, u, side="right"), is s plus the search of cdf[s:e]. The
+cell weights span the grid; the readout tables hold the window rows only.
 
-Tables are built once per site: run_pointer_protocol also returns the
-exact expectation of the tables it drew from (ProtocolResult.expectation,
-the same numbers as protocol_expectation), and each site's tables are
-freed before the next site's are built.
+The state's momentum transform and expected acceptance are computed once
+per state, the tables once per site. run_pointer_protocol also returns the
+exact expectation of its tables (ProtocolResult.expectation, the same
+numbers as protocol_expectation).
 """
 
 from dataclasses import dataclass
@@ -207,10 +205,6 @@ class BinEstimate:
     n_im: int
     empty: bool
 
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -227,47 +221,26 @@ class ProtocolResult:
     bins: tuple
     expectation: np.ndarray   # (n_bins, 2) exact (re, im) limits of bins
 
-    def weak_values(self):
-        return [WeakValue(b.value, f"pi_x(x={self.x_site:g})",
-                          f"|p_x|<{self.window:g};Y in [{b.y_lo:g},{b.y_hi:g})")
-                for b in self.bins if not b.empty]
 
+class _Cells:
+    """The (p, Y) cell grid of a run: the momentum window |p| < window (the
+    row range `rows`, the flat cell range `flat`), Y bins and cell measure.
+    A lone particle (gy None) has one Y cell."""
 
-class _CouplingTables:
-    """Exact per-(p cell, Y cell) statistics of a coupled, post-selected run.
-
-    The pointer models below reduce the coupled state's momentum-space
-    branches, arrays of shape (n_p, n_y) (n_y = 1 for a lone particle), to
-    a cell weight nu and the expected (re, im) readings `means` of each
-    cell. This base holds the momentum window, the Y-bin map and the cell
-    distribution with its CDF and the CDF's guide table. Each model adds
-    `gains`, which turn pooled readings into weak-value estimates, and
-    readout(rng, cells, basis, u_read), which draws the readings of the
-    given trials. Tables from _site_tables also carry site, x_site and
-    acceptance_expected.
-    """
-
-    def __init__(self, gx, gy, nu, means, window, y_bins, hbar):
+    def __init__(self, gx, gy, window, y_bins, hbar):
         pgrid = gx.conjugate(hbar)
         self.gx, self.gy = gx, gy
         self.p_values = pgrid.points
         self.window = window if window is not None else 1.5 * pgrid.dx
         self.win_p = np.abs(self.p_values) < self.window
+        first = int(np.argmax(self.win_p))   # 0 if the window is empty
+        self.rows = slice(first, first + int(self.win_p.sum()))
         self.measure = pgrid.dx / (2.0 * np.pi * hbar)
-        if gy is not None:
-            self.measure *= gy.dx
-        raw = nu * self.measure
-        self.total = raw.sum()
-        self.cell_probs = raw / self.total
-        self.cdf = np.cumsum(self.cell_probs.ravel())
-        self.cdf /= self.cdf[-1]
-        self.guide = _guide_table(self.cdf)
-        self.means = means
-
         if gy is None:
             self.y_edges = np.array([0.0, 1.0])
             self.bin_of_y = np.zeros(1, dtype=int)
         else:
+            self.measure *= gy.dx
             if np.isscalar(y_bins):
                 edges = np.linspace(gy.x_min, gy.x_max, int(y_bins) + 1)
             else:
@@ -276,27 +249,48 @@ class _CouplingTables:
                     raise ValidationError("y_bins edges must be increasing")
             self.y_edges = edges
             idx = np.searchsorted(edges, gy.points, side="right") - 1
-            idx[(gy.points < edges[0]) | (gy.points >= edges[-1])] = -1
-            idx[idx == edges.size - 1] = -1
+            idx[gy.points >= edges[-1]] = -1
             self.bin_of_y = idx
+        self.n_y = self.bin_of_y.size
+        self.flat = slice(self.rows.start * self.n_y, self.rows.stop * self.n_y)
         self.n_bins = self.y_edges.size - 1
-        shape = self.cell_probs.shape
-        self.win_flat = np.broadcast_to(self.win_p[:, None], shape).ravel()
-        self.bin_flat = np.broadcast_to(self.bin_of_y, shape).ravel()
+
+
+class _CouplingTables:
+    """Exact per-(p cell, Y cell) statistics of a coupled, post-selected run.
+
+    The pointer models below reduce the coupled state's momentum-space
+    branches (n_p, n_y) to cell weights nu on the whole grid, whose
+    distribution and CDF this base holds, and to the expected (re, im)
+    readings `means` on the window rows. Each model adds `gains`, which turn
+    pooled readings into weak-value estimates, and readout(rng, cells,
+    basis, u_read), which draws readings in window cells (flat indexes into
+    the window rows). Tables from _site_tables also carry site and x_site.
+    """
+
+    def __init__(self, cells: _Cells, nu):
+        self.cells = cells
+        raw = nu * cells.measure
+        self.total = raw.sum()
+        self.cell_probs = raw / self.total
+        self.cdf = np.cumsum(self.cell_probs.ravel())
+        self.cdf /= self.cdf[-1]
 
     def pooled(self) -> np.ndarray:
-        """Expected (re, im) reading over each Y bin's accepted cells.
-
-        Shape (n_bins, 2); NaN where a bin has no accepted mass.
-        """
-        probs = self.cell_probs * self.win_p[:, None]
-        out = np.full((self.n_bins, 2), np.nan)
-        for b in range(self.n_bins):
-            cols = self.bin_of_y == b
-            mass = probs[:, cols].sum()
+        """Expected (re, im) reading over each Y bin's accepted cells, shape
+        (n_bins, 2); NaN where a bin has no accepted mass. The sums run over
+        the whole grid (zero outside the window rows)."""
+        c = self.cells
+        probs = self.cell_probs * c.win_p[:, None]
+        means = np.zeros((2,) + probs.shape)
+        means[:, c.rows] = self.means
+        out = np.full((c.n_bins, 2), np.nan)
+        for b in range(c.n_bins):
+            cols = c.bin_of_y == b
+            p = probs[:, cols]
+            mass = p.sum()
             if mass > 0:
-                out[b] = [(probs[:, cols] * m[:, cols]).sum() / mass
-                          for m in self.means]
+                out[b] = [(p * m).sum() / mass for m in means[:, :, cols]]
         return out
 
     def expectation(self) -> np.ndarray:
@@ -312,15 +306,18 @@ class _QubitTables(_CouplingTables):
     0 (no coupling), and then only the tables themselves are meaningful.
     """
 
-    def __init__(self, gx, gy, uH, uV, readout_denom, window, y_bins,
-                 hbar=1.0):
+    def __init__(self, cells, uH, uV, readout_denom):
         nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
-        cross = uH * np.conj(uV)
+        super().__init__(cells, nu)
+        w = cells.rows
+        # the operand order fixes the readings' last bits (numpy's SIMD
+        # complex multiply is not bitwise commutative): do not swap it
+        cross = np.conj(uV[w]) * uH[w]
+        nu = nu[w]
         with np.errstate(invalid="ignore", divide="ignore"):
             safe = np.maximum(nu, 1e-300)
-            d_re = np.where(nu > 0, 2.0 * cross.real / safe, 0.0)
-            d_im = np.where(nu > 0, -2.0 * cross.imag / safe, 0.0)
-        super().__init__(gx, gy, nu, (d_re, d_im), window, y_bins, hbar)
+            self.means = (np.where(nu > 0, 2.0 * cross.real / safe, 0.0),
+                          np.where(nu > 0, -2.0 * cross.imag / safe, 0.0))
         self.gains = np.array([readout_denom, readout_denom])
 
     def readout(self, rng, cells, basis, u_read):
@@ -333,24 +330,25 @@ class _GaussianTables(_CouplingTables):
     """Gaussian pointer shifted by s = g / dx on the coupled share num of the
     uncoupled amplitude den; reads position (re) or momentum (im)."""
 
-    def __init__(self, gx, gy, den, num, proto: PointerProtocol):
+    def __init__(self, cells, den, num, proto: PointerProtocol):
         hbar = self.hbar = proto.hbar
         self.sigma_q = proto.pointer_width
         self.sigma_p = hbar / (2.0 * self.sigma_q)
-        s = self.s = proto.coupling / gx.dx
+        s = self.s = proto.coupling / cells.gx.dx
         damp = np.exp(-(s * self.sigma_p) ** 2 / (2.0 * hbar**2))
-        self.rest, self.num = den - num, num
-        self.A = np.abs(self.rest) ** 2
-        self.B = np.abs(num) ** 2
-        K = np.conj(self.rest) * num
-        self.C = 2.0 * K.real * damp
-        nu = self.A + self.B + self.C
+        rest = den - num
+        K = np.conj(rest) * num
+        A, B, C = np.abs(rest) ** 2, np.abs(num) ** 2, 2.0 * K.real * damp
+        nu = A + B + C
+        super().__init__(cells, nu)
+        w = cells.rows
+        self.A, self.B, self.C, self.rest, self.num = (
+            t[w] for t in (A, B, C, rest, num))
         with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(nu, 1e-300)
-            mean_q = (self.B * s + 0.5 * self.C * s) / safe
-            mean_p = (2.0 * K.imag * (s / hbar) * self.sigma_p**2 * damp) / safe
-        super().__init__(gx, gy, nu, (mean_q, mean_p), proto.p_x_bin,
-                         proto.y_bins, hbar)
+            safe = np.maximum(nu[w], 1e-300)
+            self.means = (
+                (self.B * s + 0.5 * self.C * s) / safe,
+                (2.0 * K[w].imag * (s / hbar) * self.sigma_p**2 * damp) / safe)
         self.gains = np.array([
             GAUSSIAN_POSITION_GAIN * proto.coupling,
             GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling / hbar])
@@ -367,32 +365,40 @@ class _GaussianTables(_CouplingTables):
         return out
 
 
-def _site_tables(system, A_site, proto: PointerProtocol) -> _CouplingTables:
-    """Tables of proto's pointer coupled at A_site (grid index or position)."""
+def _state(system, proto: PointerProtocol):
+    """The per-state part of a run: (cells, amp, den, acceptance_expected)
+    with amp the amplitudes (n_x, n_y), den = momentum_fft(amp) and the
+    uncoupled state's probability of landing inside the momentum window."""
     if isinstance(system, WaveFunction1D):
         gx, gy, amp = system.grid, None, system.amplitudes[:, None]
     elif isinstance(system, WaveFunction2D):
         gx, gy, amp = system.grid_x, system.grid_y, system.amplitudes
     else:
         raise ValidationError("system must be a 1-D or 2-D wave function")
+    cells = _Cells(gx, gy, proto.p_x_bin, proto.y_bins, proto.hbar)
+    den = momentum_fft(amp, gx)
+    base = np.abs(den) ** 2 * cells.measure
+    base /= base.sum()
+    return cells, amp, den, float(base[cells.win_p].sum())
+
+
+def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
+    """Tables of proto's pointer coupled at A_site (grid index or position)
+    of the state that _state prepared."""
+    cells, amp, den, _ = state
+    gx = cells.gx
     site = A_site if isinstance(A_site, (int, np.integer)) \
         else gx.index_of(float(A_site))
     x_site = gx.points[site]
-    p_values = gx.conjugate(proto.hbar).points
-    den = momentum_fft(amp, gx)
-    num = gx.dx * np.exp(-1j * p_values[:, None] * x_site / proto.hbar) \
+    num = gx.dx * np.exp(-1j * cells.p_values[:, None] * x_site / proto.hbar) \
         * amp[site, None, :]
     if proto.pointer_model == "qubit":
         a = proto.coupling / (gx.dx * proto.pointer_width)
-        tab = _QubitTables(gx, gy, den + (np.cos(a) - 1.0) * num,
-                           np.sin(a) * num, 2.0 * gx.dx * np.sin(a),
-                           proto.p_x_bin, proto.y_bins, proto.hbar)
+        tab = _QubitTables(cells, den + (np.cos(a) - 1.0) * num,
+                           np.sin(a) * num, 2.0 * gx.dx * np.sin(a))
     else:
-        tab = _GaussianTables(gx, gy, den, num, proto)
-    base = np.abs(den) ** 2 * tab.measure
-    base /= base.sum()
+        tab = _GaussianTables(cells, den, num, proto)
     tab.site, tab.x_site = site, x_site
-    tab.acceptance_expected = float(base[tab.win_p].sum())
     return tab
 
 
@@ -444,30 +450,15 @@ def _sample_momentum_readout(rng, rest, num, s, sigma_p, hbar):
     return out
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """guide[k] = searchsorted(cdf, k / M, side="right") for k < M.
-
-    M is the smallest power of two >= cdf.size, so k / M is exact and
-    guide[floor(u * M)] is a lower bound of searchsorted(cdf, u, "right").
-    Built by counting in O(cells): cdf[i] <= k / M exactly when
-    ceil(cdf[i] * M) <= k, since scaling by a power of two is exact.
+def _window_lookup(cdf: np.ndarray, s: int, e: int, u: np.ndarray):
+    """(trials, cells): the u whose searchsorted(cdf, u, side="right") lies
+    in the cell range [s, e), and those cells. For a non-decreasing cdf it
+    does exactly when cdf[s-1] <= u < cdf[e-1]; only those u are searched.
     """
-    m = 1 << (cdf.size - 1).bit_length()
-    first = np.ceil(cdf * m).astype(np.intp)
-    return np.cumsum(np.bincount(first, minlength=m + 1)[:m])
-
-
-def _guide_lookup(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray):
-    """searchsorted(cdf, u, side="right") by indexed search (Chen & Asau).
-
-    Exact for a non-decreasing cdf with cdf[-1] == 1 and u in [0, 1): the
-    guide cell j = guide[floor(u * M)] never exceeds the answer, so j is
-    the answer wherever cdf[j] > u; only the other trials are searched.
-    """
-    cells = guide[(u * guide.size).astype(np.intp)]
-    rest = np.flatnonzero(cdf[cells] <= u)
-    cells[rest] = np.searchsorted(cdf, u[rest], side="right")
-    return cells
+    lo = cdf[s - 1] if s else 0.0
+    hi = cdf[e - 1] if e else 0.0
+    trials = np.flatnonzero((lo <= u) & (u < hi))
+    return trials, s + np.searchsorted(cdf[s:e], u[trials], side="right")
 
 
 def _chunk_rng(seed: int, site_index: int, chunk_id: int):
@@ -477,17 +468,14 @@ def _chunk_rng(seed: int, site_index: int, chunk_id: int):
 
 @dataclass(frozen=True)
 class _Chunk:
-    """The trials of one chunk.
+    """The trials of one chunk: basis of every trial (True: imaginary part),
+    the count n_window inside the momentum window, the indexes kept of those
+    also in a Y bin, and their cells (flat (p, Y)), bins and readings."""
 
-    cells (flat (p, Y) index) and basis (True: the imaginary-part basis)
-    cover every trial; kept indexes the trials inside the momentum window
-    and a Y bin, and bins and reading follow kept.
-    """
-
-    cells: np.ndarray
     basis: np.ndarray
     n_window: int
     kept: np.ndarray
+    cells: np.ndarray
     bins: np.ndarray
     reading: np.ndarray
 
@@ -496,19 +484,21 @@ def _draw_chunk(tab: _CouplingTables, seed: int, site_index: int,
                 chunk_id: int, n: int) -> _Chunk:
     """n trials from the stream keyed (seed, site_index, chunk_id).
 
-    Draw order: cells from the CDF, bases, readout uniforms, then the
-    pointer model's readings of the kept trials.
+    Draw order: cell uniforms, bases, readout uniforms, then the pointer
+    model's readings of the kept trials.
     """
+    c = tab.cells
     rng = _chunk_rng(seed, site_index, chunk_id)
-    cells = _guide_lookup(tab.cdf, tab.guide, rng.random(n))
+    inside, cells = _window_lookup(tab.cdf, c.flat.start, c.flat.stop,
+                                   rng.random(n))
     basis = rng.random(n) < 0.5
     u_read = rng.random(n)
-    in_window = tab.win_flat[cells]
-    bins = tab.bin_flat[cells]
-    kept = np.flatnonzero(in_window & (bins >= 0))
-    reading = tab.readout(rng, cells[kept], basis[kept], u_read[kept])
-    return _Chunk(cells, basis, int(np.count_nonzero(in_window)), kept,
-                  bins[kept], reading)
+    bins = c.bin_of_y[cells % c.n_y]
+    in_bin = bins >= 0
+    kept, cells = inside[in_bin], cells[in_bin]
+    reading = tab.readout(rng, cells - c.flat.start, basis[kept],
+                          u_read[kept])
+    return _Chunk(basis, inside.size, kept, cells, bins[in_bin], reading)
 
 
 def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
@@ -519,7 +509,7 @@ def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
     for the gaussian pointer the count, sum and sum of squares of the
     readings, shape (3, n_bins, 2).
     """
-    nb = tab.n_bins
+    nb = tab.cells.n_bins
     qubit = isinstance(tab, _QubitTables)
     stats = (np.zeros((nb, 2, 2), dtype=np.int64) if qubit
              else np.zeros((3, nb, 2)))
@@ -539,15 +529,10 @@ def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
     return n_window, stats
 
 
-def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResult:
-    """Monte-Carlo pointer protocol at one coupled site.
-
-    Per trial: sample the exact joint (momentum cell, Y cell) distribution of
-    the coupled state, accept iff |p_x| < window, assign the trial to one of
-    the two readout bases, sample the readout, and pool per Y bin. Empty bins
-    are flagged, not errors.
-    """
-    tab = _site_tables(system, A_site, proto)
+def _run_site(state, A_site, proto: PointerProtocol) -> ProtocolResult:
+    """run_pointer_protocol on the state that _state prepared."""
+    tab = _site_tables(state, A_site, proto)
+    c = tab.cells
     n_window, stats = _tally(tab, proto.n_trials, proto.seed, tab.site)
     if isinstance(tab, _QubitTables):
         count = stats.sum(axis=2)
@@ -555,7 +540,7 @@ def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResu
     count, total, total_sq = stats
 
     bins_out = []
-    for b in range(tab.n_bins):
+    for b in range(c.n_bins):
         n = count[b]
         empty = not n.all()
         if empty:
@@ -566,19 +551,30 @@ def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResu
             est = mean / tab.gains
             se = np.sqrt(var / n) / tab.gains
         bins_out.append(BinEstimate(
-            float(tab.y_edges[b]), float(tab.y_edges[b + 1]),
+            float(c.y_edges[b]), float(c.y_edges[b + 1]),
             float(est[0]), float(est[1]), float(se[0]), float(se[1]),
             int(n.sum()), int(n[0]), int(n[1]), empty))
 
     return ProtocolResult(
         site_index=tab.site, x_site=float(tab.x_site),
         pointer_model=proto.pointer_model, coupling=proto.coupling,
-        weakness_ratio=proto.weakness_ratio(tab.gx), window=float(tab.window),
+        weakness_ratio=proto.weakness_ratio(c.gx), window=float(c.window),
         n_trials=proto.n_trials,
         acceptance_rate=n_window / proto.n_trials,
-        acceptance_expected=tab.acceptance_expected,
-        y_edges=None if tab.gy is None else tab.y_edges,
+        acceptance_expected=state[3],
+        y_edges=None if c.gy is None else c.y_edges,
         bins=tuple(bins_out), expectation=tab.expectation())
+
+
+def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResult:
+    """Monte-Carlo pointer protocol at one coupled site.
+
+    Per trial: sample the exact joint (momentum cell, Y cell) distribution of
+    the coupled state, accept iff |p_x| < window, assign the trial to one of
+    the two readout bases, sample the readout, and pool per Y bin. Empty bins
+    are flagged, not errors.
+    """
+    return _run_site(_state(system, proto), A_site, proto)
 
 
 def protocol_expectation(system, A_site, proto: PointerProtocol):
@@ -588,10 +584,12 @@ def protocol_expectation(system, A_site, proto: PointerProtocol):
     acceptance probability hold NaN. run_pointer_protocol returns the same
     numbers as ProtocolResult.expectation.
     """
-    re, im = _site_tables(system, A_site, proto).expectation().T
-    return re, im
+    return tuple(_site_tables(_state(system, proto), A_site,
+                              proto).expectation().T)
 
 
 def scan_pointer_protocol(system, sites, proto: PointerProtocol):
-    """run_pointer_protocol at each site; per-site RNG keyed (seed, site, chunk)."""
-    return [run_pointer_protocol(system, int(s), proto) for s in sites]
+    """run_pointer_protocol at each site, with the per-state work done once;
+    per-site RNG keyed (seed, site, chunk)."""
+    state = _state(system, proto)
+    return [_run_site(state, int(s), proto) for s in sites]

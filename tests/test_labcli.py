@@ -1,6 +1,7 @@
 """Scenario runners, the config layer, and the command-line front end."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from cwflab.labcli.config import (
     DEFAULTS,
     SCENARIOS,
     ConfigError,
-    RunRecord,
     default_config,
     load_config,
     parse_config,
@@ -49,11 +49,12 @@ from cwflab.labcli.fig1 import (
 )
 from cwflab.labcli.order import run_order_invariance
 from cwflab.labcli.planes import (
+    RECORD_FIELDS,
     detection_state,
     replay_records,
     run_photon_planes,
 )
-from cwflab.labcli.reports import jsonify
+from cwflab.labcli.reports import jsonify, write_columns_csv
 from cwflab.labcli.selftest import run_selftest
 
 
@@ -132,12 +133,29 @@ class TestConfig:
             load_config(path)
         assert err.value.lineno == 2
 
-    def test_run_record_row_matches_fields(self):
-        rec = RunRecord(trial=3, accepted=True, p_x=0.1, y=-0.4, y_bin=0,
-                        basis="re", outcome=1)
-        row = rec.row()
-        assert tuple(row) == RunRecord.FIELDS
-        assert row["outcome"] == 1 and row["basis"] == "re"
+
+class TestReports:
+    def test_columns_csv_matches_the_csv_module(self, tmp_path):
+        """The columnar writer gives the bytes of csv.DictWriter fed the
+        repr of each float, and an empty cell for None."""
+        floats = np.array([0.1, -0.0, 1e-18, np.nan, np.inf, -2.5e300, 3.0])
+        columns = {"trial": np.arange(7), "x": floats,
+                   "ok": floats > 0, "basis": np.where(floats > 0, "im", "re"),
+                   "outcome": np.array([None, 1.0, -1.0, None, 0.25, None,
+                                        -0.5], dtype=object)}
+        write_columns_csv(tmp_path / "cols.csv", columns)
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(columns))
+            writer.writeheader()
+            for i in range(7):
+                writer.writerow({
+                    k: repr(float(v[i])) if v.dtype.kind == "f" else
+                    v[i].item() if v.dtype != object else v[i]
+                    for k, v in columns.items()})
+        assert ((tmp_path / "cols.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+        write_columns_csv(tmp_path / "empty.csv", {"a": [], "b": []})
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b\r\n"
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +182,8 @@ class TestFig1:
 
     def test_records_and_tables(self, fig1_result):
         recs = fig1_result["records"]
-        assert len(recs) == 2500
-        assert tuple(fig1_result["record_fields"]) == (
+        assert len(recs["trial"]) == 2500
+        assert tuple(recs) == (
             "trial", "x0", "y0", "x_final", "y_final", "outcome_mode",
             "overlap", "failed")
         for key in ("psi_initial", "mode_1", "mode_2",
@@ -175,7 +193,7 @@ class TestFig1:
     def test_records_cap(self):
         cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 300,
                             "report": {"records_cap": 40}})
-        assert len(run_fig1(cfg)["records"]) == 40
+        assert len(run_fig1(cfg)["records"]["trial"]) == 40
 
     def test_deterministic_rerun(self):
         cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 400})
@@ -303,6 +321,12 @@ def planes_uncollapsed():
     return run_photon_planes(cfg)
 
 
+def _rows(columns):
+    """Per-trial dicts of a {field: column} record set."""
+    values = (np.asarray(column).tolist() for column in columns.values())
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 @pytest.fixture(scope="module")
 def planes_collapsed():
     cfg = parse_config({"scenario": "photon_planes", "n_trials": 30_000,
@@ -346,7 +370,7 @@ class TestPlanes:
         edges = [cfg["grid"]["y_min"], 0.0, cfg["grid"]["y_max"]]
         window = rep["momentum_window"]
         seen_accepted = False
-        for row in planes_collapsed["records"]:
+        for row in _rows(planes_collapsed["records"]):
             assert row["basis"] in ("re", "im")
             if row["accepted"]:
                 seen_accepted = True
@@ -451,8 +475,7 @@ class TestOrder:
 
     def test_records_replayed(self, order_result):
         recs = order_result["records"]
-        assert recs and tuple(order_result["record_fields"]) == \
-            RunRecord.FIELDS
+        assert tuple(recs) == RECORD_FIELDS and len(recs["trial"])
 
     def test_degenerate_no_coupling(self):
         cfg = parse_config({"scenario": "order_invariance", "n_trials": 5000,
@@ -461,7 +484,8 @@ class TestOrder:
         rep = out["report"]
         assert rep["degenerate_no_coupling"]
         assert rep["pass"]
-        assert out["records"] == []
+        assert tuple(out["records"]) == RECORD_FIELDS
+        assert not any(map(len, out["records"].values()))
         for row in rep["exact_weak_values"]["rows"]:
             assert row["route_bs_first"] == {"re": 0.0, "im": 0.0}
 
@@ -500,7 +524,7 @@ class TestSharedStream:
             gains = [GAUSSIAN_POSITION_GAIN * proto.coupling,
                      GAUSSIAN_MOMENTUM_GAIN * sigma_p**2 * proto.coupling]
         site = gx.index_of(3.0)
-        rows = replay_records(psi_det, site, proto, n_trials)
+        rows = _rows(replay_records(psi_det, site, proto, n_trials))
         result = run_pointer_protocol(psi_det, site, proto)
         assert len(rows) == n_trials
         for b, est in enumerate(result.bins):
@@ -515,6 +539,18 @@ class TestSharedStream:
                     assert set(got) <= {-1.0, 1.0}
                     assert round(value * gain * n) == got.sum()
                 assert got.mean() / gain == pytest.approx(value, rel=1e-9)
+
+    def test_capped_records_are_a_prefix(self):
+        cfg = parse_config({"scenario": "photon_planes", "n_trials": 20_000,
+                            "protocol": {"bs_inserted": True, "plane": "B",
+                                         "pointer_model": "gaussian"}})
+        _, psi_det, _, _, _, gx, gy = detection_state(cfg)
+        proto = _protocol(cfg, gx, gy, pointer_model="gaussian")
+        site = gx.index_of(3.0)
+        full = _rows(replay_records(psi_det, site, proto, cfg.n_trials))
+        head = _rows(replay_records(psi_det, site, proto, 777))
+        assert head == full[:777]
+        assert any(r["accepted"] for r in head)
 
     def test_order_bs_first_arm_matches_the_run(self):
         cfg = parse_config({"scenario": "order_invariance",
@@ -737,7 +773,7 @@ class TestCli:
         capsys.readouterr()
         assert rc == 0
         rows = json.loads((out_dir / "records.json").read_text())
-        assert rows and set(rows[0]) == set(RunRecord.FIELDS)
+        assert rows and set(rows[0]) == set(RECORD_FIELDS)
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         path = tmp_path / "overlap.json"

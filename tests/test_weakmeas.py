@@ -5,12 +5,14 @@ infinite-trial limit of the same estimator) and against the closed-form
 weak values; the two pointer models are cross-checked in the weak limit.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state_1d
+from conftest import random_state_1d, random_state_2d
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
 from cwflab.states import beam_splitter, gaussian_1d, product_2d, two_branch_state
@@ -330,86 +332,125 @@ class TestPointerMonteCarlo:
 
 
 class TestGuideLookup:
-    """The chunk draw's indexed search equals a full binary search of the CDF."""
+    """The chunk draw's window lookup equals a full binary search of the
+    CDF, restricted to the answers inside the window's flat cell range."""
 
     @staticmethod
-    def check(mass, extra_u=()):
+    def check(mass, s, e, extra_u=()):
         cdf = np.cumsum(np.asarray(mass, dtype=float))
         cdf /= cdf[-1]
-        guide = weakmeas._guide_table(cdf)
-        m = guide.size
-        assert m >= cdf.size and m & (m - 1) == 0 and m < 2 * max(cdf.size, 1)
-        grid_u = np.arange(m) / m
+        edges = cdf[[k for k in (s - 1, e - 1) if 0 <= k]]
         u = np.concatenate([
-            grid_u, np.nextafter(grid_u[1:], 0.0),
-            cdf[cdf < 1.0], np.nextafter(cdf[cdf < 1.0], 0.0),
-            np.asarray(extra_u, dtype=float)])
-        got = weakmeas._guide_lookup(cdf, guide, u)
-        np.testing.assert_array_equal(
-            got, np.searchsorted(cdf, u, side="right"))
+            [0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            cdf, np.nextafter(cdf, 0.0), np.asarray(extra_u, dtype=float)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        full = np.searchsorted(cdf, u, side="right")
+        want = np.flatnonzero((full >= s) & (full < e))
+        trials, cells = weakmeas._window_lookup(cdf, s, e, u)
+        np.testing.assert_array_equal(trials, want)
+        np.testing.assert_array_equal(cells, full[want])
 
     @settings(max_examples=150, deadline=None)
     @given(runs=st.lists(st.tuples(st.booleans(), st.integers(1, 70)),
                          min_size=1, max_size=10),
-           seed=st.integers(0, 2**32 - 1))
-    def test_zero_mass_runs(self, runs, seed):
-        """Stretches of zero mass anywhere, sizes mostly not powers of two."""
+           seed=st.integers(0, 2**32 - 1),
+           zero_near=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_zero_mass_runs(self, runs, seed, zero_near):
+        """Stretches of zero mass anywhere, also at and next to the cells
+        s - 1, s and e - 1 that bound the window."""
         rng = np.random.default_rng(seed)
         mass = np.concatenate([np.zeros(n) if empty else rng.random(n)
                                for empty, n in runs])
+        s = int(rng.integers(0, mass.size + 1))
+        e = int(rng.integers(s, mass.size + 1))
+        for k, zero in zip((s - 2, s - 1, s, s + 1, e - 2, e - 1), zero_near):
+            if zero and 0 <= k < mass.size:
+                mass[k] = 0.0
         if not mass.any():
             mass[rng.integers(mass.size)] = 1.0
-        self.check(mass, rng.random(2000))
+        self.check(mass, s, e, rng.random(2000))
 
-    @settings(max_examples=200, deadline=None)
-    @given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
-           on_grid=st.floats(0.0, 1.0), repeats=st.floats(0.0, 0.9))
-    def test_guide_table_is_searchsorted_of_the_grid(self, size, seed,
-                                                     on_grid, repeats):
-        """The counting build equals its searchsorted definition, also for
-        CDF entries sitting exactly on a grid point k / M and for runs of
-        equal entries (zero-mass cells)."""
-        rng = np.random.default_rng(seed)
-        m = 1 << (size - 1).bit_length()
-        cdf = rng.random(size)
-        snap = rng.random(size) < on_grid
-        cdf[snap] = rng.integers(0, m + 1, snap.sum()) / m
-        cdf = np.sort(cdf)
-        tie = np.flatnonzero(rng.random(size - 1) < repeats) + 1
-        for i in tie:
-            cdf[i] = cdf[i - 1]
-        cdf[-1] = 1.0
-        np.testing.assert_array_equal(
-            weakmeas._guide_table(cdf),
-            np.searchsorted(cdf, np.arange(m) / m, side="right"))
+    @pytest.mark.parametrize("n_p, n_y", [(1, 1), (2, 3), (7, 1), (9, 16)])
+    def test_windows_on_the_first_and_last_rows(self, n_p, n_y):
+        rng = np.random.default_rng(n_p * 100 + n_y)
+        mass = rng.random(n_p * n_y)
+        for r0, r1 in {(0, 1), (0, n_p), (n_p - 1, n_p), (0, 0),
+                       (n_p, n_p), (n_p // 2, n_p // 2 + 1)}:
+            self.check(mass, r0 * n_y, r1 * n_y, rng.random(500))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 100, 256, 257])
     def test_single_cell_carries_all_mass(self, size):
         for cell in {0, size // 2, size - 1}:
             mass = np.zeros(size)
             mass[cell] = 2.5
-            self.check(mass, [0.0, 0.5, np.nextafter(1.0, 0.0)])
+            for s, e in {(0, size), (cell, cell + 1), (0, cell),
+                         (cell + 1, size), (cell, size), (0, cell + 1)}:
+                self.check(mass, s, e, [0.5, np.nextafter(1.0, 0.0)])
 
     def test_uneven_masses_with_ties(self):
-        # masses spanning 30 decades make cdf steps far below 1 / M
+        # masses spanning 30 decades make cdf steps far below one ulp of 1
         rng = np.random.default_rng(11)
         mass = 10.0 ** rng.uniform(-30, 0, 3000)
         mass[::7] = 0.0
-        self.check(mass, rng.random(5000))
+        for s, e in ((0, 3000), (1, 2999), (700, 707), (2000, 3000),
+                     (14, 15)):
+            self.check(mass, s, e, rng.random(5000))
 
     def test_chunk_cells_follow_the_stream(self, grid128):
-        """The cells of a chunk are the CDF's searchsorted of the stream's
-        first n uniforms."""
+        """The kept cells and n_window of a chunk are those of the full
+        CDF's searchsorted of the stream's first n uniforms."""
         Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
                             2.5)
         proto = PointerProtocol(coupling=0.02, n_trials=5000, seed=9,
-                                y_bins=[grid128.x_min, 0.0, grid128.x_max])
+                                y_bins=[-3.0, 0.0, 3.0])
         site = grid128.index_of(2.0)
-        tab = weakmeas._site_tables(Psi, site, proto)
+        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
         chunk = weakmeas._draw_chunk(tab, proto.seed, site, 0, 5000)
         u = weakmeas._chunk_rng(proto.seed, site, 0).random(5000)
-        np.testing.assert_array_equal(
-            chunk.cells, np.searchsorted(tab.cdf, u, side="right"))
+        full = np.searchsorted(tab.cdf, u, side="right")
+        c = tab.cells
+        inside = (full >= c.flat.start) & (full < c.flat.stop)
+        kept = np.flatnonzero(inside & (c.bin_of_y[full % c.n_y] >= 0))
+        assert chunk.n_window == inside.sum() > kept.size > 0
+        np.testing.assert_array_equal(chunk.kept, kept)
+        np.testing.assert_array_equal(chunk.cells, full[kept])
+
+
+class TestPerStateWork:
+    """scan_pointer_protocol transforms the state once for all sites."""
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_scan_equals_run_at_each_site(self, grid128, model):
+        Psi = random_state_2d(grid128, grid128, seed=3)
+        proto = PointerProtocol(coupling=0.02, n_trials=3000, seed=7,
+                                y_bins=3, pointer_model=model)
+        sites = [grid128.index_of(x) for x in (-2.0, 0.0, 0.5, 3.0)]
+        for site, res in zip(sites, scan_pointer_protocol(Psi, sites, proto)):
+            one = run_pointer_protocol(Psi, site, proto)
+            for field in fields(ProtocolResult):
+                a, b = getattr(res, field.name), getattr(one, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert repr(a) == repr(b), field.name
+            assert (np.float64(res.acceptance_expected).tobytes()
+                    == np.float64(one.acceptance_expected).tobytes())
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_empty_window(self, grid128, model):
+        """A window that holds no p cell accepts nothing and says so."""
+        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
+                            2.5)
+        proto = PointerProtocol(coupling=0.02, n_trials=5000, seed=1,
+                                p_x_bin=0.0, y_bins=[grid128.x_min, 0.0,
+                                                     grid128.x_max],
+                                pointer_model=model)
+        sites = [grid128.index_of(x) for x in (-3.0, 1.5)]
+        for res in scan_pointer_protocol(Psi, sites, proto):
+            assert res.acceptance_rate == 0.0
+            assert res.acceptance_expected == 0.0
+            assert all(b.empty and b.n_accepted == 0 for b in res.bins)
+            assert np.isnan(res.expectation).all()
 
 
 class TestScanExpectation:
@@ -486,8 +527,6 @@ class TestExports:
 
     def test_weak_values_accessor(self, grid256):
         results = self.make_results(grid256)
-        wvs = results[0].weak_values()
-        assert len(wvs) == 1
-        assert isinstance(wvs[0], WeakValue)
+        assert sum(not b.empty for b in results[0].bins) == 1
         assert isinstance(results[0], ProtocolResult)
         assert OVERLAP_FLOOR == 1e-12
