@@ -7,8 +7,9 @@ exact Fourier series in 1-D and bicubic interpolation of the smooth fields
 function at t, t + dt/2 and t + dt (half-step propagation).
 
 Configurations sitting on nodes of |Psi|^2 (relative density below
-NODE_FLOOR) raise NodeError; ensemble runners count such failures per
-trajectory instead of aborting the batch.
+NODE_FLOOR) are masked: the fields return NaN velocity and a False entry in
+the node mask there, and the ensemble runner marks such trajectories failed
+instead of aborting the batch.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import GridExitError, NodeError, ValidationError
+from .errors import GridExitError, ValidationError
 from .evolve import Hamiltonian, propagate
 from .qgrid import WaveFunction1D, WaveFunction2D, conditional_slice
 from .stats import chi2_gof, chi2_joint
@@ -26,27 +27,10 @@ NODE_FLOOR = 1e-12  # fraction of max |Psi|^2 below which a point is a node
 
 @dataclass(frozen=True)
 class BohmConfig:
-    """A configuration-space point (X, Y). Must avoid nodes of |Psi|^2;
-    that is enforced wherever the point is used to evaluate guidance."""
+    """A configuration-space point (X, Y)."""
 
     X: float
     Y: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    points: np.ndarray  # shape (len(times), ndim)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        p = np.asarray(self.points, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("times must be strictly increasing")
-        if p.shape[0] != t.size:
-            raise ValidationError("times/points length mismatch")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "points", p)
 
 
 class VelocityField1D:
@@ -70,22 +54,14 @@ class VelocityField1D:
         dpsi = (1j * self.k * self.coef) @ phases
         return psi, dpsi
 
-    def velocity(self, x, on_node="raise"):
-        """Guidance velocity at x (scalar or array).
-
-        on_node: 'raise' -> NodeError, 'mask' -> (v, ok_mask) with NaN at nodes.
-        """
+    def velocity(self, x):
+        """(v, ok): guidance velocity at x (scalar or array) and the node
+        mask, False with v NaN where |psi|^2 is below the floor."""
         psi, dpsi = self._series(x)
-        dens = np.abs(psi) ** 2
-        ok = dens >= self.floor
+        ok = np.abs(psi) ** 2 >= self.floor
         v = np.full(psi.shape, np.nan)
         v[ok] = (self.hbar / self.mass) * (dpsi[ok] / psi[ok]).imag
-        if on_node == "mask":
-            return v, ok
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            raise NodeError(dens[bad], self.floor, where=float(np.atleast_1d(x)[bad]))
-        return v
+        return v, ok
 
 
 class VelocityField2D:
@@ -112,7 +88,9 @@ class VelocityField2D:
                 or np.any(Y < self.gy.x_min) or np.any(Y >= self.gy.x_max)):
             raise GridExitError("position outside the grid domain")
 
-    def velocity(self, X, Y, on_node="raise"):
+    def velocity(self, X, Y):
+        """(vx, vy, ok) at the points (X, Y); ok is the node mask, False
+        with NaN velocity where rho is below the floor."""
         X = np.atleast_1d(np.asarray(X, dtype=float))
         Y = np.atleast_1d(np.asarray(Y, dtype=float))
         self._check_bounds(X, Y)
@@ -122,26 +100,7 @@ class VelocityField2D:
         vy = np.full(Y.shape, np.nan)
         vx[ok] = self._jx.ev(X[ok], Y[ok]) / rho[ok]
         vy[ok] = self._jy.ev(X[ok], Y[ok]) / rho[ok]
-        if on_node == "mask":
-            return vx, vy, ok
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            raise NodeError(rho[bad], self.floor, where=(float(X[bad]), float(Y[bad])))
-        return vx, vy
-
-
-def velocity(psi, q, masses=(1.0, 1.0), hbar: float = 1.0):
-    """Guidance velocity at a single configuration.
-
-    1-D states take a float position, 2-D states a BohmConfig.
-    """
-    if isinstance(psi, WaveFunction1D):
-        return float(VelocityField1D(psi, masses[0] if np.iterable(masses) else masses,
-                                     hbar).velocity(q)[0])
-    if isinstance(psi, WaveFunction2D):
-        vx, vy = VelocityField2D(psi, masses, hbar).velocity(q.X, q.Y)
-        return np.array([vx[0], vy[0]])
-    raise ValidationError(f"cannot compute velocity for {type(psi).__name__}")
+        return vx, vy, ok
 
 
 def conditional_wavefunction(psi: WaveFunction2D, q: BohmConfig) -> WaveFunction1D:
@@ -155,25 +114,14 @@ def _rk4(f0, f1, f2, X, Y, dt, alive):
     ok = alive.copy()
 
     def ev(field, xs, ys, mask):
+        # a stage point off the grid or on a node fails its trajectory
         vx = np.zeros_like(xs)
         vy = np.zeros_like(ys)
-        good = mask.copy()
-        idx = np.flatnonzero(mask)
+        good = mask & ((xs >= field.gx.x_min) & (xs < field.gx.x_max)
+                       & (ys >= field.gy.x_min) & (ys < field.gy.x_max))
+        idx = np.flatnonzero(good)
         if idx.size:
-            try:
-                a, b, m = field.velocity(xs[idx], ys[idx], on_node="mask")
-            except GridExitError:
-                # per-trajectory bounds handling
-                inb = ((xs[idx] >= field.gx.x_min) & (xs[idx] < field.gx.x_max)
-                       & (ys[idx] >= field.gy.x_min) & (ys[idx] < field.gy.x_max))
-                good[idx[~inb]] = False
-                sub = idx[inb]
-                if sub.size:
-                    a, b, m = field.velocity(xs[sub], ys[sub], on_node="mask")
-                    vx[sub], vy[sub] = a, b
-                    good[sub[~m]] = False
-                return vx, vy, good
-            vx[idx], vy[idx] = a, b
+            vx[idx], vy[idx], m = field.velocity(xs[idx], ys[idx])
             good[idx[~m]] = False
         return vx, vy, good
 
@@ -193,8 +141,7 @@ def _rk4(f0, f1, f2, X, Y, dt, alive):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    times: np.ndarray
-    xs: np.ndarray        # (n_traj, n_times)
+    xs: np.ndarray        # (n_traj, steps + 1)
     ys: np.ndarray
     failed: np.ndarray    # bool, per trajectory
     final_state: WaveFunction2D
@@ -202,9 +149,6 @@ class EnsembleResult:
     @property
     def n_failed(self) -> int:
         return int(np.count_nonzero(self.failed))
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.times, np.column_stack([self.xs[i], self.ys[i]]))
 
 
 def evolve_trajectories(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
@@ -233,8 +177,7 @@ def evolve_trajectories(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
         X, Y, alive = _rk4(f0, f1, f2, X, Y, dt, alive)
         xs[:, s + 1], ys[:, s + 1] = X, Y
         f0 = f2
-    times = dt * np.arange(steps + 1)
-    return EnsembleResult(times, xs, ys, ~alive, state)
+    return EnsembleResult(xs, ys, ~alive, state)
 
 
 def sample_qeh(psi, n: int, seed: int) -> np.ndarray:

@@ -18,22 +18,6 @@ class OffGridError(CwflabError):
     where exact membership is required)."""
 
 
-class NodeError(CwflabError):
-    """The configuration sits on (or too close to) a node of |psi|^2.
-
-    Carries the offending density and the floor it was tested against.
-    """
-
-    def __init__(self, density: float, floor: float, where=None):
-        self.density = float(density)
-        self.floor = float(floor)
-        self.where = where
-        msg = f"|psi|^2 = {density:.3e} below node floor {floor:.3e}"
-        if where is not None:
-            msg += f" at {where}"
-        super().__init__(msg)
-
-
 class GridExitError(CwflabError):
     """A trajectory step would leave the grid domain."""
 

@@ -3,10 +3,12 @@
 Subcommands map onto the scenario runners plus the invariant battery:
 
     cwflab fig1     --seed 7 --trials 10000
-    cwflab planes   --bs on --plane B
-    cwflab density  --out run3 --format json
+    cwflab planes   --bs on --plane B --format json
+    cwflab density  --out run3
     cwflab order    --trials 1000000
     cwflab selftest
+
+density writes no records, so it takes no --trials or --format.
 
 Exit codes: 0 all checks passed, 2 configuration or validation error,
 3 a numerical check failed. Identical flags and config produce
@@ -50,9 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config.seed")
         p.add_argument("--out", help="override config.output_dir")
-        p.add_argument("--trials", type=int, help="override config.n_trials")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="records container format")
+        if name != "density":
+            p.add_argument("--trials", type=int,
+                           help="override config.n_trials")
+            p.add_argument("--format", choices=("csv", "json"),
+                           help="records container format")
         if name == "planes":
             p.add_argument("--plane", choices=("A", "B", "C"),
                            help="detection plane")
@@ -73,11 +77,11 @@ def _load_data(args) -> dict:
             raise CwflabError("config must be a JSON object")
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         data["n_trials"] = args.trials
     if args.out is not None:
         data["output_dir"] = args.out
-    if args.format is not None:
+    if getattr(args, "format", None) is not None:
         _set_flag(data, "report", "format", args.format)
     if getattr(args, "plane", None) is not None:
         _set_flag(data, "protocol", "plane", args.plane)
@@ -154,7 +158,7 @@ def main(argv=None) -> int:
     path = reports.emit(cfg.output_dir, report,
                         records=result.get("records"),
                         wf_tables=result.get("wf_tables"),
-                        fmt=cfg.report.get("format", "csv"))
+                        fmt=cfg.report["format"] if cfg.report else None)
     _print_report(report, out)
     print(f"wrote {path}", file=out)
     return 0 if report["pass"] else 3

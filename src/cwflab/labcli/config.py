@@ -12,6 +12,8 @@ A config file is a JSON object with the top-level keys
     protocol    pointer-protocol knobs (see DEFAULTS)
     report      {records_cap, format}
 
+Each scenario takes only the keys of its DEFAULTS entry: density_dm has no
+n_trials, no report section and no x grid, fig1_collapse no grid.n_y.
 Every key is optional; omitted keys take the scenario default and the fully
 resolved config is echoed into each report. A given value must have its
 default's JSON type (object, list, string, boolean, integer or number), and
@@ -20,9 +22,9 @@ field admits. Complex state coefficients are written as numbers (real) or
 [re, im] pairs.
 """
 
-import json
+import copy
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +69,9 @@ DEFAULTS = {
         "seed": 0,
         "n_trials": 10_000,
         "output_dir": "out",
+        # y_min, y_max: the range of the equivariance y histogram
         "grid": {"x_min": -0.5, "x_max": 1.5, "n_x": 256,
-                 "y_min": -2.0, "y_max": 4.0, "n_y": 256},
+                 "y_min": -2.0, "y_max": 4.0},
         "state": {
             "c": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
             "box_min": 0.0,
@@ -103,8 +106,7 @@ DEFAULTS = {
         "report": {"records_cap": 10_000, "format": "csv"},
     },
     "density_dm": {
-        "seed": 0,
-        "n_trials": 0,
+        "seed": 0,  # read only with resample_n
         "output_dir": "out",
         "grid": {"y_min": -8.0, "y_max": 8.0, "n_y": 64},
         # shift/width = 6 puts the pointer-overlap tail exp(-shift^2/width^2)
@@ -112,7 +114,6 @@ DEFAULTS = {
         "state": {"shift": 3.0, "width": 0.5},
         "protocol": {"bs_inserted": True, "four_phase": False,
                      "resample_n": None},
-        "report": {"records_cap": 10_000, "format": "csv"},
     },
     "order_invariance": {
         "seed": 0,
@@ -138,31 +139,24 @@ DEFAULTS = {
 class ScenarioConfig:
     scenario: str
     seed: int
-    n_trials: int
     output_dir: str
     grid: dict
     state: dict
     protocol: dict
-    report: dict = field(default_factory=dict)
+    n_trials: int = None  # not a density_dm key
+    report: dict = None   # only scenarios that write records have one
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "n_trials": self.n_trials,
-            "output_dir": self.output_dir,
-            "grid": dict(self.grid),
-            "state": dict(self.state),
-            "protocol": dict(self.protocol),
-            "report": dict(self.report),
-        }
+        """The resolved config: the scenario name and its DEFAULTS keys."""
+        return {key: copy.deepcopy(getattr(self, key))
+                for key in ("scenario", *DEFAULTS[self.scenario])}
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():
         if key not in defaults:
-            raise ConfigError(f"unknown key {key!r} in section {path!r}")
+            raise ConfigError(f"{path}: unknown key {key!r}")
         default, where = defaults[key], f"{path}.{key}"
         need = _json_type_needed(value, default)
         if need:
@@ -213,8 +207,8 @@ def _is_number(value, kind=float) -> bool:
 
 def _check_bounds(merged: dict, defaults: dict, name: str):
     for section, key, kind, low in FIELD_BOUNDS:
-        values = merged[section] if section else merged
-        default = (defaults[section] if section else defaults).get(key)
+        values = merged.get(section, {}) if section else merged
+        default = (defaults.get(section, {}) if section else defaults).get(key)
         if key not in values or (values[key] is None and default is None):
             continue
         value = values[key]
@@ -250,6 +244,8 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
             raise ConfigError(f"config.grid.{lo} must be a number below {hi}")
     if "plane" in pr and pr["plane"] not in ("A", "B", "C"):
         raise ConfigError("config.protocol.plane must be A, B or C")
+    if merged.get("report", {}).get("format") not in (None, "csv", "json"):
+        raise ConfigError("config.report.format must be csv or json")
     if "sites" in pr and not (pr["sites"]
                               and all(_is_number(x) for x in pr["sites"])):
         raise ConfigError("config.protocol.sites must be a non-empty list "
@@ -271,19 +267,4 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
         if abs(np.sum(np.abs(c) ** 2) - 1.0) > COEFF_TOL:
             raise ConfigError("config.state.c must be unit-norm within 1e-10")
 
-    return ScenarioConfig(
-        scenario=name, seed=merged["seed"], n_trials=merged["n_trials"],
-        output_dir=merged["output_dir"], grid=grid, state=merged["state"],
-        protocol=merged["protocol"], report=merged["report"])
-
-
-def default_config(scenario: str) -> ScenarioConfig:
-    return parse_config({"scenario": scenario})
-
-
-def load_config(path, scenario: str = None) -> ScenarioConfig:
-    """Parse a JSON config file; json.JSONDecodeError (line-anchored)
-    propagates to the caller for exit-code handling."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return parse_config(data, scenario)
+    return ScenarioConfig(**merged)

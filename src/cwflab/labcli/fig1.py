@@ -244,16 +244,16 @@ def sample_initial(modes: BoxModes, w: float, n: int, seed: int):
     return np.column_stack([x, y])
 
 
-def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
-                        gy: Grid1D, X, Y, bins: int) -> dict:
+def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, x_range,
+                        y_range, X, Y, bins: int) -> dict:
     """Histogram test of continuous positions against the closed-form
     continuum marginals of the state at impulse strength s (s=0: initial).
 
     The y marginal is a |c_n|^2 mixture of branch Gaussians (mode
     orthogonality removes the cross terms); the x marginal keeps the cross
     terms damped by the pointer branch overlaps."""
-    x_edges = np.linspace(gx.x_min, gx.x_max, bins + 1)
-    y_edges = np.linspace(gy.x_min, gy.x_max, bins + 1)
+    x_edges = np.linspace(*x_range, bins + 1)
+    y_edges = np.linspace(*y_range, bins + 1)
     weights = np.abs(modes.c) ** 2
     sigma = w / np.sqrt(2.0)
     cdf = ndtr((y_edges[None, :] - s * modes.a[:, None]) / sigma)
@@ -265,8 +265,8 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, gx: Grid1D,
     px = np.einsum("nm,nmb->b", modes.R * overlaps,
                    np.diff(_pair_anti(modes, xi), axis=-1))
 
-    cx = np.histogram(X, bins=bins, range=(gx.x_min, gx.x_max))[0]
-    cy = np.histogram(Y, bins=bins, range=(gy.x_min, gy.x_max))[0]
+    cx = np.histogram(X, bins=bins, range=x_range)[0]
+    cy = np.histogram(Y, bins=bins, range=y_range)[0]
     return chi2_joint(chi2_gof(cx, px), chi2_gof(cy, py))
 
 
@@ -285,17 +285,16 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
 
     g = cfg.grid
     gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
-    gy = Grid1D(g["y_min"], g["y_max"], g["n_y"])
-    lam_a_max = lam * float(modes.a.max())
-    if not (gy.x_min < 0.0 and gy.x_max > lam_a_max):
+    x_range, y_range = (g["x_min"], g["x_max"]), (g["y_min"], g["y_max"])
+    if not (g["y_min"] < 0.0 and g["y_max"] > lam * float(modes.a.max())):
         raise ValidationError("y grid does not cover the outcome range")
 
     psi_x = box_superposition(gx, st["box_min"], st["box_length"], coeffs)
 
     n = cfg.n_trials
     starts = sample_initial(modes, w, n, cfg.seed)
-    before = _flow_marginal_chi2(modes, w, 0.0, gx, gy, starts[:, 0],
-                                 starts[:, 1], EQUIVARIANCE_BINS)
+    before = _flow_marginal_chi2(modes, w, 0.0, x_range, y_range,
+                                 starts[:, 0], starts[:, 1], EQUIVARIANCE_BINS)
 
     X, Y, failed = transport(modes, w, starts, lam, st["flow_steps"])
 
@@ -324,8 +323,8 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
     frac_good = float(np.mean(overlap[ok] >= 0.999)) if n_ok else float("nan")
     overlap_ok = bool(frac_good >= 0.999)
 
-    after = _flow_marginal_chi2(modes, w, lam, gx, gy, X[ok], Y[ok],
-                                EQUIVARIANCE_BINS)
+    after = _flow_marginal_chi2(modes, w, lam, x_range, y_range, X[ok],
+                                Y[ok], EQUIVARIANCE_BINS)
     equi_ok = bool(before["p_value"] > 1e-3 and after["p_value"] > 1e-3)
 
     report = {
@@ -343,8 +342,7 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
         "pass": bool(freqs_ok and overlap_ok and equi_ok),
     }
 
-    cap = cfg.report.get("records_cap", 10_000)
-    m = min(n, cap)
+    m = min(n, cfg.report["records_cap"])
     records = {"trial": np.arange(m), "x0": starts[:m, 0],
                "y0": starts[:m, 1], "x_final": X[:m], "y_final": Y[:m],
                "outcome_mode": modes.numbers[outcome[:m]],

@@ -140,7 +140,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
             y_bins=y_edges, pointer_model="qubit")
         records = replay_records(beam_splitter(psi, st["bs_shift"]),
                                  site_indices[0], proto,
-                                 cfg.report.get("records_cap", 10_000))
+                                 cfg.report["records_cap"])
 
     report = {
         "scenario": "order_invariance",

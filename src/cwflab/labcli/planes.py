@@ -207,8 +207,8 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
 
     rho_sites = psi_det.density().sum(axis=1)[sites]
     record_site = int(sites[int(np.argmax(rho_sites))])
-    cap = cfg.report.get("records_cap", 10_000)
-    records = replay_records(psi_det, record_site, proto, cap)
+    records = replay_records(psi_det, record_site, proto,
+                             cfg.report["records_cap"])
 
     report = {
         "scenario": "photon_planes",

@@ -86,22 +86,19 @@ def write_columns_json(path, columns: dict):
 
 
 def emit(output_dir, report: dict, records=None, wf_tables=None,
-         fmt: str = "csv"):
+         fmt: str = None):
     """Write the standard artifact set and return the report path.
 
-    records: {field: column} of per-trial records; wf_tables: {name: (xs,
-    complex values)} written under output_dir/wf/. fmt selects the records
-    container (records.csv or records.json); report.json is always written.
+    records: {field: column} of per-trial records, written as records.csv
+    or records.json by fmt ("csv" or "json"); wf_tables: {name: (xs,
+    complex values)} written under output_dir/wf/. report.json is always
+    written.
     """
     os.makedirs(output_dir, exist_ok=True)
     write_report_json(os.path.join(output_dir, "report.json"), report)
     if records is not None:
-        if fmt == "json":
-            write_columns_json(os.path.join(output_dir, "records.json"),
-                               records)
-        else:
-            write_columns_csv(os.path.join(output_dir, "records.csv"),
-                              records)
+        write = {"csv": write_columns_csv, "json": write_columns_json}[fmt]
+        write(os.path.join(output_dir, f"records.{fmt}"), records)
     if wf_tables:
         wf_dir = os.path.join(output_dir, "wf")
         os.makedirs(wf_dir, exist_ok=True)

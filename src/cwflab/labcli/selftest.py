@@ -74,8 +74,7 @@ def check_velocity_two_forms() -> dict:
     rho = np.abs(amp) ** 2
     keep = rho > 1e-6 * rho.max()
     j_route = (np.conj(amp[keep]) * dpsi[keep]).imag / rho[keep]
-    series, ok = bohm.VelocityField1D(psi).velocity(grid.points[keep],
-                                                    on_node="mask")
+    series, ok = bohm.VelocityField1D(psi).velocity(grid.points[keep])
     dev = float(np.abs(series[ok] - j_route[ok]).max())
     return check_record("velocity_two_forms", observed=dev, tol=1e-8)
 

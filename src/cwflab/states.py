@@ -26,13 +26,6 @@ def gaussian_1d(grid: Grid1D, center: float = 0.0, sigma: float = 1.0,
     return normalize(WaveFunction1D(grid, amp))
 
 
-def product_2d(psi_x: WaveFunction1D, phi_y: WaveFunction1D) -> WaveFunction2D:
-    tag = ("normalized" if psi_x.norm_tag == phi_y.norm_tag == "normalized"
-           else "unnormalized")
-    return WaveFunction2D(psi_x.grid, phi_y.grid,
-                          np.outer(psi_x.amplitudes, phi_y.amplitudes), tag)
-
-
 def box_superposition(grid: Grid1D, box_min: float, length: float,
                       coeffs, mass: float = 1.0, hbar: float = 1.0) -> WaveFunction1D:
     """sum_n c_n u_n(x) over analytic box modes; coefficients must be unit-norm."""

@@ -14,7 +14,7 @@ import numpy as np
 from cwflab import polar
 from cwflab.errors import ValidationError
 from cwflab.evolve import Hamiltonian
-from cwflab.qgrid import Grid1D
+from cwflab.qgrid import Grid1D, WaveFunction2D
 
 HBAR = 1.0
 
@@ -175,3 +175,11 @@ def dense_weak_value(a, m, n_y, b=None, j=None):
     s = dense_selector(n_y, b, j)
     full = np.kron(a, np.eye(2 * n_y))
     return np.trace(s @ full @ m) / np.trace(s @ m)
+
+
+def product_2d(psi_x, phi_y):
+    """The product state psi_x(x) phi_y(y), normalized if both factors are."""
+    tag = ("normalized" if psi_x.norm_tag == phi_y.norm_tag == "normalized"
+           else "unnormalized")
+    return WaveFunction2D(psi_x.grid, phi_y.grid,
+                          np.outer(psi_x.amplitudes, phi_y.amplitudes), tag)

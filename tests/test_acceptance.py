@@ -13,7 +13,7 @@ from conftest import random_state_1d, random_state_2d
 from cwflab import bohm, polar, weakmeas
 from cwflab.bohm import BohmConfig
 from cwflab.labcli import selftest
-from cwflab.labcli.config import default_config, parse_config
+from cwflab.labcli.config import parse_config
 from cwflab.labcli.density import run_density_dm
 from cwflab.labcli.fig1 import run_fig1
 from cwflab.labcli.order import run_order_invariance
@@ -137,7 +137,7 @@ def test_monte_carlo_convergence():
 
 def test_collapse_statistics():
     t0 = time.time()
-    report = run_fig1(default_config("fig1_collapse"))["report"]
+    report = run_fig1(parse_config({"scenario": "fig1_collapse"}))["report"]
     z = max(abs(r["frequency"] - r["expected"]) / r["se"]
             for r in report["frequencies"])
     frac = report["overlap"]["fraction_above_0.999"]
@@ -226,10 +226,8 @@ def test_numerical_infrastructure():
         for j in np.argsort(rho_y)[-6:]:
             y = float(g.points[j])
             slc = bohm.conditional_wavefunction(psi2, BohmConfig(0.0, y))
-            v1, ok1 = bohm.VelocityField1D(slc).velocity(g.points,
-                                                         on_node="mask")
-            vx, _, ok2 = field2.velocity(g.points, np.full(g.n_points, y),
-                                         on_node="mask")
+            v1, ok1 = bohm.VelocityField1D(slc).velocity(g.points)
+            vx, _, ok2 = field2.velocity(g.points, np.full(g.n_points, y))
             both = ok1 & ok2
             v_dev = max(v_dev, float(np.abs(v1[both] - vx[both]).max()))
 

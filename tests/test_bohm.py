@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import product_2d
 from cwflab.bohm import (
     NODE_FLOOR,
     BohmConfig,
-    Trajectory,
     VelocityField1D,
     VelocityField2D,
     conditional_wavefunction,
@@ -21,12 +21,11 @@ from cwflab.bohm import (
     evolve_trajectories,
     marginal_bin_probs,
     sample_qeh,
-    velocity,
 )
-from cwflab.errors import GridExitError, NodeError, ValidationError
+from cwflab.errors import GridExitError, ValidationError
 from cwflab.evolve import Hamiltonian, free_potential, propagate
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, conditional_slice, normalize
-from cwflab.states import gaussian_1d, product_2d, two_branch_state
+from cwflab.states import gaussian_1d, two_branch_state
 
 
 def free_ham_1d(grid):
@@ -44,31 +43,28 @@ class TestVelocity1D:
         field = VelocityField1D(psi_t)
         xs = np.linspace(-2.5, 2.5, 11) + 0.031  # off-grid on purpose
         want = oracles.spreading_velocity(xs, 1.0)
-        assert np.max(np.abs(field.velocity(xs) - want)) < 1e-8
+        assert np.max(np.abs(field.velocity(xs)[0] - want)) < 1e-8
 
     def test_phase_ramp_drift(self, grid256):
         # at t = 0 a boosted packet moves rigidly at hbar k0 / m everywhere
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=3.0)
         field = VelocityField1D(psi)
         xs = np.array([-1.7, 0.0, 0.45, 2.2])
-        assert np.max(np.abs(field.velocity(xs) - 3.0)) < 1e-8
+        assert np.max(np.abs(field.velocity(xs)[0] - 3.0)) < 1e-8
 
     def test_mass_and_hbar_scaling(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=2.0)
-        v = VelocityField1D(psi, mass=4.0, hbar=0.5).velocity(np.array([0.3]))
-        assert abs(v[0] - 0.5 * 2.0 / 4.0) < 1e-10
+        v, ok = VelocityField1D(psi, mass=4.0, hbar=0.5).velocity(
+            np.array([0.3]))
+        assert ok[0] and abs(v[0] - 0.5 * 2.0 / 4.0) < 1e-10
 
-    def test_node_raises(self, grid256):
+    def test_node_is_masked(self, grid256):
         x = grid256.points
         wf = normalize(WaveFunction1D(grid256, x * np.exp(-(x**2) / 4.0),
                                       norm_tag="unnormalized"))
-        field = VelocityField1D(wf)
-        with pytest.raises(NodeError) as err:
-            field.velocity(np.array([0.0]))
-        assert err.value.density < err.value.floor
-        assert err.value.where == 0.0
-        v, ok = field.velocity(np.array([0.0, 1.0]), on_node="mask")
-        assert not ok[0] and ok[1] and np.isnan(v[0])
+        v, ok = VelocityField1D(wf).velocity(np.array([0.0, 1.0]))
+        assert ok.tolist() == [False, True]
+        assert np.isnan(v[0]) and np.isfinite(v[1])
 
     def test_out_of_domain_raises(self, grid256):
         field = VelocityField1D(gaussian_1d(grid256, 0.0, 1.0))
@@ -88,7 +84,8 @@ class TestVelocity2D:
         field = VelocityField2D(psi)
         for i, j in [(104, 140), (128, 128), (116, 120)]:
             X, Y = grid256.points[i], grid256.points[j]
-            vx, vy = field.velocity(X, Y)
+            vx, vy, ok = field.velocity(X, Y)
+            assert ok[0]
             assert abs(vx[0] - oracles.spreading_velocity(X, 0.4, k0=1.5)) < 1e-8
             assert abs(vy[0] - oracles.spreading_velocity(Y, 0.4, sigma0=1.3, k0=-0.7)) < 1e-8
 
@@ -97,7 +94,8 @@ class TestVelocity2D:
         field = VelocityField2D(psi)
         X = np.array([0.31, -1.22, 0.87])
         Y = np.array([-0.55, 0.4, 1.13])
-        vx, vy = field.velocity(X, Y)
+        vx, vy, ok = field.velocity(X, Y)
+        assert ok.all()
         wx = oracles.spreading_velocity(X, 0.4, k0=1.5)
         wy = oracles.spreading_velocity(Y, 0.4, sigma0=1.3, k0=-0.7)
         assert np.max(np.abs(vx - wx)) < 1e-3
@@ -110,17 +108,12 @@ class TestVelocity2D:
         psi = normalize(WaveFunction2D(grid128, grid128, np.outer(ax, ay),
                                        norm_tag="unnormalized"))
         field = VelocityField2D(psi)
-        with pytest.raises(NodeError):
-            field.velocity(0.0, 0.5)
+        vx, vy, ok = field.velocity([0.0, 1.0], [0.5, 0.5])
+        assert ok.tolist() == [False, True]
+        assert np.isnan([vx[0], vy[0]]).all()
+        assert np.isfinite([vx[1], vy[1]]).all()
         with pytest.raises(GridExitError):
             field.velocity(0.5, grid128.x_max + 1.0)
-
-    def test_public_wrapper_shapes(self, grid256):
-        psi = self.make_product(grid256, 0.0)
-        v = velocity(psi, BohmConfig(0.25, -0.5))
-        assert v.shape == (2,)
-        wf = gaussian_1d(grid256, 0.0, 1.0, k0=1.0)
-        assert abs(velocity(wf, 0.0) - 1.0) < 1e-8
 
 
 class TestConditionalIdentity:
@@ -138,7 +131,7 @@ class TestConditionalIdentity:
             X, Y = grid128.points[i], grid128.points[j]
             q = BohmConfig(X, Y)
             chi = conditional_wavefunction(psi, q)
-            v_slice = VelocityField1D(chi).velocity(np.array([X]))[0]
+            v_slice = VelocityField1D(chi).velocity(np.array([X]))[0][0]
             v_full = field.velocity(X, Y)[0][0]
             assert abs(v_slice - v_full) < 1e-8
 
@@ -178,15 +171,6 @@ class TestTrajectories2D:
         assert res.n_failed == 1
         assert np.all(res.xs[0] == 7.05) and np.all(res.ys[0] == 0.0)
         assert np.all(np.diff(res.xs[1]) > 0.0) and res.xs[1, -1] > 4.0
-
-    def test_trajectory_accessor(self, grid128):
-        wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),
-                        gaussian_1d(grid128, 0.0, 1.0))
-        res = evolve_trajectories(wf, free_ham_2d(grid128, grid128), 0.02, 3,
-                                  np.array([[0.2, 0.3]]))
-        traj = res.trajectory(0)
-        assert traj.points.shape == (4, 2)
-        assert traj.points[0].tolist() == [0.2, 0.3]
 
     def test_bad_starts_shape(self, grid128):
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),
@@ -248,11 +232,5 @@ class TestEquivariance:
 
 
 class TestArtifacts:
-    def test_trajectory_validation(self):
-        with pytest.raises(ValidationError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
-            Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
-
     def test_node_floor_constant(self):
         assert NODE_FLOOR == 1e-12

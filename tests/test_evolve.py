@@ -13,10 +13,11 @@ from cwflab.evolve import (
     propagate,
 )
 from cwflab.qgrid import Grid1D, WaveFunction1D, inner_product, normalize
-from cwflab.states import box_superposition, gaussian_1d, product_2d
+from cwflab.states import box_superposition, gaussian_1d
 
 from conftest import random_state_1d, random_state_2d
-from oracles import box_potential, free_gaussian, hamiltonian_matrix, spreading_width
+from oracles import (box_potential, free_gaussian, hamiltonian_matrix, product_2d,
+                     spreading_width)
 
 
 class TestPropagate1D:

@@ -35,8 +35,6 @@ from cwflab.labcli.config import (
     DEFAULTS,
     SCENARIOS,
     ConfigError,
-    default_config,
-    load_config,
     parse_config,
 )
 from cwflab.labcli.density import run_density_dm
@@ -62,10 +60,12 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["fig1_collapse", "photon_planes",
                                       "density_dm", "order_invariance"])
     def test_defaults_parse(self, name):
-        cfg = default_config(name)
+        cfg = parse_config({"scenario": name})
         assert cfg.scenario == name
-        assert cfg.n_trials >= 0
-        assert cfg.report["format"] == "csv"
+        assert set(cfg.to_dict()) == {"scenario", *DEFAULTS[name]}
+        if name != "density_dm":
+            assert cfg.n_trials >= 0
+            assert cfg.report["format"] == "csv"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -125,13 +125,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="coefficient"):
             parse_config({"scenario": "fig1_collapse",
                           "state": {"c": [[bad, 0.0], [0.0, 0.0]]}})
-
-    def test_load_config_json_errors_line_anchored(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{\n "seed": }\n')
-        with pytest.raises(json.JSONDecodeError) as err:
-            load_config(path)
-        assert err.value.lineno == 2
 
 
 class TestReports:
@@ -402,7 +395,7 @@ class TestPlanes:
 
 class TestDensity:
     def test_exact_identities(self):
-        out = run_density_dm(default_config("density_dm"))
+        out = run_density_dm(parse_config({"scenario": "density_dm"}))
         rep = out["report"]
         assert rep["pass"] and rep["well_separated"]
         by_name = {c["name"]: c for c in rep["checks"]}
@@ -650,10 +643,15 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_invalid_flag_value_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["planes", "--plane", "D"])
-        assert err.value.code == 2
+    def test_invalid_flag_value_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        # density writes no records, so it takes no --trials or --format
+        for argv in (["planes", "--plane", "D"], ["density", "--trials", "5"],
+                     ["density", "--format", "json"]):
+            with pytest.raises(SystemExit) as err:
+                cli.main([*argv, "--out", str(out_dir)])
+            assert err.value.code == 2
+            assert not out_dir.exists()
         capsys.readouterr()
 
     @pytest.mark.parametrize("command, config, flags", [
@@ -679,6 +677,11 @@ class TestCli:
         ("planes", {"protocol": 5}, ["--bs", "on"]),
         ("planes", {"protocol": {"cwf_samples": -1}}, []),
         ("planes", {"report": {"records_cap": -1}}, []),
+        # keys that moved no number and were removed
+        ("fig1", {"grid": {"n_y": 64}}, []),
+        ("density", {"n_trials": 5}, []),
+        ("density", {"report": {}}, []),
+        ("planes", {"report": {"format": "xml"}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):

@@ -20,10 +20,10 @@ from cwflab.qgrid import (
     to_momentum,
     to_position,
 )
-from cwflab.states import gaussian_1d, product_2d
+from cwflab.states import gaussian_1d
 
 from conftest import random_state_1d, random_state_2d
-from oracles import free_gaussian, gaussian_overlap, momentum_gaussian
+from oracles import free_gaussian, gaussian_overlap, momentum_gaussian, product_2d
 
 GAUSSIAN_OVERLAP_D2 = 0.6065306597126334  # exp(-1/2), frozen from the closed form
 

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state_1d, random_state_2d
+from oracles import product_2d
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
-from cwflab.states import beam_splitter, gaussian_1d, product_2d, two_branch_state
+from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
 from cwflab import weakmeas
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
