@@ -22,19 +22,6 @@ class GridExitError(CwflabError):
     """A trajectory step would leave the grid domain."""
 
 
-class IncompleteBasisError(CwflabError):
-    """An eigenbasis does not span the numerically relevant subspace.
-
-    Carries the relative completeness residual.
-    """
-
-    def __init__(self, residual: float):
-        self.residual = float(residual)
-        super().__init__(
-            f"eigenbasis completeness residual {residual:.3e} exceeds tolerance"
-        )
-
-
 class PostSelectionError(CwflabError):
     """Post-selection overlap below the numerical floor (near-orthogonal)."""
 

@@ -1,4 +1,4 @@
-"""Split-operator propagation and impulsive measurement couplings.
+"""Split-operator propagation and analytic box eigenmodes.
 
 ``propagate`` advances a state under H = p^2/2m + V with Strang splitting
 
@@ -6,22 +6,16 @@
 
 (kinetic factor applied spectrally), second-order accurate in dt and
 exactly norm-preserving up to FFT rounding.
-
-``apply_impulse`` realizes the instantaneous unitary exp(-i lam A p_y /
-hbar) generated by an impulsive coupling: the state is decomposed in the
-eigenbasis of A along x and each coefficient function g_n(y) is rigidly
-translated to g_n(y - lam a_n) by a momentum-space phase.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteBasisError, ValidationError
+from .errors import ValidationError
 from .qgrid import Grid1D, WaveFunction1D, WaveFunction2D
 
 ORTHO_TOL = 1e-8
-COMPLETENESS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,42 +108,6 @@ class ObservableSpec:
         a.flags.writeable = False
         object.__setattr__(self, "eigenfunctions", u)
         object.__setattr__(self, "eigenvalues", a)
-
-
-@dataclass(frozen=True)
-class ImpulsiveCoupling:
-    """lam * delta(t) * A(x) p_y coupling between system x and pointer y."""
-
-    observable: ObservableSpec
-    strength: float
-    target: str = "y"
-
-    def __post_init__(self):
-        if self.target != "y":
-            raise ValidationError("only pointer shifts along 'y' are supported")
-
-
-def apply_impulse(psi: WaveFunction2D, coupling: ImpulsiveCoupling, hbar: float = 1.0) -> WaveFunction2D:
-    """Exact instantaneous unitary of the impulsive coupling.
-
-    Decomposes Psi(x,y) = sum_n u_n(x) g_n(y) in the observable eigenbasis
-    and translates g_n by strength * a_n. Raises IncompleteBasisError when
-    the eigenbasis misses a relative L2 fraction > 1e-6 of the state.
-    """
-    obs = coupling.observable
-    if obs.grid != psi.grid_x:
-        raise ValidationError("observable grid does not match the state's x grid")
-    u = obs.eigenfunctions
-    g = u.conj() @ psi.amplitudes * psi.grid_x.dx  # (n_eig, n_y)
-    recon = u.T @ g
-    norm = np.linalg.norm(psi.amplitudes)
-    residual = np.linalg.norm(psi.amplitudes - recon) / norm if norm > 0 else 0.0
-    if residual > COMPLETENESS_TOL:
-        raise IncompleteBasisError(residual)
-    ky = 2.0 * np.pi * np.fft.fftfreq(psi.grid_y.n_points, d=psi.grid_y.dx)
-    shifts = coupling.strength * obs.eigenvalues  # (n_eig,)
-    g_shifted = np.fft.ifft(np.fft.fft(g, axis=1) * np.exp(-1j * np.outer(shifts, ky)), axis=1)
-    return WaveFunction2D(psi.grid_x, psi.grid_y, u.T @ g_shifted, psi.norm_tag)
 
 
 def box_eigenbasis(grid: Grid1D, box_min: float, length: float, n_modes: int,

@@ -10,8 +10,8 @@ Subcommands map onto the scenario runners plus the invariant battery:
 
 density writes no records, so it takes no --trials or --format.
 
-Exit codes: 0 all checks passed, 2 configuration or validation error,
-3 a numerical check failed. Identical flags and config produce
+Exit codes: 0 all checks passed, 2 configuration, validation or output
+error, 3 a numerical check failed. Identical flags and config produce
 byte-identical artifacts.
 """
 
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_data(args) -> dict:
     data = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise CwflabError("config must be a JSON object")
@@ -97,70 +97,51 @@ def _set_flag(data: dict, section: str, key: str, value) -> None:
         data[section][key] = value
 
 
-def _pass_lines(node, prefix: str):
-    """One (label, ok) pair per machine-checkable 'pass' field."""
-    lines = []
-    if isinstance(node, dict):
-        if "pass" in node and isinstance(node["pass"], bool) and prefix:
-            label = prefix
-            if "name" in node:
-                label = f"{prefix.rsplit('.', 1)[0]}.{node['name']}" \
-                    if "." in prefix else str(node["name"])
-            lines.append((label, node["pass"]))
-        for key, value in node.items():
-            if key in ("pass", "config"):
-                continue
-            child = f"{prefix}.{key}" if prefix else str(key)
-            lines.extend(_pass_lines(value, child))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            lines.extend(_pass_lines(value, f"{prefix}[{i}]"))
-    return lines
+def _print_report(report: dict) -> None:
+    """One PASS/FAIL line per check, then the overall verdict."""
+    lines = [(c["pass"], c["name"]) for c in report["checks"]]
+    lines.append((report["pass"], f"{report['scenario']} overall"))
+    for ok, label in lines:
+        print("PASS" if ok else "FAIL", label)
 
 
-def _print_report(report: dict, stream) -> None:
-    for label, ok in _pass_lines(report, ""):
-        print(("PASS" if ok else "FAIL") + " " + label, file=stream)
-    overall = report.get("pass", False)
-    print(("PASS" if overall else "FAIL")
-          + f" {report.get('scenario', 'run')} overall", file=stream)
+def _fail(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
 
     if args.command == "selftest":
-        report = run_selftest()
-        _print_report(report, out)
-        if args.out:
-            path = reports.emit(args.out, report)
-            print(f"wrote {path}", file=out)
-        return 0 if report["pass"] else 3
-
-    scenario, runner = COMMANDS[args.command]
-    try:
-        data = _load_data(args)
-        cfg = parse_config(data, scenario=scenario)
-        result = runner(cfg)
-    except json.JSONDecodeError as e:
-        print(f"config error: {args.config}:{e.lineno}:{e.colno}: {e.msg}",
-              file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except CwflabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        result, out_dir, fmt = {"report": run_selftest()}, args.out, None
+    else:
+        scenario, runner = COMMANDS[args.command]
+        try:
+            cfg = parse_config(_load_data(args), scenario=scenario)
+            result = runner(cfg)
+        except json.JSONDecodeError as e:
+            return _fail(f"config error: {args.config}:{e.lineno}:"
+                         f"{e.colno}: {e.msg}")
+        except UnicodeDecodeError as e:
+            return _fail(f"config error: {args.config}: {e}")
+        except OSError as e:
+            return _fail(f"config error: {e}")
+        except CwflabError as e:
+            return _fail(f"error: {e}")
+        out_dir = cfg.output_dir
+        fmt = cfg.report["format"] if cfg.report else None
 
     report = result["report"]
-    path = reports.emit(cfg.output_dir, report,
-                        records=result.get("records"),
-                        wf_tables=result.get("wf_tables"),
-                        fmt=cfg.report["format"] if cfg.report else None)
-    _print_report(report, out)
-    print(f"wrote {path}", file=out)
+    _print_report(report)
+    if out_dir is not None:
+        try:
+            path = reports.emit(out_dir, report,
+                                records=result.get("records"),
+                                wf_tables=result.get("wf_tables"), fmt=fmt)
+        except OSError as e:
+            return _fail(f"output error: {e}")
+        print(f"wrote {path}")
     return 0 if report["pass"] else 3
 
 

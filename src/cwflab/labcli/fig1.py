@@ -37,8 +37,10 @@ from ..qgrid import Grid1D
 from ..states import box_superposition
 from ..stats import chi2_gof, chi2_joint
 from .config import ScenarioConfig, parse_complex_list
+from .reports import check_record
 
 EQUIVARIANCE_BINS = 16
+EQUIVARIANCE_P_MIN = 1e-3
 
 
 class BoxModes:
@@ -310,22 +312,27 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
     ok = ~failed
     n_ok = int(ok.sum())
     freq_rows = []
-    freqs_ok = True
+    checks = []
     for i, mode_number in enumerate(modes.numbers):
         p = float(np.abs(modes.c[i]) ** 2)
         f = float(np.mean(outcome[ok] == i)) if n_ok else float("nan")
         se = float(np.sqrt(p * (1.0 - p) / max(n_ok, 1)))
-        hit = bool(abs(f - p) <= 4.0 * se) if se > 0 else bool(f == p)
-        freqs_ok &= hit
         freq_rows.append({"mode": int(mode_number), "expected": p,
-                          "frequency": f, "se": se, "pass": hit})
+                          "frequency": f, "se": se})
+        checks.append(check_record(f"frequency_mode_{mode_number}",
+                                   frequency=f,
+                                   bounds=(p - 4.0 * se, p + 4.0 * se)))
 
     frac_good = float(np.mean(overlap[ok] >= 0.999)) if n_ok else float("nan")
-    overlap_ok = bool(frac_good >= 0.999)
+    checks.append(check_record("overlap_fraction", fraction=frac_good,
+                               bounds=(0.999, 1.0)))
 
     after = _flow_marginal_chi2(modes, w, lam, x_range, y_range, X[ok],
                                 Y[ok], EQUIVARIANCE_BINS)
-    equi_ok = bool(before["p_value"] > 1e-3 and after["p_value"] > 1e-3)
+    for label, test in (("before", before), ("after", after)):
+        checks.append(check_record(f"equivariance_{label}_p",
+                                   p_value=test["p_value"],
+                                   minimum=EQUIVARIANCE_P_MIN))
 
     report = {
         "scenario": "fig1_collapse",
@@ -336,10 +343,10 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
         "n_failed": int(failed.sum()),
         "frequencies": freq_rows,
         "overlap": {"fraction_above_0.999": frac_good,
-                    "min": float(overlap[ok].min()) if n_ok else None,
-                    "pass": overlap_ok},
-        "equivariance": {"before": before, "after": after, "pass": equi_ok},
-        "pass": bool(freqs_ok and overlap_ok and equi_ok),
+                    "min": float(overlap[ok].min()) if n_ok else None},
+        "equivariance": {"before": before, "after": after},
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
     }
 
     m = min(n, cfg.report["records_cap"])

@@ -23,6 +23,7 @@ from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
 from .config import ScenarioConfig
 from .planes import RECORD_FIELDS, replay_records
+from .reports import check_record
 
 TABLE_TOL = 1e-12
 P_VALUE_MIN = 1e-3
@@ -80,8 +81,9 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     exact_rows = []
     mc_rows = []
     planes_rows = []
+    checks = []
     all_equal = True
-    for site in site_indices:
+    for k, site in enumerate(site_indices):
         x_site = float(gx.points[site])
         t1, x1 = _route_tables(psi, site, alpha, cells, st["bs_shift"],
                                "bs_first")
@@ -116,8 +118,10 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 "counts_bs_first": [int(v) for v in h1],
                 "counts_coupling_first": [int(v) for v in h2],
                 "identical": equal,
-                "chi2": test["chi2"], "p_value": test["p_value"],
-                "pass": bool(test["p_value"] > P_VALUE_MIN)})
+                "chi2": test["chi2"], "p_value": test["p_value"]})
+            checks.append(check_record(f"mc_site{k}_bin{b}",
+                                       p_value=test["p_value"],
+                                       minimum=P_VALUE_MIN))
 
         if pr["compare_planes"]:
             c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
@@ -125,12 +129,16 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
                 planes_rows.append({
                     "x_site": x_site, "bin": b,
-                    "chi2": test["chi2"], "p_value": test["p_value"],
-                    "pass": bool(test["p_value"] > P_VALUE_MIN)})
+                    "chi2": test["chi2"], "p_value": test["p_value"]})
+                checks.append(check_record(f"planes_b_vs_c_site{k}_bin{b}",
+                                           p_value=test["p_value"],
+                                           minimum=P_VALUE_MIN))
 
-    checks_pass = (table_dev < TABLE_TOL and wv_dev < TABLE_TOL
-                   and all(r["pass"] for r in mc_rows)
-                   and all(r["pass"] for r in planes_rows))
+    checks = [check_record("table_identity", max_deviation=table_dev,
+                           tol=TABLE_TOL),
+              check_record("exact_weak_values", max_deviation=wv_dev,
+                           tol=TABLE_TOL),
+              *checks]
 
     records = {name: [] for name in RECORD_FIELDS}
     if not degenerate:
@@ -148,15 +156,12 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
         "degenerate_no_coupling": degenerate,
         "alpha": float(alpha),
         "identical_seeds": True,
-        "table_identity": {"max_deviation": table_dev, "tol": TABLE_TOL,
-                           "pass": bool(table_dev < TABLE_TOL)},
-        "exact_weak_values": {"rows": exact_rows, "max_deviation": wv_dev,
-                              "tol": TABLE_TOL,
-                              "pass": bool(wv_dev < TABLE_TOL)},
+        "exact_weak_values": {"rows": exact_rows},
         "mc_comparison": {"n_trials_per_arm": cfg.n_trials, "rows": mc_rows,
                           "all_counts_identical": bool(all_equal)},
         "planes_b_vs_c": {"enabled": bool(pr["compare_planes"]),
                           "rows": planes_rows},
-        "pass": bool(checks_pass),
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
     }
     return {"report": report, "records": records, "wf_tables": {}}

@@ -23,6 +23,7 @@ from ..states import beam_splitter, branch_waves, two_branch_state
 from ..stats import fidelity, fidelity_debiased, fidelity_debiased_sigma
 from ..weakmeas import PointerProtocol, scan_pointer_protocol
 from .config import ScenarioConfig
+from .reports import check_record
 
 # max branch probability mass allowed on the wrong side of x = 0
 SUPPORT_LEAK_TOL = 1e-6
@@ -145,7 +146,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
                  "psi_2": (gx.points, psi2.amplitudes)}
     bins_report = []
     empty_bins = []
-    all_pass = True
+    checks = []
     for b in range(n_bins):
         est = np.array([r.bins[b].re + 1j * r.bins[b].im for r in results])
         var = np.array([r.bins[b].se_re ** 2 + r.bins[b].se_im ** 2
@@ -182,9 +183,10 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         cwf_mean = float(np.mean(cwf_fids)) if cwf_fids else None
         cwf_min = float(np.min(cwf_fids)) if cwf_fids else None
 
-        ok = (threshold is not None and fid_deb > threshold
-              and cwf_mean is not None and cwf_mean > threshold)
-        all_pass &= ok
+        checks.append(check_record(f"bin{b}_fidelity_debiased",
+                                   fidelity=fid_deb, minimum=threshold))
+        checks.append(check_record(f"bin{b}_cwf_mean_fidelity",
+                                   fidelity=cwf_mean, minimum=threshold))
         bins_report.append({
             "bin": b, "y_lo": float(lo), "y_hi": float(hi), "tag": tag,
             "target": target_names[b], "n_accepted": n_acc,
@@ -197,7 +199,6 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
             "cwf_check": {"n_samples": int(in_bin.sum()),
                           "mean_fidelity": cwf_mean,
                           "min_fidelity": cwf_min},
-            "pass": ok,
         })
 
         est_out = np.where(filled, est, np.nan + 0j)
@@ -229,6 +230,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
             "mean_rate": float(np.mean([r.acceptance_rate for r in results]))},
         "bins": bins_report,
         "empty_bins": empty_bins,
-        "pass": bool(all_pass),
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
     }
     return {"report": report, "records": records, "wf_tables": wf_tables}

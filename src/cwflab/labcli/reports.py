@@ -30,26 +30,28 @@ def jsonify(obj):
     return obj
 
 
-def check_record(name: str, tol=None, bounds=None, minimum=None,
-                 **measured) -> dict:
+# pass rule of each limit a check can carry
+_LIMITS = {"tol": lambda value, tol: value < tol,
+           "bounds": lambda value, bounds: bounds[0] <= value <= bounds[1],
+           "minimum": lambda value, minimum: value > minimum}
+
+
+def check_record(name: str, **fields) -> dict:
     """One named pass/fail check of one measured value.
 
-    measured holds the value under its report key (say observed=...);
-    the check passes when it lies below tol, within bounds or above
-    minimum, whichever is given first, and that limit is recorded too.
+    fields hold exactly one limit and the value under its report key (say
+    observed=...); the check passes when the value lies below tol, within
+    bounds (both ends included) or above minimum, and the limit is
+    recorded too. A value or limit of None fails, and the value is then
+    recorded as None.
     """
-    (key, value), = measured.items()
-    out = {"name": name, key: float(value)}
-    if tol is not None:
-        out["tol"] = tol
-        out["pass"] = bool(value < tol)
-    elif bounds is not None:
-        out["bounds"] = list(bounds)
-        out["pass"] = bool(bounds[0] <= value <= bounds[1])
-    else:
-        out["minimum"] = minimum
-        out["pass"] = bool(value > minimum)
-    return out
+    (kind,) = fields.keys() & _LIMITS
+    limit = fields.pop(kind)
+    (key, value), = fields.items()
+    ok = (value is not None and limit is not None
+          and _LIMITS[kind](value, limit))
+    return {"name": name, key: None if value is None else float(value),
+            kind: limit, "pass": bool(ok)}
 
 
 def write_report_json(path, report: dict):

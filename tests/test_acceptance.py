@@ -192,8 +192,9 @@ def test_order_invariance():
     cfg = parse_config({"scenario": "order_invariance",
                         "n_trials": 1_000_000})
     report = run_order_invariance(cfg)["report"]
-    table_dev = report["table_identity"]["max_deviation"]
-    wv_dev = report["exact_weak_values"]["max_deviation"]
+    by_name = {c["name"]: c for c in report["checks"]}
+    table_dev = by_name["table_identity"]["max_deviation"]
+    wv_dev = by_name["exact_weak_values"]["max_deviation"]
     p_rows = [r["p_value"] for r in report["mc_comparison"]["rows"]]
     p_rows += [r["p_value"] for r in report["planes_b_vs_c"]["rows"]]
     p_min = min(p_rows)

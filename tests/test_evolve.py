@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from cwflab.errors import IncompleteBasisError, ValidationError
+from cwflab.errors import ValidationError
 from cwflab.evolve import (
     Hamiltonian,
-    ImpulsiveCoupling,
     ObservableSpec,
-    apply_impulse,
     box_eigenbasis,
     free_potential,
     harmonic_potential,
     propagate,
 )
 from cwflab.qgrid import Grid1D, WaveFunction1D, inner_product, normalize
-from cwflab.states import box_superposition, gaussian_1d
+from cwflab.states import gaussian_1d
 
 from conftest import random_state_1d, random_state_2d
 from oracles import (box_potential, free_gaussian, hamiltonian_matrix, product_2d,
@@ -145,71 +143,3 @@ class TestBoxEigenbasis:
         bad[1] += 0.01 * bad[0]
         with pytest.raises(ValidationError):
             ObservableSpec(grid, bad, basis.eigenvalues)
-
-
-@pytest.fixture
-def impulse_setup():
-    grid_x = Grid1D(-0.5, 1.5, 256)
-    grid_y = Grid1D(-2.0, 4.0, 256)
-    coeffs = np.array([0.6, 0.8j])
-    psi_x = box_superposition(grid_x, 0.0, 1.0, coeffs)
-    phi_y = gaussian_1d(grid_y, sigma=0.1 / np.sqrt(2.0))  # pointer width w = 0.1
-    psi = product_2d(psi_x, phi_y)
-    basis = box_eigenbasis(grid_x, 0.0, 1.0, 2)
-    return psi, basis, coeffs, phi_y
-
-
-class TestImpulse:
-    def test_matches_direct_construction(self, impulse_setup):
-        psi, basis, coeffs, phi_y = impulse_setup
-        lam = 0.054
-        out = apply_impulse(psi, ImpulsiveCoupling(basis, lam))
-        y = psi.grid_y.points
-        w = 0.1
-        direct = np.zeros_like(psi.amplitudes)
-        for n in range(2):
-            g = np.exp(-((y - lam * basis.eigenvalues[n]) ** 2) / (2.0 * w**2))
-            g = g / np.sqrt(np.sum(np.abs(g) ** 2) * psi.grid_y.dx)
-            direct += np.outer(coeffs[n] * basis.eigenfunctions[n], g)
-        err = np.linalg.norm(out.amplitudes - direct) / np.linalg.norm(direct)
-        assert err < 1e-8
-
-    def test_zero_coupling_is_identity(self, impulse_setup):
-        psi, basis, _, _ = impulse_setup
-        out = apply_impulse(psi, ImpulsiveCoupling(basis, 0.0))
-        assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
-
-    def test_single_eigenstate_centroid_shift(self):
-        grid_x = Grid1D(-0.5, 1.5, 256)
-        grid_y = Grid1D(-2.0, 4.0, 256)
-        psi_x = box_superposition(grid_x, 0.0, 1.0, [0.0, 1.0])
-        phi_y = gaussian_1d(grid_y, sigma=0.1)
-        psi = product_2d(psi_x, phi_y)
-        basis = box_eigenbasis(grid_x, 0.0, 1.0, 2)
-        lam = 0.05
-        out = apply_impulse(psi, ImpulsiveCoupling(basis, lam))
-        y = grid_y.points
-        dens_y = np.sum(out.density(), axis=0) * grid_x.dx * grid_y.dx
-        centroid = np.sum(y * dens_y) / np.sum(dens_y)
-        assert abs(centroid - lam * basis.eigenvalues[1]) < 1e-8
-
-    def test_unitary_on_spanned_states(self, impulse_setup):
-        psi, basis, _, _ = impulse_setup
-        coupling = ImpulsiveCoupling(basis, 0.03)
-        out = apply_impulse(psi, coupling)
-        assert abs(out.norm() - psi.norm()) < 1e-10
-
-    def test_incomplete_basis_rejected(self):
-        grid_x = Grid1D(-0.5, 1.5, 256)
-        grid_y = Grid1D(-2.0, 4.0, 256)
-        psi_x = box_superposition(grid_x, 0.0, 1.0, [0.6, 0.0, 0.8])
-        psi = product_2d(psi_x, gaussian_1d(grid_y, sigma=0.1))
-        basis = box_eigenbasis(grid_x, 0.0, 1.0, 2)
-        with pytest.raises(IncompleteBasisError) as exc:
-            apply_impulse(psi, ImpulsiveCoupling(basis, 0.05))
-        assert abs(exc.value.residual - 0.8) < 1e-6
-
-    def test_non_y_target_rejected(self, impulse_setup):
-        _, basis, _, _ = impulse_setup
-        with pytest.raises(ValidationError):
-            ImpulsiveCoupling(basis, 0.05, target="x")

@@ -17,6 +17,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 from oracles import box_flow_pairs
+from test_config_keys import BASES
 
 import cwflab
 from cwflab.errors import ValidationError
@@ -52,7 +53,7 @@ from cwflab.labcli.planes import (
     replay_records,
     run_photon_planes,
 )
-from cwflab.labcli.reports import jsonify, write_columns_csv
+from cwflab.labcli.reports import check_record, jsonify, write_columns_csv
 from cwflab.labcli.selftest import run_selftest
 
 
@@ -149,6 +150,86 @@ class TestReports:
                 == (tmp_path / "rows.csv").read_bytes())
         write_columns_csv(tmp_path / "empty.csv", {"a": [], "b": []})
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\r\n"
+
+    def test_check_record_bounds_are_inclusive(self):
+        # 9,990 of 10,000 is exactly the double 0.999
+        fraction = float(np.mean(np.arange(10_000) < 9_990))
+        for value in (fraction, 1.0):
+            assert check_record("c", fraction=value,
+                                bounds=(0.999, 1.0))["pass"]
+        for value in (np.nextafter(0.999, 0.0), np.nextafter(1.0, 2.0)):
+            assert not check_record("c", fraction=value,
+                                    bounds=(0.999, 1.0))["pass"]
+
+    def test_check_record_tol_and_minimum_are_strict(self):
+        assert not check_record("c", observed=1e-12, tol=1e-12)["pass"]
+        assert check_record("c", observed=np.nextafter(1e-12, 0.0),
+                            tol=1e-12)["pass"]
+        assert not check_record("c", p_value=1e-3, minimum=1e-3)["pass"]
+        assert check_record("c", p_value=np.nextafter(1e-3, 1.0),
+                            minimum=1e-3)["pass"]
+
+    def test_check_record_missing_value_or_limit_fails(self):
+        rec = check_record("c", fidelity=None, minimum=0.99)
+        assert rec == {"name": "c", "fidelity": None, "minimum": 0.99,
+                       "pass": False}
+        assert not check_record("c", fidelity=1.0, minimum=None)["pass"]
+        assert not check_record("c", fidelity=np.nan, minimum=0.99)["pass"]
+        assert not check_record("c", observed=np.nan, tol=1.0)["pass"]
+        assert not check_record("c", observed=np.nan,
+                                bounds=(0.0, 1.0))["pass"]
+
+
+def _pass_paths(node, path=""):
+    """Paths of every "pass" key in a report."""
+    if isinstance(node, dict):
+        found = [path + ".pass"] if "pass" in node else []
+        for key, value in node.items():
+            found += _pass_paths(value, f"{path}.{key}")
+        return found
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node)
+                for p in _pass_paths(value, f"{path}[{i}]")]
+    return []
+
+
+# the reduced configs of every scenario, a density run that fails its
+# branch targets, and the self-test battery
+SHAPE_RUNS = [*BASES.values(),
+              ("density", {"grid": {"n_y": 16}, "state": {"shift": 1.0}}),
+              ("selftest", None)]
+
+
+@pytest.mark.parametrize("command, config", SHAPE_RUNS,
+                         ids=[c for c, _ in SHAPE_RUNS])
+def test_every_verdict_is_a_check_record(tmp_path, capsys, command, config):
+    """One check shape: every pass flag sits in the checks list, whose
+    conjunction is the top-level pass, and the command prints one line per
+    check."""
+    out_dir = tmp_path / "out"
+    argv = [command, "--out", str(out_dir)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    rc = cli.main(argv)
+    rep = json.loads((out_dir / "report.json").read_text())
+    checks = rep["checks"]
+    assert checks
+    assert sorted(_pass_paths(rep)) == sorted(
+        [".pass"] + [f".checks[{i}].pass" for i in range(len(checks))])
+    names = [c["name"] for c in checks]
+    assert len(set(names)) == len(names)
+    assert rep["pass"] == all(c["pass"] for c in checks)
+    assert rc == (0 if rep["pass"] else 3)
+    for c in checks:
+        assert len({"tol", "bounds", "minimum"} & set(c)) == 1, c
+        assert len(c) == 4, c
+    lines = capsys.readouterr().out.splitlines()
+    verdict = {True: "PASS", False: "FAIL"}
+    assert lines == [f"{verdict[c['pass']]} {c['name']}" for c in checks] + [
+        f"{verdict[rep['pass']]} {rep['scenario']} overall",
+        f"wrote {out_dir / 'report.json'}"]
 
 
 @pytest.fixture(scope="module")
@@ -449,8 +530,9 @@ def order_result():
 class TestOrder:
     def test_operator_identity(self, order_result):
         rep = order_result["report"]
-        assert rep["table_identity"]["max_deviation"] < 1e-12
-        assert rep["exact_weak_values"]["max_deviation"] < 1e-12
+        by_name = {c["name"]: c for c in rep["checks"]}
+        assert by_name["table_identity"]["max_deviation"] < 1e-12
+        assert by_name["exact_weak_values"]["max_deviation"] < 1e-12
         assert rep["pass"]
 
     def test_identical_seeds_give_identical_counts(self, order_result):
@@ -642,6 +724,33 @@ class TestCli:
         rc = cli.main(["fig1", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        # valid JSON once decoded as Latin-1, but not UTF-8
+        path.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+        out_dir = tmp_path / "out"
+        rc = cli.main(["density", "--config", str(path),
+                       "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {path}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [["density"], ["selftest"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out in (afile, afile / "x"):
+            rc = cli.main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err.startswith("output error: ")
+            assert captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
+        assert afile.read_text() == ""
 
     def test_invalid_flag_value_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
