@@ -2,9 +2,11 @@
 
 The guidance velocity is v = (hbar/m) Im[grad Psi / Psi] evaluated at the
 configuration. Gradients are spectral (FFT); off-grid evaluation uses the
-exact Fourier series in 1-D and bicubic interpolation of the smooth fields
-(j, rho) in 2-D. Trajectories advance with classical RK4 using the wave
-function at t, t + dt/2 and t + dt (half-step propagation).
+exact Fourier series in 1-D and, in 2-D, one periodic Lagrange stencil of
+STENCIL^2 points over the smooth fields (j, rho): exact at grid points and
+local, so no global spline is fitted per wave snapshot. Trajectories
+advance with classical RK4 using the wave function at t, t + dt/2 and
+t + dt (half-step propagation).
 
 Configurations sitting on nodes of |Psi|^2 (relative density below
 NODE_FLOOR) are masked: the fields return NaN velocity and a False entry in
@@ -15,7 +17,6 @@ instead of aborting the batch.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import GridExitError, ValidationError
 from .evolve import Hamiltonian, propagate
@@ -23,6 +24,20 @@ from .qgrid import WaveFunction1D, WaveFunction2D, conditional_slice
 from .stats import chi2_gof, chi2_joint
 
 NODE_FLOOR = 1e-12  # fraction of max |Psi|^2 below which a point is a node
+STENCIL = 8  # points per axis of the 2-D fields' Lagrange stencil (even)
+_OFFSETS = np.arange(1 - STENCIL // 2, 1 + STENCIL // 2)
+_OTHERS = np.array([np.delete(np.arange(STENCIL), k) for k in range(STENCIL)])
+_DENOM = np.prod(_OFFSETS[:, None] - _OFFSETS[_OTHERS], axis=1)
+
+
+def _stencil(g, X):
+    """(indexes, weights), each (X.size, STENCIL), of the periodic Lagrange
+    stencil on g around X: exactly one-hot at grid points, NaN at NaN."""
+    t = (X - g.x_min) / g.dx
+    i = np.floor(t)
+    d = (t - i)[:, None] - _OFFSETS
+    idx = (np.nan_to_num(i).astype(np.intp)[:, None] + _OFFSETS) % g.n_points
+    return idx, np.prod(d[:, _OTHERS], axis=2) / _DENOM
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,7 @@ class VelocityField1D:
 
 
 class VelocityField2D:
-    """Guidance velocity from bicubic interpolation of (j_x, j_y, rho)."""
+    """Guidance velocity from one periodic stencil over (j_x, j_y, rho)."""
 
     def __init__(self, psi: WaveFunction2D, masses=(1.0, 1.0), hbar: float = 1.0):
         self.gx, self.gy = psi.grid_x, psi.grid_y
@@ -77,10 +92,7 @@ class VelocityField2D:
         rho = psi.density()
         jx = (hbar / masses[0]) * (np.conj(amp) * dpsi_x).imag
         jy = (hbar / masses[1]) * (np.conj(amp) * dpsi_y).imag
-        x, y = self.gx.points, self.gy.points
-        self._jx = RectBivariateSpline(x, y, jx)
-        self._jy = RectBivariateSpline(x, y, jy)
-        self._rho = RectBivariateSpline(x, y, rho)
+        self._fields = np.stack((jx, jy, rho), axis=-1).reshape(-1, 3)
         self.floor = NODE_FLOOR * float(rho.max())
 
     def _check_bounds(self, X, Y):
@@ -90,17 +102,20 @@ class VelocityField2D:
 
     def velocity(self, X, Y):
         """(vx, vy, ok) at the points (X, Y); ok is the node mask, False
-        with NaN velocity where rho is below the floor."""
+        with NaN velocity where rho is below the floor (or X, Y is NaN)."""
         X = np.atleast_1d(np.asarray(X, dtype=float))
         Y = np.atleast_1d(np.asarray(Y, dtype=float))
         self._check_bounds(X, Y)
-        rho = self._rho.ev(X, Y)
-        ok = rho >= self.floor
-        vx = np.full(X.shape, np.nan)
-        vy = np.full(Y.shape, np.nan)
-        vx[ok] = self._jx.ev(X[ok], Y[ok]) / rho[ok]
-        vy[ok] = self._jy.ev(X[ok], Y[ok]) / rho[ok]
-        return vx, vy, ok
+        ix, wx = _stencil(self.gx, X)
+        iy, wy = _stencil(self.gy, Y)
+        cells = (ix[:, :, None] * self.gy.n_points + iy[:, None, :]).reshape(
+            X.size, STENCIL**2)
+        w = (wx[:, :, None] * wy[:, None, :]).reshape(X.size, 1, STENCIL**2)
+        f = (w @ np.take(self._fields, cells, axis=0))[:, 0]
+        ok = f[:, 2] >= self.floor
+        v = np.full((X.size, 2), np.nan)
+        v[ok] = f[ok, :2] / f[ok, 2:]
+        return v[:, 0], v[:, 1], ok
 
 
 def conditional_wavefunction(psi: WaveFunction2D, q: BohmConfig) -> WaveFunction1D:

@@ -57,7 +57,7 @@ def _route_tables(psi, site_index: int, alpha: float, cells, bs_shift: float,
     else:
         h, v = map(split, couple(psi.amplitudes))
     uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
-    tab = weakmeas._QubitTables(cells, uH, uV, 2.0 * gx.dx * np.sin(alpha))
+    tab = weakmeas._QubitTables(cells, uH, uV, alpha)
     return tab, uH * np.conj(uV) * cells.measure / tab.total
 
 

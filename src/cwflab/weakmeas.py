@@ -300,13 +300,11 @@ class _CouplingTables:
 
 
 class _QubitTables(_CouplingTables):
-    """Qubit pointer with ancilla branches uH, uV; reads +-1 in D/A or L/R.
+    """Qubit pointer with ancilla branches uH, uV; reads +-1 in D/A or L/R
+    with gain QUBIT_IMBALANCE_GAIN dx sin(alpha), 0 without coupling (then
+    only the tables themselves are meaningful)."""
 
-    readout_denom = 2 dx sin(alpha) is the gain of both readings; it may be
-    0 (no coupling), and then only the tables themselves are meaningful.
-    """
-
-    def __init__(self, cells, uH, uV, readout_denom):
+    def __init__(self, cells, uH, uV, alpha):
         nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
         super().__init__(cells, nu)
         w = cells.rows
@@ -318,7 +316,8 @@ class _QubitTables(_CouplingTables):
             safe = np.maximum(nu, 1e-300)
             self.means = (np.where(nu > 0, 2.0 * cross.real / safe, 0.0),
                           np.where(nu > 0, -2.0 * cross.imag / safe, 0.0))
-        self.gains = np.array([readout_denom, readout_denom])
+        gain = QUBIT_IMBALANCE_GAIN * cells.gx.dx * np.sin(alpha)
+        self.gains = np.array([gain, gain])
 
     def readout(self, rng, cells, basis, u_read):
         d_re, d_im = self.means
@@ -395,7 +394,7 @@ def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
     if proto.pointer_model == "qubit":
         a = proto.coupling / (gx.dx * proto.pointer_width)
         tab = _QubitTables(cells, den + (np.cos(a) - 1.0) * num,
-                           np.sin(a) * num, 2.0 * gx.dx * np.sin(a))
+                           np.sin(a) * num, a)
     else:
         tab = _GaussianTables(cells, den, num, proto)
     tab.site, tab.x_site = site, x_site

@@ -64,6 +64,21 @@ def gaussian_trajectory(t, start, x0=0.0, sigma0=1.0, k0=0.0, m=1.0, hbar=HBAR):
     return x0 + v0 * t + (start - x0) * spreading_width(t, sigma0, m, hbar) / sigma0
 
 
+def fourier_velocity_2d(wf: WaveFunction2D, X, Y):
+    """Guidance velocity (vx, vy), for unit masses and hbar, and density of
+    the band-limited 2-D Fourier series of wf, summed at the points."""
+    gx, gy, amp = wf.grid_x, wf.grid_y, wf.amplitudes
+    coef = np.fft.fft2(amp) / amp.size
+    kx = 2.0 * np.pi * np.fft.fftfreq(gx.n_points, d=gx.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(gy.n_points, d=gy.dx)
+    ex = np.exp(1j * np.outer(X - gx.x_min, kx))
+    ey = np.exp(1j * np.outer(Y - gy.x_min, ky))
+    psi = np.sum((ex @ coef) * ey, axis=1)
+    dpx = np.sum(((1j * kx * ex) @ coef) * ey, axis=1)
+    dpy = np.sum((ex @ coef) * (1j * ky * ey), axis=1)
+    return (dpx / psi).imag, (dpy / psi).imag, np.abs(psi) ** 2
+
+
 def momentum_gaussian(p, sigma=1.0, center_x=0.0, hbar=HBAR):
     """Unitary-convention transform of a centered real Gaussian: width hbar/(2 sigma)."""
     sp = hbar / (2.0 * sigma)

@@ -6,6 +6,8 @@ route. The conditional-slice identity is checked pointwise on the grid where
 both evaluation paths are exact.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ def free_ham_1d(grid):
 
 def free_ham_2d(gx, gy):
     return Hamiltonian((1.0, 1.0), free_potential(gx, gy))
+
+
+def two_packets(grid, centers, momenta):
+    """Two unit-width packets at centers (x, y) with wave vectors (kx, ky):
+    where they overlap, their fringes carry moving nodes."""
+    x, y = grid.points[:, None], grid.points[None, :]
+    amp = sum(np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / 2.0 + 1j * (kx * x + ky * y))
+              for (cx, cy), (kx, ky) in zip(centers, momenta))
+    return normalize(WaveFunction2D(grid, grid, amp, norm_tag="unnormalized"))
 
 
 class TestVelocity1D:
@@ -100,6 +111,26 @@ class TestVelocity2D:
         wy = oracles.spreading_velocity(Y, 0.4, sigma0=1.3, k0=-0.7)
         assert np.max(np.abs(vx - wx)) < 1e-3
         assert np.max(np.abs(vy - wy)) < 1e-3
+
+    def test_nodal_state_against_fourier_series(self, grid128):
+        # overlapping packets with different momenta: the velocity varies
+        # fast between the fringes' nodes (the stencil errs by 3.6e-3 here)
+        psi = two_packets(grid128, [(1.0, 0.5), (-1.0, -0.5)],
+                          [(2.0, -1.0), (-2.0, 1.5)])
+        field = VelocityField2D(psi)
+        X, Y = np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 2)).T
+        vx, vy, ok = field.velocity(X, Y)
+        wx, wy, rho = oracles.fourier_velocity_2d(psi, X, Y)
+        keep = rho > 1e-2 * rho.max()
+        assert ok[keep].all()
+        assert np.max(np.abs(vx - wx)[keep]) < 5e-3
+        assert np.max(np.abs(vy - wy)[keep]) < 5e-3
+        empty = field.velocity([], [])
+        assert [a.shape for a in empty] == [(0,), (0,), (0,)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vx, vy, ok = field.velocity([np.nan, 0.2], [0.1, np.nan])
+        assert not ok.any() and np.isnan([vx, vy]).all()
 
     def test_node_and_exit(self, grid128):
         x = grid128.points
@@ -222,6 +253,17 @@ class TestEquivariance:
         assert report["n_failed"] == 0
         assert report["p_value"] > 1e-4
         assert report["dof"] > 0
+
+    def test_crossing_packets_stay_equilibrated(self, grid128):
+        # packets at x = -1.5 and 1.5 run into each other (k = 3 and -3)
+        # and overlap fully at the end: the sample is transported through
+        # the moving nodes of their fringes
+        wf = two_packets(grid128, [(1.5, 0.5), (-1.5, -0.5)],
+                         [(-3.0, 0.0), (3.0, 0.0)])
+        report = equivariance_check(wf, free_ham_2d(grid128, grid128),
+                                    dt=1e-2, steps=50, n=2000, seed=0)
+        assert report["n_failed"] == 0
+        assert report["p_value"] > 1e-3
 
     def test_marginal_probs_normalized(self, grid128):
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),
