@@ -57,7 +57,7 @@ class VelocityField1D:
         self.mass = mass
         self.hbar = hbar
         self.coef = np.fft.fft(wf.amplitudes) / g.n_points
-        self.k = 2.0 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx)
+        self.k = g.wavenumbers
         self.floor = NODE_FLOOR * float(np.max(wf.density()))
 
     def _series(self, x):
@@ -85,8 +85,7 @@ class VelocityField2D:
     def __init__(self, psi: WaveFunction2D, masses=(1.0, 1.0), hbar: float = 1.0):
         self.gx, self.gy = psi.grid_x, psi.grid_y
         amp = psi.amplitudes
-        kx = 2.0 * np.pi * np.fft.fftfreq(self.gx.n_points, d=self.gx.dx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(self.gy.n_points, d=self.gy.dx)
+        kx, ky = self.gx.wavenumbers, self.gy.wavenumbers
         dpsi_x = np.fft.ifft(1j * kx[:, None] * np.fft.fft(amp, axis=0), axis=0)
         dpsi_y = np.fft.ifft(1j * ky[None, :] * np.fft.fft(amp, axis=1), axis=1)
         rho = psi.density()

@@ -47,8 +47,7 @@ def harmonic_potential(grid: Grid1D, omega: float, mass: float = 1.0, center: fl
 
 
 def _kinetic_phase_1d(grid: Grid1D, mass, hbar, dt):
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    return np.exp(-0.5j * hbar * dt * k**2 / mass)
+    return np.exp(-0.5j * hbar * dt * grid.wavenumbers**2 / mass)
 
 
 def propagate(wf, ham: Hamiltonian, dt: float, steps: int):
@@ -71,8 +70,7 @@ def propagate(wf, ham: Hamiltonian, dt: float, steps: int):
         if ham.potential.shape != shape:
             raise ValidationError("potential does not match grids")
         exp_v = np.exp(-0.5j * ham.potential * dt / ham.hbar)
-        kx = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=wf.grid_x.dx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(shape[1], d=wf.grid_y.dx)
+        kx, ky = wf.grid_x.wavenumbers, wf.grid_y.wavenumbers
         kin = kx[:, None] ** 2 / ham.masses[0] + ky[None, :] ** 2 / ham.masses[1]
         exp_k = np.exp(-0.5j * ham.hbar * dt * kin)
         psi = wf.amplitudes.copy()

@@ -30,12 +30,11 @@ at s = lam.
 """
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ValidationError
 from ..qgrid import Grid1D
 from ..states import box_superposition
-from ..stats import chi2_gof, chi2_joint
+from ..stats import chi2_gof, chi2_joint, normal_cdf
 from .config import ScenarioConfig, parse_complex_list
 from .reports import check_record
 
@@ -258,7 +257,7 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, x_range,
     y_edges = np.linspace(*y_range, bins + 1)
     weights = np.abs(modes.c) ** 2
     sigma = w / np.sqrt(2.0)
-    cdf = ndtr((y_edges[None, :] - s * modes.a[:, None]) / sigma)
+    cdf = normal_cdf((y_edges[None, :] - s * modes.a[:, None]) / sigma)
     py = weights @ np.diff(cdf, axis=1)
 
     shifts = s * (modes.a[:, None] - modes.a[None, :])

@@ -69,8 +69,7 @@ def check_velocity_two_forms() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
     psi = _random_state(grid, seed=9)
     amp = psi.amplitudes
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(amp))
+    dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(amp))
     rho = np.abs(amp) ** 2
     keep = rho > 1e-6 * rho.max()
     j_route = (np.conj(amp[keep]) * dpsi[keep]).imag / rho[keep]

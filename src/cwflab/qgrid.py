@@ -55,6 +55,13 @@ class Grid1D:
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers of the FFT bins, in np.fft order."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        k.flags.writeable = False
+        return k
+
     def conjugate(self, hbar: float = 1.0) -> "Grid1D":
         """The FFT-conjugate momentum grid (ascending order)."""
         dp = 2.0 * np.pi * hbar / (self.n_points * self.dx)
@@ -160,8 +167,7 @@ def momentum_fft(amplitudes: np.ndarray, grid: Grid1D) -> np.ndarray:
     Further axes are transformed column by column. Dividing by
     sqrt(2 pi hbar) gives the unitary transform at p = hbar k.
     """
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    phase = np.exp(-1j * k * grid.x_min)
+    phase = np.exp(-1j * grid.wavenumbers * grid.x_min)
     phase = phase.reshape((-1,) + (1,) * (amplitudes.ndim - 1))
     spectrum = np.fft.fft(amplitudes, axis=0) * phase * grid.dx
     return np.fft.fftshift(spectrum, axes=0)
@@ -181,8 +187,7 @@ def to_position(wf_p: WaveFunction1D, grid: Grid1D, hbar: float = 1.0) -> WaveFu
     expected = grid.conjugate(hbar)
     if not (np.isclose(gp.x_min, expected.x_min) and np.isclose(gp.x_max, expected.x_max)):
         raise GridMismatchError("momentum grid is not conjugate to the given position grid")
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    phase = np.exp(+1j * k * grid.x_min)
+    phase = np.exp(+1j * grid.wavenumbers * grid.x_min)
     spec = np.fft.ifftshift(wf_p.amplitudes) * phase * np.sqrt(2.0 * np.pi * hbar) / grid.dx
     return WaveFunction1D(grid, np.fft.ifft(spec), wf_p.norm_tag)
 

@@ -68,7 +68,7 @@ def beam_splitter(psi: WaveFunction2D, shift: float) -> WaveFunction2D:
     diagonal in x and T is unitary.
     """
     pos = psi.grid_x.points >= 0.0
-    ky = 2.0 * np.pi * np.fft.fftfreq(psi.grid_y.n_points, d=psi.grid_y.dx)
+    ky = psi.grid_y.wavenumbers
     spec = np.fft.fft(psi.amplitudes, axis=1)
     plus = np.fft.ifft(spec * np.exp(-1j * shift * ky), axis=1)
     minus = np.fft.ifft(spec * np.exp(+1j * shift * ky), axis=1)

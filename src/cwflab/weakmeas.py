@@ -2,8 +2,9 @@
 
 Closed forms
 ------------
-weak_value computes <b|A|psi> / <b|psi>. The momentum-post-selected scans
-use delta-normalized plane-wave bras <p|x> = exp(-i p x / hbar), so the
+A weak value is <b|A|psi> / <b|psi>. The momentum-post-selected scans
+(weak_value_scan) take for A the site observable below and for b the
+delta-normalized plane-wave bra <p|x> = exp(-i p x / hbar), so the
 denominator is dx * sum_x psi(x) exp(-i p x / hbar); at grid momenta that
 equals sqrt(2 pi hbar) times the unitary transform and the completeness
 sum over x of value(x) * dx equals 1 exactly.
@@ -86,44 +87,6 @@ GAUSSIAN_POSITION_GAIN = 1.0   # <q> = GAIN * g * Re w + O(g^2)
 GAUSSIAN_MOMENTUM_GAIN = 2.0   # <p> = GAIN * sigma_p^2 * g * Im w / hbar + O(g^2)
 
 
-@dataclass(frozen=True)
-class WeakValue:
-    value: complex
-    observable: str
-    postselection: str
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValidationError("weak value must be finite")
-
-
-def weak_value(A: np.ndarray, psi: WaveFunction1D, b: WaveFunction1D,
-               observable: str = "A", postselection: str = "b") -> WeakValue:
-    """<b|A|psi> / <b|psi> with A a dense matrix or a diagonal (1-D array)."""
-    if b.grid != psi.grid:
-        raise ValidationError("psi and b live on different grids")
-    A = np.asarray(A)
-    if A.ndim == 1:
-        Apsi = A * psi.amplitudes
-    elif A.ndim == 2:
-        Apsi = A @ psi.amplitudes
-    else:
-        raise ValidationError("A must be a vector (diagonal) or a matrix")
-    dx = psi.grid.dx
-    den = np.vdot(b.amplitudes, psi.amplitudes) * dx
-    scale = psi.norm() * b.norm()
-    if abs(den) < OVERLAP_FLOOR * scale:
-        raise PostSelectionError(f"post-selection overlap {abs(den):.3e} below floor")
-    num = np.vdot(b.amplitudes, Apsi) * dx
-    return WeakValue(complex(num / den), observable, postselection)
-
-
-def momentum_amplitude(psi: WaveFunction1D, p: float, hbar: float = 1.0) -> complex:
-    """dx * sum_x psi(x) exp(-i p x / hbar): plane-wave-bra overlap <p|psi>."""
-    x = psi.grid.points
-    return complex(np.sum(psi.amplitudes * np.exp(-1j * p * x / hbar)) * psi.grid.dx)
-
-
 def _denominator_scale(psi: WaveFunction1D, hbar: float) -> float:
     tilde = to_momentum(psi, hbar)
     return float(np.sqrt(2.0 * np.pi * hbar) * np.max(np.abs(tilde.amplitudes)))
@@ -135,12 +98,12 @@ def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0,
 
     At p_x = 0 the scan is proportional to psi itself.
     """
-    den = momentum_amplitude(psi, p_x, hbar)
+    ramped = np.exp(-1j * p_x * psi.grid.points / hbar) * psi.amplitudes
+    den = complex(np.sum(ramped) * psi.grid.dx)  # <p_x|psi>
     scale = _denominator_scale(psi, hbar)
     if scale == 0.0 or abs(den) < OVERLAP_FLOOR * scale:
         raise PostSelectionError(f"momentum amplitude at p={p_x} below floor")
-    x = psi.grid.points
-    return np.exp(-1j * p_x * x / hbar) * psi.amplitudes / den
+    return ramped / den
 
 
 def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float, Y: float,

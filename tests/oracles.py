@@ -4,7 +4,9 @@ Everything here is derived by hand from textbook formulas and implemented
 without touching the package's numerical paths, so tests compare two
 independent routes to the same quantity. The dense box Hamiltonian is the
 reference that the split-operator box revival is checked against, the
-mode-pair sum is the reference for the fig1 impulse flow, and the dense
+mode-pair sum is the reference for the fig1 impulse flow, the generic
+weak value <b|A|psi> / <b|psi> is the reference for the momentum scan of
+`cwflab.weakmeas`, and the dense
 4 n_y x 4 n_y polarization algebra at the end is the reference for the
 factored density operators of `cwflab.polar`.
 """
@@ -12,11 +14,12 @@ factored density operators of `cwflab.polar`.
 import numpy as np
 
 from cwflab import polar
-from cwflab.errors import ValidationError
+from cwflab.errors import PostSelectionError, ValidationError
 from cwflab.evolve import Hamiltonian
 from cwflab.qgrid import Grid1D, WaveFunction2D
 
 HBAR = 1.0
+OVERLAP_FLOOR = 1e-12
 
 
 def gaussian_amplitude(x, center=0.0, sigma=1.0, k0=0.0):
@@ -190,6 +193,27 @@ def dense_weak_value(a, m, n_y, b=None, j=None):
     s = dense_selector(n_y, b, j)
     full = np.kron(a, np.eye(2 * n_y))
     return np.trace(s @ full @ m) / np.trace(s @ m)
+
+
+def weak_value(a, psi, b) -> complex:
+    """<b|a|psi> / <b|psi> with a a dense matrix or a diagonal (1-D array).
+
+    Raises PostSelectionError when |<b|psi>| is below OVERLAP_FLOOR of
+    |psi| |b|, and ValidationError for mismatched grids, an operator that
+    is neither vector nor matrix, or a non-finite result."""
+    if b.grid != psi.grid:
+        raise ValidationError("psi and b live on different grids")
+    a = np.asarray(a)
+    if a.ndim not in (1, 2):
+        raise ValidationError("a must be a vector (diagonal) or a matrix")
+    a_psi = a * psi.amplitudes if a.ndim == 1 else a @ psi.amplitudes
+    den = np.vdot(b.amplitudes, psi.amplitudes) * psi.grid.dx
+    if abs(den) < OVERLAP_FLOOR * psi.norm() * b.norm():
+        raise PostSelectionError(f"post-selection overlap {abs(den):.3e} below floor")
+    value = complex(np.vdot(b.amplitudes, a_psi) * psi.grid.dx / den)
+    if not np.isfinite(value):
+        raise ValidationError("weak value must be finite")
+    return value
 
 
 def product_2d(psi_x, phi_y):

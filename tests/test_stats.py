@@ -1,11 +1,14 @@
-"""Chi-square cell pooling (Cochran's rule) in cwflab.stats."""
+"""Chi-square cell pooling (Cochran's rule) in cwflab.stats, and its
+chi-square tail and normal CDF against scipy.special as the oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from cwflab.stats import MIN_EXPECTED, _pool, chi2_gof, chi2_two_sample
+from cwflab.stats import (MIN_EXPECTED, _pool, chi2_gof, chi2_tail,
+                          chi2_two_sample, normal_cdf)
 
 
 @settings(max_examples=300, deadline=None)
@@ -39,3 +42,32 @@ def test_two_samples_share_the_pooled_binning():
     test = chi2_two_sample(a, b)
     assert test["dof"] == 2
     assert test["p_value"] > 1e-3
+
+
+@pytest.mark.parametrize("dofs, rtol", [(range(1, 201), 1e-12),
+                                        ((500, 1000), 1e-12),
+                                        ((10_000,), 1e-10)])
+def test_chi2_tail_matches_scipy(dofs, rtol):
+    for dof in dofs:
+        # the grid, plus the points where the tail reaches 1e-200 and 1e-300
+        x = np.append(np.linspace(0.0, 5.0 * dof + 50.0, 24),
+                      special.chdtri(dof, [1e-200, 1e-300]))
+        want = special.chdtrc(dof, x)
+        got = np.array([chi2_tail(dof, v) for v in x])
+        normal = want >= 1e-305
+        assert normal[-2:].all()
+        np.testing.assert_allclose(got[normal], want[normal], rtol=rtol,
+                                   atol=0.0, err_msg=f"dof {dof}")
+        assert np.all(got[~normal] < 1e-300)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 10_000])
+def test_chi2_tail_ends(dof):
+    assert chi2_tail(dof, 0.0) == 1.0
+    assert chi2_tail(dof, np.inf) == 0.0
+
+
+def test_normal_cdf_matches_scipy():
+    z = np.linspace(-10.0, 10.0, 2001)
+    np.testing.assert_allclose(normal_cdf(z), special.ndtr(z), rtol=1e-13,
+                               atol=0.0)
