@@ -166,7 +166,7 @@ class EnsembleResult:
 
 
 def evolve_trajectories(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
-                        steps: int, starts, hbar: float = None) -> EnsembleResult:
+                        steps: int, starts) -> EnsembleResult:
     """RK4-advance an ensemble of configurations through `steps` wave steps.
 
     starts: array (n, 2) of initial (X, Y). Trajectories that hit a node or

@@ -46,7 +46,7 @@ SIN_ALPHA_FLOOR = 1e-8
 # default is null may be null. Booleans are not numbers here.
 FIELD_BOUNDS = (
     (None, "seed", int, 0),
-    (None, "n_trials", int, 0),
+    (None, "n_trials", int, 1),
     ("grid", "n_x", int, 2),
     ("grid", "n_y", int, 2),
     ("state", "flow_steps", int, 1),

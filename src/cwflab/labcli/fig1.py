@@ -33,7 +33,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..qgrid import Grid1D
-from ..states import box_superposition
 from ..stats import chi2_gof, chi2_joint, normal_cdf
 from .config import ScenarioConfig, parse_complex_list
 from .reports import check_record
@@ -274,9 +273,22 @@ def _flow_marginal_chi2(modes: BoxModes, w: float, s: float, x_range,
 def run_fig1(cfg: ScenarioConfig) -> dict:
     """Collapse study: outcome frequencies, per-trajectory conditional-state
     overlap with the selected mode, and equivariance before and after."""
-    st = cfg.state
-    coeffs = parse_complex_list(st["c"])
-    modes = BoxModes(coeffs, st["box_min"], st["box_length"])
+    st, g = cfg.state, cfg.grid
+    modes = BoxModes(parse_complex_list(st["c"]), st["box_min"],
+                     st["box_length"])
+    gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
+    if not (g["x_min"] <= modes.box_min
+            and modes.box_min + modes.length <= g["x_max"]):
+        raise ValidationError(
+            f"config.state.box_min = {modes.box_min:.6g} with box_length = "
+            f"{modes.length:.6g} puts the box outside the x grid "
+            f"[{g['x_min']:.6g}, {g['x_max']:.6g}]")
+    n_max = int(modes.numbers.max())
+    if modes.length < 2.0 * n_max * gx.dx:
+        raise ValidationError(
+            f"config.state.box_length = {modes.length:.6g} gives mode "
+            f"{n_max} fewer than two x-grid points per half-wave (needs >= "
+            f"2 n dx = {2.0 * n_max * gx.dx:.6g})")
     w = st["w"]
     lam = st["lam"] if st["lam"] is not None else 8.0 * w / modes.min_gap()
     if lam * modes.min_gap() <= 3.0 * w:
@@ -284,13 +296,9 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
             f"impulse too weak: lam*min_gap = {lam * modes.min_gap():.4g} "
             f"<= 3w = {3.0 * w:.4g}")
 
-    g = cfg.grid
-    gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
     x_range, y_range = (g["x_min"], g["x_max"]), (g["y_min"], g["y_max"])
     if not (g["y_min"] < 0.0 and g["y_max"] > lam * float(modes.a.max())):
         raise ValidationError("y grid does not cover the outcome range")
-
-    psi_x = box_superposition(gx, st["box_min"], st["box_length"], coeffs)
 
     n = cfg.n_trials
     starts = sample_initial(modes, w, n, cfg.seed)
@@ -354,8 +362,8 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
                "outcome_mode": modes.numbers[outcome[:m]],
                "overlap": overlap[:m], "failed": failed[:m]}
 
-    wf_tables = {"psi_initial": (gx.points, psi_x.amplitudes)}
     u_grid = modes.u(gx.points)
+    wf_tables = {"psi_initial": (gx.points, modes.c @ u_grid)}
     for i, mode_number in enumerate(modes.numbers):
         wf_tables[f"mode_{int(mode_number)}"] = (gx.points, u_grid[i])
         sample = np.flatnonzero(ok & (outcome == i))

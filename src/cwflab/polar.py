@@ -12,8 +12,8 @@ pure state has r = 1. Every operation the scenarios use is a contraction
 of K: a pol1 operator acts on axis 0, the pol2 trace is a sum, the Y
 selector is an index and the beam splitter is a roll along y. Each costs
 O(n_y r); the dense 4 n_y x 4 n_y matrix is formed only when `.matrix` is
-asked for. An explicit matrix is factored once by eigh, which is also its
-Hermiticity and positivity check.
+asked for. Every operator is built from a factor, so it is Hermitian and
+positive semidefinite by construction and no eigendecomposition is needed.
 
 Off-diagonal reconstruction: with X = |D><D| - |A><A| and pi_HH = |H><H|,
 
@@ -32,8 +32,6 @@ import numpy as np
 from .errors import OffGridError, PostSelectionError, ValidationError
 from .qgrid import Grid1D
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 POSTSELECT_FLOOR = 1e-12
 
@@ -83,55 +81,32 @@ PI_HH = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 PI_VV = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
-def _factor_matrix(m: np.ndarray, dims: tuple) -> np.ndarray:
-    """K with m = K K^dagger, checking that m is Hermitian and PSD."""
-    dim = int(np.prod(dims))
-    if m.shape != (dim, dim):
-        raise ValidationError(f"matrix shape {m.shape} does not match dims {dims}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
-        raise ValidationError("density matrix is not Hermitian")
-    w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_TOL * scale:
-        raise ValidationError("density matrix is not positive semidefinite")
-    keep = w > dim * np.finfo(float).eps * max(w[-1], 0.0)
-    return (v[:, keep] * np.sqrt(w[keep])).reshape(dims + (-1,))
-
-
 class DensityOperator:
-    """Hermitian PSD operator on the composite space or a marginal of it.
+    """Hermitian PSD operator rho = K K^dagger on the composite space or a
+    marginal of it.
 
     dims is the tensor factorization, e.g. (2, 2, n_y) for the full space
-    or (2,) for a single polarization. Pass either an explicit matrix or
-    `factor` (shape dims + (r,), rho = K K^dagger, PSD by construction).
-    Full-space operators carry their HilbertSpec so position-conditioned
-    operations can resolve Y.
+    or (2,) for a single polarization, and the factor K has shape
+    dims + (r,). Full-space operators carry their HilbertSpec so
+    position-conditioned operations can resolve Y.
     """
 
-    def __init__(self, matrix, dims, norm_tag="trace-one",
-                 flags=frozenset(), spec=None, *, factor=None):
+    def __init__(self, factor, dims, norm_tag="trace-one", spec=None):
         dims = tuple(int(d) for d in dims)
         if spec is not None and dims != spec.dims:
             raise ValidationError("dims do not match the attached HilbertSpec")
-        if factor is None:
-            m = np.array(matrix, dtype=np.complex128)
-            k = _factor_matrix(m, dims)
-            trace = float(np.trace(m).real)
-            m.flags.writeable = False
-        else:
-            k = np.array(factor, dtype=np.complex128)
-            if k.shape[:-1] != dims:
-                raise ValidationError(f"factor shape {k.shape} does not match dims {dims}")
-            m, trace = None, float(np.vdot(k, k).real)
+        k = np.array(factor, dtype=np.complex128)
+        if k.shape[:-1] != dims:
+            raise ValidationError(f"factor shape {k.shape} does not match dims {dims}")
+        trace = float(np.vdot(k, k).real)
         if norm_tag == "trace-one":
             if abs(trace - 1.0) > TRACE_TOL:
                 raise ValidationError("trace-one matrix has trace != 1")
         elif norm_tag != "unnormalized":
             raise ValidationError(f"unknown norm_tag {norm_tag!r}")
         k.flags.writeable = False
-        self.factor, self.dims, self.norm_tag = k, dims, norm_tag
-        self.flags, self.spec = frozenset(flags), spec
-        self._matrix, self._trace = m, trace
+        self.factor, self.dims, self.norm_tag, self.spec = k, dims, norm_tag, spec
+        self._matrix, self._trace = None, trace
 
     @property
     def matrix(self) -> np.ndarray:
@@ -147,10 +122,10 @@ class DensityOperator:
         return self._trace
 
 
-def pure_dm(ket: np.ndarray, spec: HilbertSpec, flags=frozenset()) -> DensityOperator:
+def pure_dm(ket: np.ndarray, spec: HilbertSpec) -> DensityOperator:
     ket = np.asarray(ket, dtype=np.complex128)
-    return DensityOperator(None, spec.dims, "trace-one", flags, spec,
-                           factor=ket.reshape(spec.dims + (1,)))
+    return DensityOperator(ket.reshape(spec.dims + (1,)), spec.dims,
+                           spec=spec)
 
 
 def _sampled_gaussian(grid: Grid1D, center: float, width: float) -> np.ndarray:
@@ -196,21 +171,19 @@ def _pol1_rows(rho: DensityOperator, Y) -> np.ndarray:
 def reduced_dm(rho: DensityOperator) -> DensityOperator:
     """Partial trace over pol2 (x) pos2 down to the 2x2 pol1 matrix."""
     k = _as_full(rho)
-    return DensityOperator(None, (2,), rho.norm_tag, factor=k.reshape(2, -1))
+    return DensityOperator(k.reshape(2, -1), (2,), rho.norm_tag)
 
 
 def conditional_dm(rho: DensityOperator, Y: float) -> DensityOperator:
     """Tr_pol2 of the position-diagonal block at Y; unnormalized."""
-    return DensityOperator(None, (2,), "unnormalized",
-                           factor=_pol1_rows(rho, Y))
+    return DensityOperator(_pol1_rows(rho, Y), (2,), "unnormalized")
 
 
 def normalize_dm(rho: DensityOperator) -> DensityOperator:
     tr = rho.trace()
     if tr <= POSTSELECT_FLOOR:
         raise PostSelectionError(f"cannot normalize: trace {tr:.3e}")
-    return DensityOperator(None, rho.dims, "trace-one", rho.flags, rho.spec,
-                           factor=rho.factor / np.sqrt(tr))
+    return DensityOperator(rho.factor / np.sqrt(tr), rho.dims, spec=rho.spec)
 
 
 def weak_value_mixed(A: np.ndarray, rho: DensityOperator,
@@ -296,8 +269,7 @@ def apply_beam_splitter(rho: DensityOperator, shift: float) -> DensityOperator:
     c = int(round(cells))
     out = np.stack([np.roll(k[:, 0], c, axis=1), np.roll(k[:, 1], -c, axis=1)],
                    axis=1)
-    return DensityOperator(None, rho.dims, rho.norm_tag, rho.flags, rho.spec,
-                           factor=out)
+    return DensityOperator(out, rho.dims, rho.norm_tag, rho.spec)
 
 
 def dm_to_json_dict(rho: DensityOperator) -> dict:

@@ -11,10 +11,7 @@ the grid before tagging.
 import numpy as np
 
 from .errors import ValidationError
-from .evolve import box_eigenbasis
 from .qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize
-
-COEFF_TOL = 1e-10
 
 
 def gaussian_1d(grid: Grid1D, center: float = 0.0, sigma: float = 1.0,
@@ -24,16 +21,6 @@ def gaussian_1d(grid: Grid1D, center: float = 0.0, sigma: float = 1.0,
     x = grid.points
     amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * x)
     return normalize(WaveFunction1D(grid, amp))
-
-
-def box_superposition(grid: Grid1D, box_min: float, length: float,
-                      coeffs, mass: float = 1.0, hbar: float = 1.0) -> WaveFunction1D:
-    """sum_n c_n u_n(x) over analytic box modes; coefficients must be unit-norm."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if abs(np.sum(np.abs(c) ** 2) - 1.0) > COEFF_TOL:
-        raise ValidationError("mode coefficients must have unit norm within 1e-10")
-    basis = box_eigenbasis(grid, box_min, length, c.size, mass, hbar)
-    return WaveFunction1D(grid, c @ basis.eigenfunctions, "normalized")
 
 
 def two_branch_state(grid_x: Grid1D, grid_y: Grid1D, x_sep: float,

@@ -8,7 +8,9 @@ mode-pair sum is the reference for the fig1 impulse flow, the generic
 weak value <b|A|psi> / <b|psi> is the reference for the momentum scan of
 `cwflab.weakmeas`, and the dense
 4 n_y x 4 n_y polarization algebra at the end is the reference for the
-factored density operators of `cwflab.polar`.
+factored density operators of `cwflab.polar`. The qubit-pointer readout
+rebuilds the polarization matrix the way an experiment would, through a
+coupled pointer, where `cwflab.polar` reads exact traces.
 """
 
 import numpy as np
@@ -154,9 +156,52 @@ def ket_psi2(spec, shift, width=0.5):
 
 
 def make_state_psi2(spec, shift, width=0.5):
-    """The displaced-pointer state; flags record the well-separated regime."""
-    flags = frozenset(["well-separated"]) if shift > 2.0 * width else frozenset()
-    return polar.pure_dm(ket_psi2(spec, shift, width), spec, flags)
+    """The displaced-pointer state as a density operator."""
+    return polar.pure_dm(ket_psi2(spec, shift, width), spec)
+
+
+def factor_of(matrix, dims):
+    """A factor K of shape dims + (rank,) with matrix = K K^dagger, from
+    eigh; eigenvalues at roundoff level relative to the largest drop out."""
+    w, v = np.linalg.eigh(matrix)
+    keep = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
+    return (v[:, keep] * np.sqrt(w[keep])).reshape(tuple(dims) + (-1,))
+
+
+def qubit_pointer_readout(k, a, pi, b, cells):
+    """Exact readout of a qubit pointer coupled to the pol1 projector pi.
+
+    exp(-i a pi sigma_y) acting on pointer |0> splits the factor K into the
+    branches K - (1 - cos a) pi K (pointer |0>) and sin a pi K (pointer
+    |1>). pol1 is post-selected on b (None: no selection) and pos2 on the
+    cells, pol2 is traced out. Returns the coupled post-selection weight
+    and (I_DA + i I_LR) / (2 sin a), from the pointer's D/A and L/R
+    imbalances, which tends to <b|pi rho_Y|b> / <b|rho_Y|b> as a -> 0."""
+    pk = np.tensordot(pi, k, axes=(1, 0))
+    zero, one = (x[:, :, cells] for x in (k - (1.0 - np.cos(a)) * pk,
+                                          np.sin(a) * pk))
+    if b is not None:
+        zero, one = (np.tensordot(b.vector.conj(), x, axes=(0, 0))
+                     for x in (zero, one))
+    weight = np.vdot(zero, zero).real + np.vdot(one, one).real
+    p01 = np.vdot(one, zero)  # <0|P|1> of the pointer's selected state
+    i_da, i_lr = 2.0 * p01.real / weight, -2.0 * p01.imag / weight
+    return weight, (i_da + 1j * i_lr) / (2.0 * np.sin(a))
+
+
+def pointer_rebuilt_dm(k, a, cells):
+    """The pol1 matrix rebuilt entrywise from qubit-pointer readouts at
+    coupling angle a (Lundeen & Bamber, PRL 108, 070402 (2012)): weak
+    values of pi_HH and pi_VV on the diagonal, and the D minus A
+    combinations, weighted by the coupled post-selection rates, off it."""
+    def entry(pi):
+        (w_d, v_d), (w_a, v_a) = (qubit_pointer_readout(k, a, pi, b, cells)
+                                  for b in (polar.D, polar.A))
+        return (w_d * v_d - w_a * v_a) / (w_d + w_a)
+
+    hh, vv = (qubit_pointer_readout(k, a, pi, None, cells)[1]
+              for pi in (polar.PI_HH, polar.PI_VV))
+    return np.array([[hh, entry(polar.PI_HH)], [entry(polar.PI_VV), vv]])
 
 
 def beam_splitter_matrix(spec, shift):

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from cwflab.errors import ValidationError
-from cwflab.evolve import (
-    Hamiltonian,
-    ObservableSpec,
-    box_eigenbasis,
-    free_potential,
-    harmonic_potential,
-    propagate,
-)
+from cwflab.evolve import Hamiltonian, free_potential, harmonic_potential, propagate
+from cwflab.labcli.fig1 import BoxModes
 from cwflab.qgrid import Grid1D, WaveFunction1D, inner_product, normalize
 from cwflab.states import gaussian_1d
 
@@ -120,26 +114,13 @@ class TestBoxRevival:
         grid = Grid1D(-0.5, 1.5, 256)
         ham = Hamiltonian((1.0,), box_potential(grid, 0.0, 1.0, 1e6))
         evals = np.linalg.eigvalsh(hamiltonian_matrix(ham, grid))
-        analytic = box_eigenbasis(grid, 0.0, 1.0, 3).eigenvalues
+        analytic = BoxModes(np.ones(3), 0.0, 1.0).a
         assert np.allclose(evals[:3], analytic, rtol=5e-2)
 
 
 class TestBoxEigenbasis:
     def test_exact_grid_orthonormality(self):
         grid = Grid1D(-0.5, 1.5, 256)
-        basis = box_eigenbasis(grid, 0.0, 1.0, 8)
-        gram = basis.eigenfunctions.conj() @ basis.eigenfunctions.T * grid.dx
+        u = BoxModes(np.ones(8), 0.0, 1.0).u(grid.points)
+        gram = u @ u.T * grid.dx
         assert np.max(np.abs(gram - np.eye(8))) < 1e-12
-
-    def test_misaligned_box_rejected(self):
-        grid = Grid1D(-0.5, 1.5, 256)
-        with pytest.raises(ValidationError):
-            box_eigenbasis(grid, 0.0003, 1.0, 4)
-
-    def test_non_orthonormal_basis_rejected(self):
-        grid = Grid1D(-0.5, 1.5, 256)
-        basis = box_eigenbasis(grid, 0.0, 1.0, 2)
-        bad = basis.eigenfunctions.copy()
-        bad[1] += 0.01 * bad[0]
-        with pytest.raises(ValidationError):
-            ObservableSpec(grid, bad, basis.eigenvalues)

@@ -304,6 +304,17 @@ class TestFig1:
         with pytest.raises(ValidationError, match="impulse too weak"):
             run_fig1(cfg)
 
+    def test_box_edges_off_grid_points(self):
+        """Neither wall sits on an x-grid point: the run passes, and the
+        sampled initial state vanishes outside the box."""
+        cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 2500,
+                            "state": {"box_min": 0.0003, "box_length": 0.9}})
+        out = run_fig1(cfg)
+        assert out["report"]["pass"]
+        x, psi = out["wf_tables"]["psi_initial"]
+        outside = (x <= 0.0003) | (x >= 0.9003)
+        assert outside.any() and not np.any(psi[outside])
+
     def test_outcomes_must_fit_grid(self):
         cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 10,
                             "state": {"lam": 0.4}})
@@ -791,6 +802,13 @@ class TestCli:
         ("density", {"n_trials": 5}, []),
         ("density", {"report": {}}, []),
         ("planes", {"report": {"format": "xml"}}, []),
+        # a box outside the x grid, and one whose modes the grid cannot
+        # resolve: these used to exit 2 naming no key, or write NaN tables
+        ("fig1", {"state": {"box_min": 5.0}}, []),
+        ("fig1", {"state": {"box_length": 1e-9}}, []),
+        ("fig1", {}, ["--trials", "0"]),
+        ("planes", {}, ["--trials", "0"]),
+        ("order", {}, ["--trials", "0"]),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):
@@ -804,6 +822,11 @@ class TestCli:
         assert err.startswith("error: config")
         assert "Traceback" not in err
         assert not out_dir.exists()
+        # the message names each refused state key and a refused --trials
+        named = [f"config.state.{key}" for key in config.get("state", {})]
+        if "--trials" in flags:
+            named.append("config.n_trials must be an integer >= 1")
+        assert all(key in err for key in named)
 
     def test_import_leaves_out_scipy_stats(self):
         """Importing the command line must load no scipy module at all:

@@ -30,7 +30,12 @@ def embed_pol1(sigma, spec, pos_index=10):
     e = np.zeros(2 * spec.n_y)
     e[pos_index] = 1.0
     full = np.kron(sigma, np.outer(e, e))
-    return polar.DensityOperator(full, spec.dims, spec=spec)
+    return polar.DensityOperator(oracles.factor_of(full, spec.dims), spec.dims,
+                                 spec=spec)
+
+
+def maximally_mixed_2x2():
+    return polar.DensityOperator(np.eye(2) / np.sqrt(2.0), (2,))
 
 
 def random_pure_composite(spec, seed):
@@ -83,38 +88,30 @@ class TestStates:
         plus, minus = pointer_branches(spec, 4.0 * width, width)
         assert abs(np.vdot(plus, minus)) < 1e-3
 
-    def test_well_separated_flag(self):
-        spec = make_spec()
-        assert "well-separated" in oracles.make_state_psi2(spec, 2.0, 0.5).flags
-        assert "well-separated" not in oracles.make_state_psi2(spec, 0.5, 0.5).flags
-
-
 class TestDensityOperator:
     def test_validation(self):
-        herm = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
-        polar.DensityOperator(herm, (2,))
-        with pytest.raises(ValidationError):
-            polar.DensityOperator(np.array([[0.5, 0.2], [0.0, 0.5]]), (2,))
-        with pytest.raises(ValidationError):
-            polar.DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]), (2,))
+        k = oracles.factor_of(np.array([[0.5, 0.1j], [-0.1j, 0.5]]), (2,))
+        rho = polar.DensityOperator(k, (2,))
+        assert abs(rho.matrix[0, 1] - 0.1j) < 1e-15
         with pytest.raises(ValidationError):
             polar.DensityOperator(np.eye(2), (2,))
         with pytest.raises(ValidationError):
-            polar.DensityOperator(herm, (2,), "half-normalized")
+            polar.DensityOperator(k, (2,), "half-normalized")
         with pytest.raises(ValidationError):
-            polar.DensityOperator(herm, (4,))
+            polar.DensityOperator(k, (4,))
 
     def test_unnormalized_tag_allows_any_trace(self):
-        rho = polar.DensityOperator(0.3 * np.eye(2), (2,), "unnormalized")
+        rho = polar.DensityOperator(np.sqrt(0.3) * np.eye(2), (2,),
+                                    "unnormalized")
         assert abs(rho.trace() - 0.6) < 1e-15
 
     def test_spec_dims_consistency(self):
         spec = make_spec(8)
         with pytest.raises(ValidationError):
-            polar.DensityOperator(np.eye(2) / 2.0, (2,), spec=spec)
+            polar.DensityOperator(np.eye(2) / np.sqrt(2.0), (2,), spec=spec)
 
     def test_matrix_is_read_only(self):
-        rho = polar.DensityOperator(np.eye(2) / 2.0, (2,))
+        rho = maximally_mixed_2x2()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
@@ -137,7 +134,7 @@ class TestReducedDm:
         assert np.max(np.abs(red.matrix - want)) < 1e-12
 
     def test_needs_full_space(self):
-        rho = polar.DensityOperator(np.eye(2) / 2.0, (2,))
+        rho = maximally_mixed_2x2()
         with pytest.raises(ValidationError):
             polar.reduced_dm(rho)
 
@@ -214,7 +211,7 @@ class TestWeakValueMixed:
         assert abs(got - want) < 1e-12
 
     def test_maximally_mixed_oracle(self):
-        rho = polar.DensityOperator(np.eye(2) / 2.0, (2,))
+        rho = maximally_mixed_2x2()
         got = polar.weak_value_mixed(polar.PI_HH, rho, polar.D)
         # <D|pi_HH (I/2)|D> / <D|(I/2)|D> = (1/4)/(1/2)
         assert abs(got - 0.5) < 1e-15
@@ -228,7 +225,7 @@ class TestWeakValueMixed:
             polar.weak_value_mixed(polar.PI_HH, rho, polar.V)
 
     def test_shape_mismatch_raises(self):
-        rho = polar.DensityOperator(np.eye(2) / 2.0, (2,))
+        rho = maximally_mixed_2x2()
         with pytest.raises(ValidationError):
             polar.weak_value_mixed(np.eye(3), rho)
 
@@ -346,7 +343,7 @@ class TestFactorAgainstDense:
         k = rng.normal(size=spec.dims + (rank,)) \
             + 1j * rng.normal(size=spec.dims + (rank,))
         k /= np.linalg.norm(k)
-        rho = polar.DensityOperator(None, spec.dims, spec=spec, factor=k)
+        rho = polar.DensityOperator(k, spec.dims, spec=spec)
         flat = k.reshape(spec.dim, rank)
         m = flat @ flat.conj().T
         assert np.max(np.abs(rho.matrix - m)) < 1e-15
@@ -372,16 +369,19 @@ class TestFactorAgainstDense:
 
     def test_explicit_matrix_is_factored_at_its_rank(self):
         spec = make_spec(16)
-        rho = embed_pol1(random_mixed_2x2(2), spec)
-        assert rho.factor.shape == spec.dims + (2,)
-        k = rho.factor.reshape(spec.dim, -1)
-        assert np.max(np.abs(k @ k.conj().T - rho.matrix)) < 1e-15
+        e = np.zeros(2 * spec.n_y)
+        e[10] = 1.0
+        full = np.kron(random_mixed_2x2(2), np.outer(e, e))
+        k = oracles.factor_of(full, spec.dims)
+        assert k.shape == spec.dims + (2,)
+        rho = polar.DensityOperator(k, spec.dims, spec=spec)
+        assert np.max(np.abs(rho.matrix - full)) < 1e-15
 
     def test_factor_shape_must_match_dims(self):
         spec = make_spec(16)
         with pytest.raises(ValidationError):
-            polar.DensityOperator(None, spec.dims, spec=spec,
-                                  factor=np.ones((2, 2, 8, 1)) / 8.0)
+            polar.DensityOperator(np.ones((2, 2, 8, 1)) / 8.0, spec.dims,
+                                  spec=spec)
 
     def test_scale_4096_cells_without_dense_matrices(self):
         """psi1 behind the splitter at n_y = 4096: the readouts match the
@@ -416,3 +416,71 @@ class TestExport:
         spec = make_spec(8)
         with pytest.raises(ValidationError):
             polar.dm_to_json_dict(polar.make_state_psi1(spec))
+
+
+def random_factor(spec, rank, seed):
+    rng = np.random.default_rng(seed)
+    k = rng.normal(size=spec.dims + (rank,)) \
+        + 1j * rng.normal(size=spec.dims + (rank,))
+    return polar.DensityOperator(k / np.linalg.norm(k), spec.dims, spec=spec)
+
+
+def max_dev(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+class TestCoupledPointer:
+    """The density-matrix claim read through a coupled qubit pointer
+    (oracles.pointer_rebuilt_dm): post-selected on the pos2 cell Y, the
+    rebuilt pol1 matrix tends to the conditional density matrix at Y, with
+    a bias 1 - cos a <= a^2 / 2 at coupling angle a."""
+
+    @given(rank=st.integers(1, 3), cell=st.integers(0, 15),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_converges_to_conditional_dm(self, rank, cell, seed):
+        spec = make_spec(16)
+        rho = random_factor(spec, rank, seed)
+        Y = float(spec.pos2.points[cell])
+        target = polar.normalize_dm(polar.conditional_dm(rho, Y)).matrix
+        dev = [max_dev(oracles.pointer_rebuilt_dm(rho.factor, a, [cell]),
+                       target) for a in (0.1, 0.05)]
+        assert 3.5 <= dev[0] / dev[1] <= 4.5
+        assert dev[0] < 0.5 * 0.1**2
+        # the readout tells the conditional from the reduced matrix
+        assert dev[1] < max_dev(target, polar.reduced_dm(rho).matrix)
+
+    @given(rank=st.integers(1, 3), cell=st.integers(0, 15),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_pol1_unitary_conjugates_rebuilt_matrix(self, rank, cell, seed):
+        spec = make_spec(16)
+        rho = random_factor(spec, rank, seed)
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(2, 2))
+                         + 1j * rng.normal(size=(2, 2)))[0]
+        turned = np.tensordot(u, rho.factor, axes=(1, 0))
+        a = 0.05
+        got = oracles.pointer_rebuilt_dm(turned, a, [cell])
+        want = u @ oracles.pointer_rebuilt_dm(rho.factor, a, [cell]) \
+            @ u.conj().T
+        assert max_dev(got, want) < a**2
+
+    def test_pooling_both_branches_reads_neither(self):
+        """Behind the splitter the branches sit at Y = +-3. One cell reads
+        its branch's matrix; pooling both cells reads their mixture, which
+        stays 1/2 from either branch however weak the coupling."""
+        spec = make_spec(64)
+        rho = polar.apply_beam_splitter(polar.make_state_psi1(spec), 3.0)
+        cells = [spec.pos2.index_of(Y) for Y in (3.0, -3.0)]
+        conds = [polar.conditional_dm(rho, Y) for Y in (3.0, -3.0)]
+        branch = [polar.normalize_dm(c).matrix for c in conds]
+        pooled = sum(c.matrix for c in conds)
+        pooled /= np.trace(pooled).real
+        for a in (0.1, 0.05, 0.025):
+            for j, want in zip(cells, branch):
+                got = oracles.pointer_rebuilt_dm(rho.factor, a, [j])
+                assert max_dev(got, want) < 0.5 * a**2
+            got = oracles.pointer_rebuilt_dm(rho.factor, a, cells)
+            assert max_dev(got, pooled) < 0.5 * a**2
+            assert min(max_dev(got, want) for want in branch) > 0.4
