@@ -6,7 +6,6 @@ from .qgrid import (
     WaveFunction1D,
     WaveFunction2D,
     conditional_slice,
-    inner_product,
     normalize,
     to_momentum,
     to_position,
@@ -19,7 +18,6 @@ __all__ = [
     "WaveFunction1D",
     "WaveFunction2D",
     "conditional_slice",
-    "inner_product",
     "normalize",
     "to_momentum",
     "to_position",

@@ -1,12 +1,12 @@
 """Bohmian guidance: velocity fields, trajectories, equilibrium sampling.
 
-The guidance velocity is v = (hbar/m) Im[grad Psi / Psi] evaluated at the
-configuration. Gradients are spectral (FFT); off-grid evaluation uses the
-exact Fourier series in 1-D and, in 2-D, one periodic Lagrange stencil of
-STENCIL^2 points over the smooth fields (j, rho): exact at grid points and
-local, so no global spline is fitted per wave snapshot. Trajectories
-advance with classical RK4 using the wave function at t, t + dt/2 and
-t + dt (half-step propagation).
+Units are hbar = m = 1, so the guidance velocity is v = Im[grad Psi / Psi]
+evaluated at the configuration. Gradients are spectral (FFT); off-grid
+evaluation uses the exact Fourier series in 1-D and, in 2-D, one periodic
+Lagrange stencil of STENCIL^2 points over the smooth fields (j, rho): exact
+at grid points and local, so no global spline is fitted per wave snapshot.
+Trajectories advance with classical RK4 using the wave function at t,
+t + dt/2 and t + dt (half-step propagation).
 
 Configurations sitting on nodes of |Psi|^2 (relative density below
 NODE_FLOOR) are masked: the fields return NaN velocity and a False entry in
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridExitError, ValidationError
-from .evolve import Hamiltonian, propagate
-from .qgrid import WaveFunction1D, WaveFunction2D, conditional_slice
+from .evolve import propagate
+from .qgrid import WaveFunction1D, WaveFunction2D
 from .stats import chi2_gof, chi2_joint
 
 NODE_FLOOR = 1e-12  # fraction of max |Psi|^2 below which a point is a node
@@ -40,22 +40,12 @@ def _stencil(g, X):
     return idx, np.prod(d[:, _OTHERS], axis=2) / _DENOM
 
 
-@dataclass(frozen=True)
-class BohmConfig:
-    """A configuration-space point (X, Y)."""
-
-    X: float
-    Y: float
-
-
 class VelocityField1D:
     """Exact band-limited evaluation of psi, dpsi/dx and the guidance velocity."""
 
-    def __init__(self, wf: WaveFunction1D, mass: float = 1.0, hbar: float = 1.0):
+    def __init__(self, wf: WaveFunction1D):
         g = wf.grid
         self.grid = g
-        self.mass = mass
-        self.hbar = hbar
         self.coef = np.fft.fft(wf.amplitudes) / g.n_points
         self.k = g.wavenumbers
         self.floor = NODE_FLOOR * float(np.max(wf.density()))
@@ -75,22 +65,22 @@ class VelocityField1D:
         psi, dpsi = self._series(x)
         ok = np.abs(psi) ** 2 >= self.floor
         v = np.full(psi.shape, np.nan)
-        v[ok] = (self.hbar / self.mass) * (dpsi[ok] / psi[ok]).imag
+        v[ok] = (dpsi[ok] / psi[ok]).imag
         return v, ok
 
 
 class VelocityField2D:
     """Guidance velocity from one periodic stencil over (j_x, j_y, rho)."""
 
-    def __init__(self, psi: WaveFunction2D, masses=(1.0, 1.0), hbar: float = 1.0):
+    def __init__(self, psi: WaveFunction2D):
         self.gx, self.gy = psi.grid_x, psi.grid_y
         amp = psi.amplitudes
         kx, ky = self.gx.wavenumbers, self.gy.wavenumbers
         dpsi_x = np.fft.ifft(1j * kx[:, None] * np.fft.fft(amp, axis=0), axis=0)
         dpsi_y = np.fft.ifft(1j * ky[None, :] * np.fft.fft(amp, axis=1), axis=1)
         rho = psi.density()
-        jx = (hbar / masses[0]) * (np.conj(amp) * dpsi_x).imag
-        jy = (hbar / masses[1]) * (np.conj(amp) * dpsi_y).imag
+        jx = (np.conj(amp) * dpsi_x).imag
+        jy = (np.conj(amp) * dpsi_y).imag
         self._fields = np.stack((jx, jy, rho), axis=-1).reshape(-1, 3)
         self.floor = NODE_FLOOR * float(rho.max())
 
@@ -115,11 +105,6 @@ class VelocityField2D:
         v = np.full((X.size, 2), np.nan)
         v[ok] = f[ok, :2] / f[ok, 2:]
         return v[:, 0], v[:, 1], ok
-
-
-def conditional_wavefunction(psi: WaveFunction2D, q: BohmConfig) -> WaveFunction1D:
-    """chi_1(x) = Psi(x, Y): the single-particle wave guiding X at fixed Y."""
-    return conditional_slice(psi, q.Y)
 
 
 def _rk4(f0, f1, f2, X, Y, dt, alive):
@@ -165,9 +150,10 @@ class EnsembleResult:
         return int(np.count_nonzero(self.failed))
 
 
-def evolve_trajectories(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
-                        steps: int, starts) -> EnsembleResult:
-    """RK4-advance an ensemble of configurations through `steps` wave steps.
+def evolve_trajectories(psi0: WaveFunction2D, potential: np.ndarray,
+                        dt: float, steps: int, starts) -> EnsembleResult:
+    """RK4-advance an ensemble of configurations through `steps` wave steps
+    of psi0 in the potential (an array on psi0's grids).
 
     starts: array (n, 2) of initial (X, Y). Trajectories that hit a node or
     leave the grid are marked failed and frozen; the rest continue.
@@ -182,12 +168,12 @@ def evolve_trajectories(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
     ys = np.empty((X.size, steps + 1))
     xs[:, 0], ys[:, 0] = X, Y
     state = psi0
-    f0 = VelocityField2D(state, ham.masses, ham.hbar)
+    f0 = VelocityField2D(state)
     for s in range(steps):
-        half = propagate(state, ham, 0.5 * dt, 1)
-        state = propagate(half, ham, 0.5 * dt, 1)
-        f1 = VelocityField2D(half, ham.masses, ham.hbar)
-        f2 = VelocityField2D(state, ham.masses, ham.hbar)
+        half = propagate(state, potential, 0.5 * dt, 1)
+        state = propagate(half, potential, 0.5 * dt, 1)
+        f1 = VelocityField2D(half)
+        f2 = VelocityField2D(state)
         X, Y, alive = _rk4(f0, f1, f2, X, Y, dt, alive)
         xs[:, s + 1], ys[:, s + 1] = X, Y
         f0 = f2
@@ -222,8 +208,9 @@ def marginal_bin_probs(psi: WaveFunction2D, bins: int):
     return (px.reshape(bins, -1).sum(axis=1), py.reshape(bins, -1).sum(axis=1))
 
 
-def equivariance_check(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
-                       steps: int, n: int, seed: int, bins: int = 16) -> dict:
+def equivariance_check(psi0: WaveFunction2D, potential: np.ndarray,
+                       dt: float, steps: int, n: int, seed: int,
+                       bins: int = 16) -> dict:
     """Transport a QEH sample and test the final positions against |Psi_t|^2.
 
     Chi-square over the two marginal histograms (bins per axis, cells with
@@ -237,7 +224,7 @@ def equivariance_check(psi0: WaveFunction2D, ham: Hamiltonian, dt: float,
         np.random.SeedSequence([seed, 1])))
     starts = starts + jit.uniform(-0.5, 0.5, starts.shape) * [gx.dx, gy.dx]
     starts = np.maximum(starts, [gx.x_min, gy.x_min])
-    res = evolve_trajectories(psi0, ham, dt, steps, starts)
+    res = evolve_trajectories(psi0, potential, dt, steps, starts)
     keep = ~res.failed
     px, py = marginal_bin_probs(res.final_state, bins)
 

@@ -10,6 +10,7 @@ reduced matrix untouched or collapses it to a single branch projector.
 import numpy as np
 
 from .. import polar
+from ..errors import ValidationError
 from ..qgrid import Grid1D
 from .config import ScenarioConfig
 from .reports import check_record
@@ -42,7 +43,15 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
 
     rho = polar.make_state_psi1(spec, width)
     if bs:
-        rho = polar.apply_beam_splitter(rho, shift)
+        # the splitter moves the branches to Y = +-shift, where they are read
+        if not spec.pos2.x_min <= -abs(shift) <= abs(shift) < spec.pos2.x_max:
+            raise ValidationError(
+                f"config.state.shift: Y = +-{shift:g} outside the y grid "
+                f"[{spec.pos2.x_min:g}, {spec.pos2.x_max:g})")
+        try:
+            rho = polar.apply_beam_splitter(rho, shift)
+        except ValidationError as e:
+            raise ValidationError(f"config.state.shift: {e}") from None
 
     rdm = polar.reduced_dm(rho)
     half_identity = np.eye(2) / 2.0

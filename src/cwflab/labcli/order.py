@@ -18,6 +18,7 @@ histograms, tested per bin with a two-sample chi-square.
 import numpy as np
 
 from .. import weakmeas
+from ..errors import ValidationError
 from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
@@ -70,11 +71,16 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
 
     alpha = pr["coupling"] / (gx.dx * pr["pointer_width"])
     degenerate = pr["coupling"] == 0.0
-    dp = gx.conjugate(1.0).dx
+    dp = gx.conjugate().dx
     window = pr["p_x_window_dp"] * dp
     y_edges = [gy.x_min, 0.0, gy.x_max]
+    for x in pr["sites"]:
+        if not gx.x_min <= x < gx.x_max:
+            raise ValidationError(
+                f"config.protocol.sites: x = {x:g} outside the x grid "
+                f"[{gx.x_min:g}, {gx.x_max:g})")
     site_indices = [int(gx.index_of(float(x))) for x in pr["sites"]]
-    cells = weakmeas._Cells(gx, gy, window, y_edges, 1.0)
+    cells = weakmeas._Cells(gx, gy, window, y_edges)
 
     table_dev = 0.0
     wv_dev = 0.0

@@ -16,9 +16,8 @@ is metadata here and run_order_invariance checks it does not matter.
 import numpy as np
 
 from .. import bohm, weakmeas
-from ..bohm import BohmConfig
 from ..errors import ValidationError
-from ..qgrid import Grid1D, WaveFunction1D, normalize
+from ..qgrid import Grid1D, WaveFunction1D, conditional_slice, normalize
 from ..states import beam_splitter, branch_waves, two_branch_state
 from ..stats import fidelity, fidelity_debiased, fidelity_debiased_sigma
 from ..weakmeas import PointerProtocol, scan_pointer_protocol
@@ -121,7 +120,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         targets = [chi]
         target_names = ["(psi_1+psi_2)/sqrt(2)"]
 
-    dp = gx.conjugate(1.0).dx
+    dp = gx.conjugate().dx
     proto = PointerProtocol(
         coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
         pointer_width=pr["pointer_width"],
@@ -175,9 +174,8 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         in_bin = (draws[:, 1] >= lo) & (draws[:, 1] < hi)
         cwf_fids = []
         if not bin_empty:
-            for x0, y0 in draws[in_bin]:
-                slc = bohm.conditional_wavefunction(psi_det,
-                                                    BohmConfig(x0, y0))
+            for y0 in draws[in_bin, 1]:
+                slc = conditional_slice(psi_det, y0)
                 cwf_fids.append(fidelity_debiased(
                     est[filled], slc.amplitudes[sites][filled], var[filled]))
         cwf_mean = float(np.mean(cwf_fids)) if cwf_fids else None

@@ -7,9 +7,9 @@ runs in a few seconds. The CLI maps a failing battery to exit code 3.
 import numpy as np
 
 from .. import bohm, polar, weakmeas
-from ..evolve import Hamiltonian, free_potential, harmonic_potential, propagate
-from ..qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, \
-    to_momentum, to_position
+from ..evolve import free_potential, harmonic_potential, propagate
+from ..qgrid import Grid1D, WaveFunction1D, WaveFunction2D, conditional_slice, \
+    normalize, to_momentum, to_position
 from ..states import beam_splitter, gaussian_1d, two_branch_state
 from .reports import check_record
 
@@ -41,8 +41,7 @@ def check_transform_round_trip() -> dict:
 def check_norm_drift() -> dict:
     grid = Grid1D(-8.0, 8.0, 256)
     psi = gaussian_1d(grid, 1.0, 0.7, k0=0.5)
-    ham = Hamiltonian((1.0,), harmonic_potential(grid, 1.0))
-    out = propagate(psi, ham, dt=1e-3, steps=1000)
+    out = propagate(psi, harmonic_potential(grid, 1.0), dt=1e-3, steps=1000)
     return check_record("norm_drift_1000_steps",
                         observed=abs(out.norm() - 1.0), tol=1e-9)
 
@@ -51,14 +50,14 @@ def check_split_step_convergence() -> dict:
     """Error ratio under dt halving, against a much finer reference run."""
     grid = Grid1D(-8.0, 8.0, 256)
     psi = gaussian_1d(grid, 1.0, 1.0 / np.sqrt(2.0))
-    ham = Hamiltonian((1.0,), harmonic_potential(grid, 1.0))
+    v = harmonic_potential(grid, 1.0)
     T, n = 1.0, 64
 
     def err(steps, ref):
-        out = propagate(psi, ham, T / steps, steps)
+        out = propagate(psi, v, T / steps, steps)
         return float(np.abs(out.amplitudes - ref.amplitudes).max())
 
-    ref = propagate(psi, ham, T / (16 * n), 16 * n)
+    ref = propagate(psi, v, T / (16 * n), 16 * n)
     ratio = err(n, ref) / err(2 * n, ref)
     return check_record("split_step_convergence_ratio", observed=ratio,
                         bounds=(3.5, 4.5))
@@ -99,7 +98,7 @@ def check_scan_identity_conditional() -> dict:
     dev = 0.0
     for y in ys:
         scan = weakmeas.weak_value_entangled_scan(psi, 0.0, float(y))
-        slc = bohm.conditional_wavefunction(psi, bohm.BohmConfig(0.0, float(y)))
+        slc = conditional_slice(psi, float(y))
         const = scan[np.argmax(np.abs(slc.amplitudes))] / \
             slc.amplitudes[np.argmax(np.abs(slc.amplitudes))]
         dev = max(dev, float(np.abs(scan - const * slc.amplitudes).max()
@@ -114,9 +113,8 @@ def check_equivariance_transport() -> dict:
     x, y = gx.points[:, None], gy.points[None, :]
     amp = np.exp(-(x**2) / 1.6 - (y - 0.5) ** 2 / 2.4 + 0.7j * x - 0.4j * y)
     psi = normalize(WaveFunction2D(gx, gy, amp))
-    ham = Hamiltonian((1.0, 1.0), free_potential(gx, gy))
-    rep = bohm.equivariance_check(psi, ham, dt=5e-3, steps=40, n=2000,
-                                  seed=11, bins=16)
+    rep = bohm.equivariance_check(psi, free_potential(gx, gy), dt=5e-3,
+                                  steps=40, n=2000, seed=11, bins=16)
     return check_record("equivariance_transport_p",
                         observed=rep["p_value"], minimum=EQUIVARIANCE_P_MIN)
 

@@ -8,12 +8,13 @@ the cell measure dx:
 
     <a|b> = sum_j conj(a_j) b_j dx
 
+Units are hbar = m = 1 throughout, so momentum and wavenumber coincide.
 ``to_momentum`` uses the unitary convention
 
-    psi~(p) = (2 pi hbar)**-1/2 * sum_j exp(-i p x_j / hbar) psi(x_j) dx
+    psi~(p) = (2 pi)**-1/2 * sum_j exp(-i p x_j) psi(x_j) dx
 
 so Parseval holds exactly on the grid. The momentum grid is the FFT
-conjugate lattice returned in ascending order (dp = 2 pi hbar / (n dx)).
+conjugate lattice returned in ascending order (dp = 2 pi / (n dx)).
 """
 
 from dataclasses import dataclass
@@ -62,9 +63,9 @@ class Grid1D:
         k.flags.writeable = False
         return k
 
-    def conjugate(self, hbar: float = 1.0) -> "Grid1D":
+    def conjugate(self) -> "Grid1D":
         """The FFT-conjugate momentum grid (ascending order)."""
-        dp = 2.0 * np.pi * hbar / (self.n_points * self.dx)
+        dp = 2.0 * np.pi / (self.n_points * self.dx)
         p_min = -0.5 * self.n_points * dp
         return Grid1D(p_min, p_min + self.n_points * dp, self.n_points)
 
@@ -138,19 +139,6 @@ class WaveFunction2D:
         return float(np.sqrt(np.sum(self.density()) * self.grid_x.dx * self.grid_y.dx))
 
 
-def inner_product(a, b) -> complex:
-    """<a|b> with the grid cell measure. Grids must match exactly."""
-    if isinstance(a, WaveFunction1D) and isinstance(b, WaveFunction1D):
-        if a.grid != b.grid:
-            raise GridMismatchError(f"{a.grid} vs {b.grid}")
-        return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid.dx)
-    if isinstance(a, WaveFunction2D) and isinstance(b, WaveFunction2D):
-        if a.grid_x != b.grid_x or a.grid_y != b.grid_y:
-            raise GridMismatchError("2-D grids differ")
-        return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid_x.dx * a.grid_y.dx)
-    raise ValidationError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
-
-
 def normalize(wf):
     """Return a unit-norm copy tagged 'normalized'."""
     n = wf.norm()
@@ -165,7 +153,7 @@ def momentum_fft(amplitudes: np.ndarray, grid: Grid1D) -> np.ndarray:
     """dx * sum_j exp(-i k x_j) a_j along axis 0, wavenumbers k ascending.
 
     Further axes are transformed column by column. Dividing by
-    sqrt(2 pi hbar) gives the unitary transform at p = hbar k.
+    sqrt(2 pi) gives the unitary transform at p = k.
     """
     phase = np.exp(-1j * grid.wavenumbers * grid.x_min)
     phase = phase.reshape((-1,) + (1,) * (amplitudes.ndim - 1))
@@ -173,22 +161,22 @@ def momentum_fft(amplitudes: np.ndarray, grid: Grid1D) -> np.ndarray:
     return np.fft.fftshift(spectrum, axes=0)
 
 
-def to_momentum(wf: WaveFunction1D, hbar: float = 1.0) -> WaveFunction1D:
+def to_momentum(wf: WaveFunction1D) -> WaveFunction1D:
     """Unitary position -> momentum transform; result on grid.conjugate()."""
-    amp = momentum_fft(wf.amplitudes, wf.grid) / np.sqrt(2.0 * np.pi * hbar)
-    return WaveFunction1D(wf.grid.conjugate(hbar), amp, wf.norm_tag)
+    amp = momentum_fft(wf.amplitudes, wf.grid) / np.sqrt(2.0 * np.pi)
+    return WaveFunction1D(wf.grid.conjugate(), amp, wf.norm_tag)
 
 
-def to_position(wf_p: WaveFunction1D, grid: Grid1D, hbar: float = 1.0) -> WaveFunction1D:
+def to_position(wf_p: WaveFunction1D, grid: Grid1D) -> WaveFunction1D:
     """Inverse of to_momentum back onto the given position grid."""
     gp = wf_p.grid
     if grid.n_points != gp.n_points:
         raise GridMismatchError("position grid size does not match momentum grid")
-    expected = grid.conjugate(hbar)
+    expected = grid.conjugate()
     if not (np.isclose(gp.x_min, expected.x_min) and np.isclose(gp.x_max, expected.x_max)):
         raise GridMismatchError("momentum grid is not conjugate to the given position grid")
     phase = np.exp(+1j * grid.wavenumbers * grid.x_min)
-    spec = np.fft.ifftshift(wf_p.amplitudes) * phase * np.sqrt(2.0 * np.pi * hbar) / grid.dx
+    spec = np.fft.ifftshift(wf_p.amplitudes) * phase * np.sqrt(2.0 * np.pi) / grid.dx
     return WaveFunction1D(grid, np.fft.ifft(spec), wf_p.norm_tag)
 
 

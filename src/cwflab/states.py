@@ -24,20 +24,17 @@ def gaussian_1d(grid: Grid1D, center: float = 0.0, sigma: float = 1.0,
 
 
 def two_branch_state(grid_x: Grid1D, grid_y: Grid1D, x_sep: float,
-                     sigma_x: float, sigma_y: float, y_shift: float = 0.0
-                     ) -> WaveFunction2D:
-    """(psi_1(x) phi_1(y) + psi_2(x) phi_2(y)) / sqrt(2).
+                     sigma_x: float, sigma_y: float) -> WaveFunction2D:
+    """(psi_1(x) + psi_2(x)) phi(y) / sqrt(2), the overlapping-pointer state.
 
-    psi_1/psi_2 are Gaussians at +-x_sep/2 (supports on x>0 / x<0 for
-    x_sep >> sigma_x); phi_1/phi_2 sit at +-y_shift. y_shift = 0 gives the
-    overlapping-pointer configuration, y_shift > 0 the separated one.
+    psi_1/psi_2 are the branch_waves Gaussians at +-x_sep/2 (supports on
+    x>0 / x<0 for x_sep >> sigma_x); phi is one pointer Gaussian at y = 0.
     """
-    psi1 = gaussian_1d(grid_x, +0.5 * x_sep, sigma_x)
-    psi2 = gaussian_1d(grid_x, -0.5 * x_sep, sigma_x)
-    phi1 = gaussian_1d(grid_y, +y_shift, sigma_y)
-    phi2 = gaussian_1d(grid_y, -y_shift, sigma_y)
-    amp = (np.outer(psi1.amplitudes, phi1.amplitudes)
-           + np.outer(psi2.amplitudes, phi2.amplitudes)) / np.sqrt(2.0)
+    psi1, psi2 = branch_waves(grid_x, x_sep, sigma_x)
+    phi = gaussian_1d(grid_y, 0.0, sigma_y).amplitudes
+    # two outer products, not one of the sum: that fixes the last bits
+    amp = (np.outer(psi1.amplitudes, phi)
+           + np.outer(psi2.amplitudes, phi)) / np.sqrt(2.0)
     return normalize(WaveFunction2D(grid_x, grid_y, amp))
 
 

@@ -1,13 +1,15 @@
 """Weak values and the pointer-coupling measurement protocol.
 
+Units are hbar = m = 1 throughout.
+
 Closed forms
 ------------
 A weak value is <b|A|psi> / <b|psi>. The momentum-post-selected scans
 (weak_value_scan) take for A the site observable below and for b the
-delta-normalized plane-wave bra <p|x> = exp(-i p x / hbar), so the
-denominator is dx * sum_x psi(x) exp(-i p x / hbar); at grid momenta that
-equals sqrt(2 pi hbar) times the unitary transform and the completeness
-sum over x of value(x) * dx equals 1 exactly.
+delta-normalized plane-wave bra <p|x> = exp(-i p x), so the denominator is
+dx * sum_x psi(x) exp(-i p x); at grid momenta that equals sqrt(2 pi)
+times the unitary transform and the completeness sum over x of
+value(x) * dx equals 1 exactly.
 
 The site observable is the projector density: the indicator of one grid
 cell divided by dx (operator norm 1/dx), the grid regularization of a
@@ -36,12 +38,12 @@ so (P_D - P_A) / (2 dx sin a) -> Re w and (P_L - P_R) / (2 dx sin a)
 names the factor 2 above.
 
 gaussian pointer: a mode with position spread sigma_q = pointer_width
-(momentum spread sigma_p = hbar / (2 sigma_q)) is shifted by
+(momentum spread sigma_p = 1 / (2 sigma_q)) is shifted by
 s = g / dx when the particle sits in the coupled cell. First order in
 the coupling,
 
     <q> = GAUSSIAN_POSITION_GAIN * g * Re w,
-    <p> = GAUSSIAN_MOMENTUM_GAIN * sigma_p^2 * g * Im w / hbar,
+    <p> = GAUSSIAN_MOMENTUM_GAIN * sigma_p^2 * g * Im w,
 
 again with even-order corrections. Both models therefore share the same
 weak limit, which the tests check directly.
@@ -84,38 +86,37 @@ CHUNK_TRIALS = 1 << 16
 
 QUBIT_IMBALANCE_GAIN = 2.0     # P_D - P_A = GAIN * sin(a) * Re W + O(a^2)
 GAUSSIAN_POSITION_GAIN = 1.0   # <q> = GAIN * g * Re w + O(g^2)
-GAUSSIAN_MOMENTUM_GAIN = 2.0   # <p> = GAIN * sigma_p^2 * g * Im w / hbar + O(g^2)
+GAUSSIAN_MOMENTUM_GAIN = 2.0   # <p> = GAIN * sigma_p^2 * g * Im w + O(g^2)
 
 
-def _denominator_scale(psi: WaveFunction1D, hbar: float) -> float:
-    tilde = to_momentum(psi, hbar)
-    return float(np.sqrt(2.0 * np.pi * hbar) * np.max(np.abs(tilde.amplitudes)))
+def _denominator_scale(psi: WaveFunction1D) -> float:
+    tilde = to_momentum(psi)
+    return float(np.sqrt(2.0 * np.pi) * np.max(np.abs(tilde.amplitudes)))
 
 
-def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0,
-                    hbar: float = 1.0) -> np.ndarray:
-    """exp(-i p_x x / hbar) psi(x) / <p_x|psi> over the whole grid.
+def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0) -> np.ndarray:
+    """exp(-i p_x x) psi(x) / <p_x|psi> over the whole grid.
 
     At p_x = 0 the scan is proportional to psi itself.
     """
-    ramped = np.exp(-1j * p_x * psi.grid.points / hbar) * psi.amplitudes
+    ramped = np.exp(-1j * p_x * psi.grid.points) * psi.amplitudes
     den = complex(np.sum(ramped) * psi.grid.dx)  # <p_x|psi>
-    scale = _denominator_scale(psi, hbar)
+    scale = _denominator_scale(psi)
     if scale == 0.0 or abs(den) < OVERLAP_FLOOR * scale:
         raise PostSelectionError(f"momentum amplitude at p={p_x} below floor")
     return ramped / den
 
 
-def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float, Y: float,
-                              hbar: float = 1.0) -> np.ndarray:
-    """Scan of exp(-i p_x x/hbar) Psi(x, Y) / <p_x|Psi(., Y)> over x.
+def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float,
+                              Y: float) -> np.ndarray:
+    """Scan of exp(-i p_x x) Psi(x, Y) / <p_x|Psi(., Y)> over x.
 
     At p_x = 0 this is proportional to the conditional slice at Y.
     """
     j = Psi.grid_y.index_of(Y)
     column = WaveFunction1D(Psi.grid_x, Psi.amplitudes[:, j],
                             norm_tag="unnormalized")
-    return weak_value_scan(column, p_x, hbar)
+    return weak_value_scan(column, p_x)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class PointerProtocol:
     p_x_bin: float = None
     y_bins: object = 16
     pointer_model: str = "qubit"
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.coupling < np.inf and 0 < self.pointer_width < np.inf):
@@ -151,7 +151,7 @@ class PointerProtocol:
         """g * ||A|| / sigma_p with ||A|| = 1/dx for the cell projector density."""
         if self.pointer_model == "qubit":
             return self.coupling / (grid.dx * self.pointer_width)
-        sigma_p = self.hbar / (2.0 * self.pointer_width)
+        sigma_p = 1.0 / (2.0 * self.pointer_width)
         return self.coupling / (grid.dx * sigma_p)
 
 
@@ -190,15 +190,15 @@ class _Cells:
     row range `rows`, the flat cell range `flat`), Y bins and cell measure.
     A lone particle (gy None) has one Y cell."""
 
-    def __init__(self, gx, gy, window, y_bins, hbar):
-        pgrid = gx.conjugate(hbar)
+    def __init__(self, gx, gy, window, y_bins):
+        pgrid = gx.conjugate()
         self.gx, self.gy = gx, gy
         self.p_values = pgrid.points
         self.window = window if window is not None else 1.5 * pgrid.dx
         self.win_p = np.abs(self.p_values) < self.window
         first = int(np.argmax(self.win_p))   # 0 if the window is empty
         self.rows = slice(first, first + int(self.win_p.sum()))
-        self.measure = pgrid.dx / (2.0 * np.pi * hbar)
+        self.measure = pgrid.dx / (2.0 * np.pi)
         if gy is None:
             self.y_edges = np.array([0.0, 1.0])
             self.bin_of_y = np.zeros(1, dtype=int)
@@ -293,11 +293,10 @@ class _GaussianTables(_CouplingTables):
     uncoupled amplitude den; reads position (re) or momentum (im)."""
 
     def __init__(self, cells, den, num, proto: PointerProtocol):
-        hbar = self.hbar = proto.hbar
         self.sigma_q = proto.pointer_width
-        self.sigma_p = hbar / (2.0 * self.sigma_q)
+        self.sigma_p = 1.0 / (2.0 * self.sigma_q)
         s = self.s = proto.coupling / cells.gx.dx
-        damp = np.exp(-(s * self.sigma_p) ** 2 / (2.0 * hbar**2))
+        damp = np.exp(-(s * self.sigma_p) ** 2 / 2.0)
         rest = den - num
         K = np.conj(rest) * num
         A, B, C = np.abs(rest) ** 2, np.abs(num) ** 2, 2.0 * K.real * damp
@@ -310,10 +309,10 @@ class _GaussianTables(_CouplingTables):
             safe = np.maximum(nu[w], 1e-300)
             self.means = (
                 (self.B * s + 0.5 * self.C * s) / safe,
-                (2.0 * K[w].imag * (s / hbar) * self.sigma_p**2 * damp) / safe)
+                (2.0 * K[w].imag * s * self.sigma_p**2 * damp) / safe)
         self.gains = np.array([
             GAUSSIAN_POSITION_GAIN * proto.coupling,
-            GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling / hbar])
+            GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling])
 
     def readout(self, rng, cells, basis, u_read):
         out = np.empty(cells.size)
@@ -323,7 +322,7 @@ class _GaussianTables(_CouplingTables):
             self.s, self.sigma_q)
         out[basis] = _sample_momentum_readout(
             rng, self.rest.ravel()[mom], self.num.ravel()[mom], self.s,
-            self.sigma_p, self.hbar)
+            self.sigma_p)
         return out
 
 
@@ -337,7 +336,7 @@ def _state(system, proto: PointerProtocol):
         gx, gy, amp = system.grid_x, system.grid_y, system.amplitudes
     else:
         raise ValidationError("system must be a 1-D or 2-D wave function")
-    cells = _Cells(gx, gy, proto.p_x_bin, proto.y_bins, proto.hbar)
+    cells = _Cells(gx, gy, proto.p_x_bin, proto.y_bins)
     den = momentum_fft(amp, gx)
     base = np.abs(den) ** 2 * cells.measure
     base /= base.sum()
@@ -352,7 +351,7 @@ def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
     site = A_site if isinstance(A_site, (int, np.integer)) \
         else gx.index_of(float(A_site))
     x_site = gx.points[site]
-    num = gx.dx * np.exp(-1j * cells.p_values[:, None] * x_site / proto.hbar) \
+    num = gx.dx * np.exp(-1j * cells.p_values[:, None] * x_site) \
         * amp[site, None, :]
     if proto.pointer_model == "qubit":
         a = proto.coupling / (gx.dx * proto.pointer_width)
@@ -397,15 +396,15 @@ def _sample_position_readout(rng, A, B, C, s, sigma):
     return out
 
 
-def _sample_momentum_readout(rng, rest, num, s, sigma_p, hbar):
-    """Exact draws from N(0, sigma_p^2)(p) |rest + num e^{-i p s/hbar}|^2 (normalized)."""
+def _sample_momentum_readout(rng, rest, num, s, sigma_p):
+    """Exact draws from N(0, sigma_p^2)(p) |rest + num e^{-i p s}|^2 (normalized)."""
     n = rest.size
     out = np.empty(n)
     todo = np.arange(n)
     bound = (np.abs(rest) + np.abs(num)) ** 2
     while todo.size:
         p = rng.normal(0.0, sigma_p, todo.size)
-        f = np.abs(rest[todo] + num[todo] * np.exp(-1j * p * s / hbar)) ** 2
+        f = np.abs(rest[todo] + num[todo] * np.exp(-1j * p * s)) ** 2
         accept = rng.random(todo.size) * bound[todo] <= f
         out[todo[accept]] = p[accept]
         todo = todo[~accept]

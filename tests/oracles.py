@@ -2,26 +2,39 @@
 
 Everything here is derived by hand from textbook formulas and implemented
 without touching the package's numerical paths, so tests compare two
-independent routes to the same quantity. The dense box Hamiltonian is the
-reference that the split-operator box revival is checked against, the
-mode-pair sum is the reference for the fig1 impulse flow, the generic
-weak value <b|A|psi> / <b|psi> is the reference for the momentum scan of
-`cwflab.weakmeas`, and the dense
-4 n_y x 4 n_y polarization algebra at the end is the reference for the
-factored density operators of `cwflab.polar`. The qubit-pointer readout
-rebuilds the polarization matrix the way an experiment would, through a
-coupled pointer, where `cwflab.polar` reads exact traces.
+independent routes to the same quantity. Units are hbar = m = 1, as in the
+package. `inner_product` is the grid inner product <a|b> with the cell
+measure. The dense box Hamiltonian is the reference that the
+split-operator box revival is checked against, the mode-pair sum is the
+reference for the fig1 impulse flow, the generic weak value
+<b|A|psi> / <b|psi> is the reference for the momentum scan of
+`cwflab.weakmeas`, and the dense 4 n_y x 4 n_y polarization algebra at the
+end is the reference for the factored density operators of `cwflab.polar`.
+The qubit-pointer readout rebuilds the polarization matrix the way an
+experiment would, through a coupled pointer, where `cwflab.polar` reads
+exact traces.
 """
 
 import numpy as np
 
 from cwflab import polar
-from cwflab.errors import PostSelectionError, ValidationError
-from cwflab.evolve import Hamiltonian
-from cwflab.qgrid import Grid1D, WaveFunction2D
+from cwflab.errors import GridMismatchError, PostSelectionError, ValidationError
+from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D
 
-HBAR = 1.0
 OVERLAP_FLOOR = 1e-12
+
+
+def inner_product(a, b) -> complex:
+    """<a|b> with the grid cell measure. Grids must match exactly."""
+    if isinstance(a, WaveFunction1D) and isinstance(b, WaveFunction1D):
+        if a.grid != b.grid:
+            raise GridMismatchError(f"{a.grid} vs {b.grid}")
+        return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid.dx)
+    if isinstance(a, WaveFunction2D) and isinstance(b, WaveFunction2D):
+        if a.grid_x != b.grid_x or a.grid_y != b.grid_y:
+            raise GridMismatchError("2-D grids differ")
+        return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid_x.dx * a.grid_y.dx)
+    raise ValidationError(f"cannot pair {type(a).__name__} with {type(b).__name__}")
 
 
 def gaussian_amplitude(x, center=0.0, sigma=1.0, k0=0.0):
@@ -34,44 +47,40 @@ def gaussian_overlap(d, sigma=1.0):
     return np.exp(-(d**2) / (8.0 * sigma**2))
 
 
-def free_gaussian(x, t, x0=0.0, sigma0=1.0, k0=0.0, m=1.0, hbar=HBAR):
+def free_gaussian(x, t, x0=0.0, sigma0=1.0, k0=0.0):
     """Exact free evolution of a Gaussian packet (normalized, analytic).
 
     psi(x,t) = (2 pi sigma0^2)^(-1/4) (1 + i tau)^(-1/2)
-               exp(-(x - x0 - v t)^2 / (4 sigma0^2 (1 + i tau)))
-               exp(i (k0 x - hbar k0^2 t / (2 m)))
-    with tau = hbar t / (2 m sigma0^2), v = hbar k0 / m.
+               exp(-(x - x0 - k0 t)^2 / (4 sigma0^2 (1 + i tau)))
+               exp(i (k0 x - k0^2 t / 2))
+    with tau = t / (2 sigma0^2).
     """
-    tau = hbar * t / (2.0 * m * sigma0**2)
-    v = hbar * k0 / m
-    xi = x - x0 - v * t
+    tau = t / (2.0 * sigma0**2)
+    xi = x - x0 - k0 * t
     env = (2.0 * np.pi * sigma0**2) ** -0.25 / np.sqrt(1.0 + 1j * tau)
     return env * np.exp(-(xi**2) / (4.0 * sigma0**2 * (1.0 + 1j * tau))
-                        + 1j * (k0 * x - hbar * k0**2 * t / (2.0 * m)))
+                        + 1j * (k0 * x - k0**2 * t / 2.0))
 
 
-def spreading_width(t, sigma0=1.0, m=1.0, hbar=HBAR):
-    """sigma(t) = sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2)."""
-    tau = hbar * t / (2.0 * m * sigma0**2)
+def spreading_width(t, sigma0=1.0):
+    """sigma(t) = sigma0 sqrt(1 + (t / (2 sigma0^2))^2)."""
+    tau = t / (2.0 * sigma0**2)
     return sigma0 * np.sqrt(1.0 + tau**2)
 
 
-def spreading_velocity(x, t, x0=0.0, sigma0=1.0, k0=0.0, m=1.0, hbar=HBAR):
-    """Guidance velocity of the free Gaussian: v0 + xi * hbar^2 t / (4 m^2 sigma0^4 + hbar^2 t^2)."""
-    v0 = hbar * k0 / m
-    xi = x - x0 - v0 * t
-    return v0 + xi * hbar**2 * t / (4.0 * m**2 * sigma0**4 + hbar**2 * t**2)
+def spreading_velocity(x, t, x0=0.0, sigma0=1.0, k0=0.0):
+    """Guidance velocity of the free Gaussian: k0 + xi t / (4 sigma0^4 + t^2)."""
+    xi = x - x0 - k0 * t
+    return k0 + xi * t / (4.0 * sigma0**4 + t**2)
 
 
-def gaussian_trajectory(t, start, x0=0.0, sigma0=1.0, k0=0.0, m=1.0, hbar=HBAR):
+def gaussian_trajectory(t, start, x0=0.0, sigma0=1.0, k0=0.0):
     """Exact Bohmian path of the free Gaussian: streamlines scale with sigma(t)."""
-    v0 = hbar * k0 / m
-    return x0 + v0 * t + (start - x0) * spreading_width(t, sigma0, m, hbar) / sigma0
+    return x0 + k0 * t + (start - x0) * spreading_width(t, sigma0) / sigma0
 
 
 def fourier_velocity_2d(wf: WaveFunction2D, X, Y):
-    """Guidance velocity (vx, vy), for unit masses and hbar, and density of
-    the band-limited 2-D Fourier series of wf, summed at the points."""
+    """Guidance velocity (vx, vy) and density of the band-limited 2-D Fourier series of wf, summed at the points."""
     gx, gy, amp = wf.grid_x, wf.grid_y, wf.amplitudes
     coef = np.fft.fft2(amp) / amp.size
     kx = 2.0 * np.pi * np.fft.fftfreq(gx.n_points, d=gx.dx)
@@ -84,11 +93,11 @@ def fourier_velocity_2d(wf: WaveFunction2D, X, Y):
     return (dpx / psi).imag, (dpy / psi).imag, np.abs(psi) ** 2
 
 
-def momentum_gaussian(p, sigma=1.0, center_x=0.0, hbar=HBAR):
-    """Unitary-convention transform of a centered real Gaussian: width hbar/(2 sigma)."""
-    sp = hbar / (2.0 * sigma)
+def momentum_gaussian(p, sigma=1.0, center_x=0.0):
+    """Unitary-convention transform of a centered real Gaussian: width 1/(2 sigma)."""
+    sp = 1.0 / (2.0 * sigma)
     return (2.0 * np.pi * sp**2) ** -0.25 * np.exp(-(p**2) / (4.0 * sp**2)
-                                                   - 1j * p * center_x / hbar)
+                                                   - 1j * p * center_x)
 
 
 def box_potential(grid: Grid1D, box_min: float, length: float, v0: float = 1e6) -> np.ndarray:
@@ -97,15 +106,15 @@ def box_potential(grid: Grid1D, box_min: float, length: float, v0: float = 1e6) 
     return np.where((x >= box_min) & (x <= box_min + length), 0.0, v0)
 
 
-def hamiltonian_matrix(ham: Hamiltonian, grid: Grid1D) -> np.ndarray:
-    """Dense Hermitian matrix of the 1-D grid Hamiltonian (spectral kinetic)."""
-    if ham.potential.shape != (grid.n_points,):
+def hamiltonian_matrix(potential: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Dense Hermitian matrix of p^2/2 + V on the 1-D grid (spectral kinetic)."""
+    if potential.shape != (grid.n_points,):
         raise ValidationError("potential does not match grid")
     n = grid.n_points
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    kin = ham.hbar**2 * k**2 / (2.0 * ham.masses[0])
+    kin = k**2 / 2.0
     m = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    m += np.diag(ham.potential)
+    m += np.diag(potential)
     return 0.5 * (m + m.conj().T)
 
 
@@ -259,6 +268,22 @@ def weak_value(a, psi, b) -> complex:
     if not np.isfinite(value):
         raise ValidationError("weak value must be finite")
     return value
+
+
+def window_weak_value(column, grid: Grid1D, n_cells: int) -> np.ndarray:
+    """Weak value of the projector density at every x, post-selected on the
+    n_cells momentum cells p = k dp, |k| <= n_cells // 2, around p = 0:
+
+        column(x) sum_p conj(d_p) exp(-i p x) / sum_p |d_p|^2,
+
+    with d_p = dx sum_x exp(-i p x) column(x) = <p|column> by dense sums,
+    dp = 2 pi / (n dx). One cell (p = 0) gives column(x) / <0|column>: the
+    column, which is the conditional wave function, times a constant."""
+    dp = 2.0 * np.pi / (grid.n_points * grid.dx)
+    half = n_cells // 2
+    bras = np.exp(-1j * np.outer(dp * np.arange(-half, half + 1), grid.points))
+    d = grid.dx * bras @ column
+    return column * (np.conj(d) @ bras) / np.sum(np.abs(d) ** 2)
 
 
 def product_2d(psi_x, phi_y):

@@ -11,13 +11,12 @@ import numpy as np
 
 from conftest import random_state_1d, random_state_2d
 from cwflab import bohm, polar, weakmeas
-from cwflab.bohm import BohmConfig
 from cwflab.labcli import selftest
 from cwflab.labcli.config import parse_config
 from cwflab.labcli.density import run_density_dm
 from cwflab.labcli.fig1 import run_fig1
 from cwflab.labcli.order import run_order_invariance
-from cwflab.qgrid import Grid1D
+from cwflab.qgrid import Grid1D, conditional_slice
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
 
 
@@ -60,7 +59,7 @@ def test_conditional_scan_identity():
     dev = 0.0
     for y in ys:
         scan = weakmeas.weak_value_entangled_scan(psi, 0.0, float(y))
-        slc = bohm.conditional_wavefunction(psi, BohmConfig(0.0, float(y)))
+        slc = conditional_slice(psi, float(y))
         dev = max(dev, _scan_deviation(scan, slc.amplitudes))
     elapsed = time.time() - t0
     ok = dev < 1e-9 and elapsed < 10.0
@@ -93,7 +92,7 @@ def test_monte_carlo_convergence():
     gx = Grid1D(-8.0, 8.0, 256)
     gy = Grid1D(-8.0, 8.0, 256)
     planes = beam_splitter(two_branch_state(gx, gy, 6.0, 0.5, 0.7), 2.5)
-    dp = gx.conjugate(1.0).dx
+    dp = gx.conjugate().dx
     edges = [gy.x_min, 0.0, gy.x_max]
     pairs = [(3.0, 1), (2.5, 1), (-3.0, 0), (-2.5, 0)]  # site, own branch bin
     kw = dict(pointer_width=0.5, p_x_bin=0.5 * dp, y_bins=edges)
@@ -226,7 +225,7 @@ def test_numerical_infrastructure():
         rho_y = psi2.density().sum(axis=0)
         for j in np.argsort(rho_y)[-6:]:
             y = float(g.points[j])
-            slc = bohm.conditional_wavefunction(psi2, BohmConfig(0.0, y))
+            slc = conditional_slice(psi2, y)
             v1, ok1 = bohm.VelocityField1D(slc).velocity(g.points)
             vx, _, ok2 = field2.velocity(g.points, np.full(g.n_points, y))
             both = ok1 & ok2

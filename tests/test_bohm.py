@@ -15,27 +15,17 @@ import oracles
 from oracles import product_2d
 from cwflab.bohm import (
     NODE_FLOOR,
-    BohmConfig,
     VelocityField1D,
     VelocityField2D,
-    conditional_wavefunction,
     equivariance_check,
     evolve_trajectories,
     marginal_bin_probs,
     sample_qeh,
 )
 from cwflab.errors import GridExitError, ValidationError
-from cwflab.evolve import Hamiltonian, free_potential, propagate
+from cwflab.evolve import free_potential, propagate
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, conditional_slice, normalize
 from cwflab.states import gaussian_1d, two_branch_state
-
-
-def free_ham_1d(grid):
-    return Hamiltonian((1.0,), free_potential(grid))
-
-
-def free_ham_2d(gx, gy):
-    return Hamiltonian((1.0, 1.0), free_potential(gx, gy))
 
 
 def two_packets(grid, centers, momenta):
@@ -50,24 +40,18 @@ def two_packets(grid, centers, momenta):
 class TestVelocity1D:
     def test_matches_spreading_oracle(self, grid256):
         psi0 = gaussian_1d(grid256, 0.0, 1.0)
-        psi_t = propagate(psi0, free_ham_1d(grid256), 0.5, 2)
+        psi_t = propagate(psi0, free_potential(grid256), 0.5, 2)
         field = VelocityField1D(psi_t)
         xs = np.linspace(-2.5, 2.5, 11) + 0.031  # off-grid on purpose
         want = oracles.spreading_velocity(xs, 1.0)
         assert np.max(np.abs(field.velocity(xs)[0] - want)) < 1e-8
 
     def test_phase_ramp_drift(self, grid256):
-        # at t = 0 a boosted packet moves rigidly at hbar k0 / m everywhere
+        # at t = 0 a boosted packet moves rigidly at k0 everywhere
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=3.0)
         field = VelocityField1D(psi)
         xs = np.array([-1.7, 0.0, 0.45, 2.2])
         assert np.max(np.abs(field.velocity(xs)[0] - 3.0)) < 1e-8
-
-    def test_mass_and_hbar_scaling(self, grid256):
-        psi = gaussian_1d(grid256, 0.0, 1.0, k0=2.0)
-        v, ok = VelocityField1D(psi, mass=4.0, hbar=0.5).velocity(
-            np.array([0.3]))
-        assert ok[0] and abs(v[0] - 0.5 * 2.0 / 4.0) < 1e-10
 
     def test_node_is_masked(self, grid256):
         x = grid256.points
@@ -152,7 +136,7 @@ class TestConditionalIdentity:
         # guidance for X from the 2-D wave equals guidance from the slice
         # at the actual Y, evaluated where both routes are grid-exact
         psi0 = two_branch_state(grid128, grid128, x_sep=3.0, sigma_x=0.5, sigma_y=0.7)
-        psi = propagate(psi0, free_ham_2d(grid128, grid128), 0.15, 2)
+        psi = propagate(psi0, free_potential(grid128, grid128), 0.15, 2)
         field = VelocityField2D(psi)
         rho = psi.density()
         cut = 1e-4 * rho.max()
@@ -160,18 +144,17 @@ class TestConditionalIdentity:
         idx = np.argwhere(rho > cut)
         for i, j in idx[rng.choice(idx.shape[0], size=12, replace=False)]:
             X, Y = grid128.points[i], grid128.points[j]
-            q = BohmConfig(X, Y)
-            chi = conditional_wavefunction(psi, q)
+            chi = conditional_slice(psi, Y)
             v_slice = VelocityField1D(chi).velocity(np.array([X]))[0][0]
             v_full = field.velocity(X, Y)[0][0]
             assert abs(v_slice - v_full) < 1e-8
 
     def test_conditional_wavefunction_is_slice(self, grid128):
+        # chi(x) = Psi(x, Y) is the x-row at the grid point nearest Y
         psi = two_branch_state(grid128, grid128, x_sep=3.0, sigma_x=0.5, sigma_y=0.7)
-        q = BohmConfig(0.4, 0.2)
-        a = conditional_wavefunction(psi, q).amplitudes
-        b = conditional_slice(psi, 0.2).amplitudes
-        assert np.array_equal(a, b)
+        j = int(np.argmin(np.abs(grid128.points - 0.2)))
+        a = conditional_slice(psi, 0.2).amplitudes
+        assert np.array_equal(a, psi.amplitudes[:, j])
 
 
 class TestTrajectories2D:
@@ -179,7 +162,7 @@ class TestTrajectories2D:
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),
                         gaussian_1d(grid128, 0.0, 1.3))
         starts = np.array([[0.5, -0.9], [-1.0, 0.4], [1.3, 1.1]])
-        res = evolve_trajectories(wf, free_ham_2d(grid128, grid128), 0.02, 25, starts)
+        res = evolve_trajectories(wf, free_potential(grid128, grid128), 0.02, 25, starts)
         assert res.n_failed == 0
         want_x = oracles.gaussian_trajectory(0.5, starts[:, 0])
         want_y = oracles.gaussian_trajectory(0.5, starts[:, 1], sigma0=1.3)
@@ -197,7 +180,7 @@ class TestTrajectories2D:
         gy = Grid1D(-4.0, 4.0, 32)
         wf = product_2d(psi_x, gaussian_1d(gy, 0.0, 1.0))
         starts = np.array([[7.05, 0.0], [2.0, 0.0]])
-        res = evolve_trajectories(wf, free_ham_2d(grid128, gy), 0.1, 3, starts)
+        res = evolve_trajectories(wf, free_potential(grid128, gy), 0.1, 3, starts)
         assert res.failed.tolist() == [True, False]
         assert res.n_failed == 1
         assert np.all(res.xs[0] == 7.05) and np.all(res.ys[0] == 0.0)
@@ -207,7 +190,7 @@ class TestTrajectories2D:
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),
                         gaussian_1d(grid128, 0.0, 1.0))
         with pytest.raises(ValidationError):
-            evolve_trajectories(wf, free_ham_2d(grid128, grid128), 0.02, 1,
+            evolve_trajectories(wf, free_potential(grid128, grid128), 0.02, 1,
                                 np.array([0.2, 0.3]))
 
 
@@ -248,7 +231,7 @@ class TestEquivariance:
     def test_free_product_stays_equilibrated(self, grid128):
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0, k0=0.6),
                         gaussian_1d(grid128, 0.0, 1.3, k0=-0.4))
-        report = equivariance_check(wf, free_ham_2d(grid128, grid128),
+        report = equivariance_check(wf, free_potential(grid128, grid128),
                                     dt=0.02, steps=25, n=3000, seed=11)
         assert report["n_failed"] == 0
         assert report["p_value"] > 1e-4
@@ -260,7 +243,7 @@ class TestEquivariance:
         # the moving nodes of their fringes
         wf = two_packets(grid128, [(1.5, 0.5), (-1.5, -0.5)],
                          [(-3.0, 0.0), (3.0, 0.0)])
-        report = equivariance_check(wf, free_ham_2d(grid128, grid128),
+        report = equivariance_check(wf, free_potential(grid128, grid128),
                                     dt=1e-2, steps=50, n=2000, seed=0)
         assert report["n_failed"] == 0
         assert report["p_value"] > 1e-3

@@ -581,7 +581,7 @@ def _protocol(cfg, gx, gy, **kw):
     return PointerProtocol(
         coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
         pointer_width=pr["pointer_width"],
-        p_x_bin=pr["p_x_window_dp"] * gx.conjugate(1.0).dx,
+        p_x_bin=pr["p_x_window_dp"] * gx.conjugate().dx,
         y_bins=[gy.x_min, 0.0, gy.x_max], **kw)
 
 
@@ -809,6 +809,10 @@ class TestCli:
         ("fig1", {}, ["--trials", "0"]),
         ("planes", {}, ["--trials", "0"]),
         ("order", {}, ["--trials", "0"]),
+        # positions off the grid: these used to name no key
+        ("order", {"protocol": {"sites": [99.0]}}, []),
+        ("density", {"state": {"shift": 100.0}}, []),
+        ("density", {"state": {"shift": 3.01}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):
@@ -823,10 +827,26 @@ class TestCli:
         assert "Traceback" not in err
         assert not out_dir.exists()
         # the message names each refused state key and a refused --trials
+        # (test_off_grid_position_names_key_and_grid checks the sites row)
         named = [f"config.state.{key}" for key in config.get("state", {})]
         if "--trials" in flags:
             named.append("config.n_trials must be an integer >= 1")
         assert all(key in err for key in named)
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("order", {"protocol": {"sites": [3.0, 99.0]}},
+         "config.protocol.sites: x = 99 outside the x grid [-8, 8)"),
+        ("density", {"state": {"shift": 100.0}},
+         "config.state.shift: Y = +-100 outside the y grid [-8, 8)"),
+    ])
+    def test_off_grid_position_names_key_and_grid(self, tmp_path, capsys,
+                                                  command, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = cli.main([command, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_import_leaves_out_scipy_stats(self):
         """Importing the command line must load no scipy module at all:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state_1d, random_state_2d
-from oracles import product_2d, weak_value
+from oracles import product_2d, weak_value, window_weak_value
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
@@ -132,15 +132,10 @@ class TestMomentumScan:
             total = np.sum(weak_value_scan(psi, p)) * grid256.dx
             assert abs(total - 1.0) < 1e-9
 
-    def test_completeness_with_hbar(self, grid256):
-        psi = gaussian_1d(grid256, 0.3, 1.0, k0=0.5)
-        total = np.sum(weak_value_scan(psi, 0.7, hbar=0.7)) * grid256.dx
-        assert abs(total - 1.0) < 1e-9
-
     def test_momentum_amplitude_matches_transform(self, grid256):
         psi = gaussian_1d(grid256, 0.4, 1.0, k0=-0.6)
         tilde = to_momentum(psi)
-        pgrid = grid256.conjugate(1.0)
+        pgrid = grid256.conjugate()
         k = grid256.index_of(0.4)
         for i in (100, 128, 150):
             p = pgrid.points[i]
@@ -521,6 +516,154 @@ class TestBiasStudy:
         b1 = self.relative_bias(Psi, sites, [scan_m, scan_p], 0.02, edges)
         b2 = self.relative_bias(Psi, sites, [scan_m, scan_p], 0.04, edges)
         assert 1.5 <= b2 / b1 <= 2.5
+
+
+def entangled_gaussians(seed):
+    """(Psi, j): a random entangled state and a Y cell j drawn from its y
+    marginal. Psi sums three Gaussians with random centres, widths, momenta
+    and weights, times an x*y phase, on a square grid of 32 or 64 points
+    per axis. The grid spans a random length, so dx is not a power of two."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(6.0, 9.0)
+    grid = Grid1D(-half, half, int(rng.choice([32, 64])))
+    x, y = grid.points[:, None], grid.points[None, :]
+    amp = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    for _ in range(3):
+        (cx, cy), (sx, sy), (kx, ky) = (rng.uniform(-2.0, 2.0, 2),
+                                        rng.uniform(0.7, 1.4, 2),
+                                        rng.uniform(-0.5, 0.5, 2))
+        amp += (rng.normal() + 1j * rng.normal()) * np.exp(
+            -(x - cx) ** 2 / (4.0 * sx**2) - (y - cy) ** 2 / (4.0 * sy**2)
+            + 1j * (kx * x + ky * y))
+    amp *= np.exp(1j * rng.uniform(-0.2, 0.2) * x * y)
+    psi = normalize(WaveFunction2D(grid, grid, amp))
+    rho_y = psi.density().sum(axis=0)
+    j = int(np.searchsorted(np.cumsum(rho_y) / rho_y.sum(),
+                            rng.uniform(0.05, 0.95)))
+    return psi, j
+
+
+class TestConditionalReadout:
+    """The paper's first claim on random entangled states, through the
+    operational path: pointer coupling at one x cell, a momentum window
+    around p = 0, a Y bin, then protocol_expectation. With a one-cell Y bin
+    and a window holding only p = 0 the readout tends to c Psi(., Y), the
+    conditional wave function; with a three-cell window, to the window's
+    weak value (oracles.window_weak_value). The bias is even in the
+    coupling, so it falls fourfold when g halves."""
+
+    @staticmethod
+    def protocol(psi, g, model="qubit", width=1.0, n_win=1, j=None):
+        """One-cell Y bin at j (None: one bin over all of Y) and a window
+        of n_win momentum cells."""
+        gx, gy = psi.grid_x, psi.grid_y
+        dp = 2.0 * np.pi / (gx.n_points * gx.dx)
+        edges = 1 if j is None else [gy.points[j] - 0.5 * gy.dx,
+                                     gy.points[j] + 0.5 * gy.dx]
+        return PointerProtocol(coupling=g, n_trials=1, pointer_width=width,
+                               p_x_bin=0.5 * n_win * dp, y_bins=edges,
+                               pointer_model=model)
+
+    @staticmethod
+    def readout(psi, sites, proto):
+        """The first Y bin's exact estimate re + i im at each site."""
+        return np.array([complex(*(v[0] for v in
+                                   protocol_expectation(psi, int(s), proto)))
+                         for s in sites])
+
+    @staticmethod
+    def sites(column):
+        return np.flatnonzero(np.abs(column) > 0.2 * np.abs(column).max())
+
+    @staticmethod
+    def epsilon(psi, g, model, width):
+        """The pointer's small parameter: the qubit angle g / (dx width),
+        or the gaussian shift times momentum spread, g / (2 dx width)."""
+        a = g / (psi.grid_x.dx * width)
+        return a if model == "qubit" else 0.5 * a
+
+    @staticmethod
+    def deviation(got, want):
+        return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["qubit", "gaussian"]),
+           width=st.sampled_from([0.5, 1.0]), n_win=st.sampled_from([1, 3]))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_bias_is_second_order(self, seed, model, width, n_win):
+        psi, j = entangled_gaussians(seed)
+        column = psi.amplitudes[:, j]
+        sites = self.sites(column)
+        want = window_weak_value(column, psi.grid_x, n_win)[sites]
+        dev = [self.deviation(self.readout(
+            psi, sites, self.protocol(psi, g, model, width, n_win, j)), want)
+            for g in (0.02, 0.01)]
+        assert 3.5 <= dev[0] / dev[1] <= 4.5
+        assert dev[0] < self.epsilon(psi, 0.02, model, width) ** 2
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["qubit", "gaussian"]),
+           theta=st.floats(0.1, 6.2))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_global_phase_leaves_readout(self, seed, model, theta):
+        psi, j = entangled_gaussians(seed)
+        sites = self.sites(psi.amplitudes[:, j])
+        turned = WaveFunction2D(psi.grid_x, psi.grid_y,
+                                np.exp(1j * theta) * psi.amplitudes)
+        proto = self.protocol(psi, 0.02, model, n_win=3, j=j)
+        got = self.readout(turned, sites, proto)
+        want = self.readout(psi, sites, proto)
+        assert self.deviation(got, want) < 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["qubit", "gaussian"]),
+           shift=st.sampled_from([-3, -1, 2, 5]))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_whole_cell_shift_shifts_readout(self, seed, model, shift):
+        # the momentum phases of the coupled cell must follow the shift,
+        # so the window holds p = +-dp as well as p = 0
+        psi, j = entangled_gaussians(seed)
+        sites = self.sites(psi.amplitudes[:, j])
+        moved = WaveFunction2D(psi.grid_x, psi.grid_y,
+                               np.roll(psi.amplitudes, shift, axis=0))
+        proto = self.protocol(psi, 0.02, model, n_win=3, j=j)
+        got = self.readout(moved, (sites + shift) % psi.grid_x.n_points,
+                           proto)
+        want = self.readout(psi, sites, proto)
+        assert self.deviation(got, want) < 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["qubit", "gaussian"]))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_conjugation_conjugates_readout(self, seed, model):
+        psi, j = entangled_gaussians(seed)
+        sites = self.sites(psi.amplitudes[:, j])
+        mirrored = WaveFunction2D(psi.grid_x, psi.grid_y,
+                                  np.conj(psi.amplitudes))
+        proto = self.protocol(psi, 0.02, model, j=j)
+        got = self.readout(mirrored, sites, proto)
+        want = np.conj(self.readout(psi, sites, proto))
+        assert self.deviation(got, want) < 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["qubit", "gaussian"]))
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    def test_wide_y_bin_reads_no_conditional_wave(self, seed, model):
+        """Pooling every Y cell mixes conditional wave functions that
+        differ: the readout stays far from c Psi(., Y) for every Y however
+        weak the coupling, the paper's condition of a suitable
+        post-selection."""
+        psi, _ = entangled_gaussians(seed)
+        rho_x = psi.density().sum(axis=1)
+        rho_y = psi.density().sum(axis=0)
+        sites = np.flatnonzero(rho_x > 0.04 * rho_x.max())
+        wants = [window_weak_value(psi.amplitudes[:, j], psi.grid_x, 1)[sites]
+                 for j in np.flatnonzero(rho_y > 0.05 * rho_y.max())]
+        got = [self.readout(psi, sites, self.protocol(psi, g, model))
+               for g in (0.02, 0.005)]
+        dev = [min(self.deviation(r, want) for want in wants) for r in got]
+        assert dev[1] > 0.9 * dev[0]
+        assert dev[1] > 10.0 * self.epsilon(psi, 0.005, model, 1.0) ** 2
 
 
 class TestExports:
