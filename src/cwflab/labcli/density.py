@@ -10,7 +10,7 @@ reduced matrix untouched or collapses it to a single branch projector.
 import numpy as np
 
 from .. import polar
-from ..errors import ValidationError
+from ..errors import OffGridError, ValidationError
 from ..qgrid import Grid1D
 from .config import ScenarioConfig
 from .reports import check_record
@@ -41,6 +41,14 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
     four_phase = bool(pr["four_phase"])
     resample_n = pr["resample_n"]
 
+    dy = spec.pos2.dx
+    try:
+        polar._pos_index(spec.pos2, 0.0)   # so are +-shift, if whole cells
+    except OffGridError:
+        raise ValidationError(
+            f"config.grid: Y = 0 is not a y grid point (y_min = "
+            f"{spec.pos2.x_min:g}, dy = {dy:g})") from None
+
     rho = polar.make_state_psi1(spec, width)
     if bs:
         # the splitter moves the branches to Y = +-shift, where they are read
@@ -51,7 +59,8 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         try:
             rho = polar.apply_beam_splitter(rho, shift)
         except ValidationError as e:
-            raise ValidationError(f"config.state.shift: {e}") from None
+            raise ValidationError(
+                f"config.state.shift: {e} (dy = {dy:g})") from None
 
     rdm = polar.reduced_dm(rho)
     half_identity = np.eye(2) / 2.0

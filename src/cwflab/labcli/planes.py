@@ -43,7 +43,7 @@ ORDERINGS = {
 def detection_state(cfg: ScenarioConfig):
     """Joint state seen by the Y detector, plus geometry and the tag.
 
-    Returns (psi_pre, psi_det, psi1, psi2, collapsed, gx, gy).
+    Returns (psi_det, psi1, psi2, collapsed, gx, gy).
     """
     g, st, pr = cfg.grid, cfg.state, cfg.protocol
     gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
@@ -62,7 +62,7 @@ def detection_state(cfg: ScenarioConfig):
 
     collapsed = bool(pr["bs_inserted"] and pr["plane"] in ("B", "C"))
     psi_det = beam_splitter(psi_pre, st["bs_shift"]) if collapsed else psi_pre
-    return psi_pre, psi_det, psi1, psi2, collapsed, gx, gy
+    return psi_det, psi1, psi2, collapsed, gx, gy
 
 
 def select_sites(psi_det, floor: float) -> np.ndarray:
@@ -77,8 +77,8 @@ def replay_records(system, site_index: int, proto: PointerProtocol,
     of the first chunk of one site's protocol run.
 
     The rows come from the engine's own chunk draw, so they are exactly
-    the trials run_pointer_protocol consumed; every trial's cell is the
-    search of the whole CDF for the chunk's first uniforms.
+    the trials scan_pointer_protocol consumed at that site; every trial's
+    cell is the search of the whole CDF for the chunk's first uniforms.
     """
     tab = weakmeas._site_tables(weakmeas._state(system, proto), site_index,
                                 proto)
@@ -105,7 +105,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
     """Scan reconstruction per Y bin, checked against the packet targets
     and against conditional slices at sampled configuration points."""
     st, pr = cfg.state, cfg.protocol
-    psi_pre, psi_det, psi1, psi2, collapsed, gx, gy = detection_state(cfg)
+    psi_det, psi1, psi2, collapsed, gx, gy = detection_state(cfg)
     tag = "collapsed" if collapsed else "uncollapsed"
 
     if collapsed:
@@ -134,10 +134,12 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
             f"{pr['site_density_floor']:g} selects no site: no x cell's "
             "marginal density exceeds floor * max (the floor must be below 1)")
     x_sites = gx.points[sites]
-    results = scan_pointer_protocol(psi_det, sites, proto)
+    scan = scan_pointer_protocol(psi_det, sites, proto)
     n_bins = len(y_edges) - 1
-    exact = np.array([[complex(re, im) for re, im in r.expectation]
-                      for r in results])
+    # a view, not re + 1j * im, which turns a -0.0 real part into +0.0
+    exact = scan.expectation.view(complex)[..., 0]
+    est_all = scan.estimate[..., 0] + 1j * scan.estimate[..., 1]
+    var_all = scan.se[..., 0] ** 2 + scan.se[..., 1] ** 2
 
     draws = bohm.sample_qeh(psi_det, pr["cwf_samples"], cfg.seed)
 
@@ -147,11 +149,9 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
     empty_bins = []
     checks = []
     for b in range(n_bins):
-        est = np.array([r.bins[b].re + 1j * r.bins[b].im for r in results])
-        var = np.array([r.bins[b].se_re ** 2 + r.bins[b].se_im ** 2
-                        for r in results])
-        filled = ~np.array([r.bins[b].empty for r in results])
-        n_acc = int(sum(r.bins[b].n_accepted for r in results))
+        est, var = est_all[:, b], var_all[:, b]
+        filled = ~scan.empty[:, b]
+        n_acc = int(scan.counts[:, b].sum())
         tvals = targets[b].amplitudes[sites]
         w_exact = exact[:, b]
 
@@ -224,8 +224,8 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
                   "x_max": float(x_sites.max()),
                   "record_site_index": record_site},
         "acceptance": {
-            "expected": float(results[0].acceptance_expected),
-            "mean_rate": float(np.mean([r.acceptance_rate for r in results]))},
+            "expected": float(scan.acceptance_expected),
+            "mean_rate": float(np.mean(scan.acceptance_rate))},
         "bins": bins_report,
         "empty_bins": empty_bins,
         "checks": checks,

@@ -69,9 +69,9 @@ searchsorted(cdf, u, side="right"), is s plus the search of cdf[s:e]. The
 cell weights span the grid; the readout tables hold the window rows only.
 
 The state's momentum transform and expected acceptance are computed once
-per state, the tables once per site. run_pointer_protocol also returns the
-exact expectation of its tables (ProtocolResult.expectation, the same
-numbers as protocol_expectation).
+per state, the tables once per site. scan_pointer_protocol is the one
+runner: it returns per-(site, Y bin) arrays (ScanResult) of the estimates,
+their standard errors and counts, and the exact expectation of the tables.
 """
 
 from dataclasses import dataclass
@@ -156,33 +156,21 @@ class PointerProtocol:
 
 
 @dataclass(frozen=True)
-class BinEstimate:
-    y_lo: float
-    y_hi: float
-    re: float
-    im: float
-    se_re: float
-    se_im: float
-    n_accepted: int
-    n_re: int
-    n_im: int
-    empty: bool
+class ScanResult:
+    """Per-(site, Y bin) arrays of a scan. estimate, se and expectation have
+    shape (n_sites, n_bins, 2) with (re, im) on the last axis; expectation
+    is the estimates' infinite-trial limit, NaN where a bin has no accepted
+    mass. counts holds the trials (n_re, n_im) of each bin; a bin is empty,
+    with NaN estimate and se, when either basis has no trial."""
 
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    site_index: int
-    x_site: float
-    pointer_model: str
-    coupling: float
-    weakness_ratio: float
-    window: float
-    n_trials: int
-    acceptance_rate: float
+    sites: np.ndarray              # resolved grid indexes
+    acceptance_rate: np.ndarray    # per site, inside the momentum window
     acceptance_expected: float
-    y_edges: np.ndarray
-    bins: tuple
-    expectation: np.ndarray   # (n_bins, 2) exact (re, im) limits of bins
+    estimate: np.ndarray
+    se: np.ndarray
+    expectation: np.ndarray
+    counts: np.ndarray
+    empty: np.ndarray              # (n_sites, n_bins)
 
 
 class _Cells:
@@ -228,7 +216,7 @@ class _CouplingTables:
     readings `means` on the window rows. Each model adds `gains`, which turn
     pooled readings into weak-value estimates, and readout(rng, cells,
     basis, u_read), which draws readings in window cells (flat indexes into
-    the window rows). Tables from _site_tables also carry site and x_site.
+    the window rows). Tables from _site_tables also carry the site index.
     """
 
     def __init__(self, cells: _Cells, nu):
@@ -359,7 +347,7 @@ def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
                            np.sin(a) * num, a)
     else:
         tab = _GaussianTables(cells, den, num, proto)
-    tab.site, tab.x_site = site, x_site
+    tab.site = site
     return tab
 
 
@@ -490,67 +478,33 @@ def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
     return n_window, stats
 
 
-def _run_site(state, A_site, proto: PointerProtocol) -> ProtocolResult:
-    """run_pointer_protocol on the state that _state prepared."""
-    tab = _site_tables(state, A_site, proto)
-    c = tab.cells
-    n_window, stats = _tally(tab, proto.n_trials, proto.seed, tab.site)
-    if isinstance(tab, _QubitTables):
-        count = stats.sum(axis=2)
-        stats = (count, stats[..., 1] - stats[..., 0], count)
-    count, total, total_sq = stats
-
-    bins_out = []
-    for b in range(c.n_bins):
-        n = count[b]
-        empty = not n.all()
-        if empty:
-            est = se = (float("nan"), float("nan"))
-        else:
-            mean = total[b] / n
-            var = np.maximum(total_sq[b] / n - mean * mean, 0.0)
-            est = mean / tab.gains
-            se = np.sqrt(var / n) / tab.gains
-        bins_out.append(BinEstimate(
-            float(c.y_edges[b]), float(c.y_edges[b + 1]),
-            float(est[0]), float(est[1]), float(se[0]), float(se[1]),
-            int(n.sum()), int(n[0]), int(n[1]), empty))
-
-    return ProtocolResult(
-        site_index=tab.site, x_site=float(tab.x_site),
-        pointer_model=proto.pointer_model, coupling=proto.coupling,
-        weakness_ratio=proto.weakness_ratio(c.gx), window=float(c.window),
-        n_trials=proto.n_trials,
-        acceptance_rate=n_window / proto.n_trials,
-        acceptance_expected=state[3],
-        y_edges=None if c.gy is None else c.y_edges,
-        bins=tuple(bins_out), expectation=tab.expectation())
-
-
-def run_pointer_protocol(system, A_site, proto: PointerProtocol) -> ProtocolResult:
-    """Monte-Carlo pointer protocol at one coupled site.
+def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
+    """Monte-Carlo pointer protocol at each site (grid index or position).
 
     Per trial: sample the exact joint (momentum cell, Y cell) distribution of
     the coupled state, accept iff |p_x| < window, assign the trial to one of
     the two readout bases, sample the readout, and pool per Y bin. Empty bins
-    are flagged, not errors.
+    are flagged, not errors. The per-state work is done once; each site's
+    stream is keyed (seed, site, chunk).
     """
-    return _run_site(_state(system, proto), A_site, proto)
-
-
-def protocol_expectation(system, A_site, proto: PointerProtocol):
-    """Infinite-trial limit of the protocol estimators, computed exactly.
-
-    Returns (re, im) arrays over Y bins (shape (n_bins,)); bins with zero
-    acceptance probability hold NaN. run_pointer_protocol returns the same
-    numbers as ProtocolResult.expectation.
-    """
-    return tuple(_site_tables(_state(system, proto), A_site,
-                              proto).expectation().T)
-
-
-def scan_pointer_protocol(system, sites, proto: PointerProtocol):
-    """run_pointer_protocol at each site, with the per-state work done once;
-    per-site RNG keyed (seed, site, chunk)."""
     state = _state(system, proto)
-    return [_run_site(state, int(s), proto) for s in sites]
+    rows = []
+    for s in sites:
+        tab = _site_tables(state, s, proto)
+        n_window, stats = _tally(tab, proto.n_trials, proto.seed, tab.site)
+        if isinstance(tab, _QubitTables):
+            count = stats.sum(axis=2)
+            stats = (count, stats[..., 1] - stats[..., 0], count)
+        rows.append((tab.site, n_window, *stats, tab.expectation()))
+        gains = tab.gains
+        del tab   # one site's tables in memory at a time
+    index, n_window, n, total, total_sq, exact = map(np.array, zip(*rows))
+    empty = ~n.all(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = total / n
+        var = np.maximum(total_sq / n - mean * mean, 0.0)
+        est = mean / gains
+        se = np.sqrt(var / n) / gains
+    est[empty] = se[empty] = np.nan
+    return ScanResult(index, n_window / proto.n_trials, state[3], est, se,
+                      exact, n.astype(np.int64), empty)

@@ -79,13 +79,11 @@ def test_monte_carlo_convergence():
     # pure state: sampled readout against the analytic weak value
     proto = weakmeas.PointerProtocol(coupling=0.02, n_trials=1_000_000,
                                      seed=5, pointer_width=1.0)
-    z_pure = 0.0
-    for x in sites:
-        b = weakmeas.run_pointer_protocol(pure, grid.index_of(x),
-                                          proto).bins[0]
-        w = complex(wv[grid.index_of(x)])
-        z_pure = max(z_pure, abs(b.re - w.real) / b.se_re,
-                     abs(b.im - w.imag) / b.se_im)
+    res = weakmeas.scan_pointer_protocol(pure, sites, proto)
+    w = wv[res.sites]
+    z_pure = float(np.max(np.abs(
+        res.estimate[:, 0] - np.column_stack([w.real, w.imag]))
+        / res.se[:, 0]))
 
     # entangled planes state: per-bin readout against the vanishing-coupling
     # expectation, which is the bin-pooled weak value computed exactly
@@ -96,17 +94,15 @@ def test_monte_carlo_convergence():
     edges = [gy.x_min, 0.0, gy.x_max]
     pairs = [(3.0, 1), (2.5, 1), (-3.0, 0), (-2.5, 0)]  # site, own branch bin
     kw = dict(pointer_width=0.5, p_x_bin=0.5 * dp, y_bins=edges)
-    z_planes = 0.0
-    for x, bin_i in pairs:
-        site = gx.index_of(x)
-        re0, im0 = weakmeas.protocol_expectation(
-            planes, site, weakmeas.PointerProtocol(coupling=1e-6,
-                                                   n_trials=1, **kw))
-        b = weakmeas.run_pointer_protocol(
-            planes, site, weakmeas.PointerProtocol(
-                coupling=0.02, n_trials=1_000_000, seed=2, **kw)).bins[bin_i]
-        z_planes = max(z_planes, abs(b.re - re0[bin_i]) / b.se_re,
-                       abs(b.im - im0[bin_i]) / b.se_im)
+    xs, own = zip(*pairs)
+    exact = weakmeas.scan_pointer_protocol(
+        planes, xs, weakmeas.PointerProtocol(coupling=1e-6, n_trials=1,
+                                             **kw)).expectation
+    res = weakmeas.scan_pointer_protocol(
+        planes, xs, weakmeas.PointerProtocol(coupling=0.02,
+                                             n_trials=1_000_000, seed=2, **kw))
+    k = np.arange(len(pairs)), list(own)
+    z_planes = float(np.max(np.abs(res.estimate[k] - exact[k]) / res.se[k]))
 
     # bias growth across one coupling doubling, on the exact expectation
     # path (Monte-Carlo noise at feasible N would bury a 1e-2 shift); the
@@ -115,10 +111,9 @@ def test_monte_carlo_convergence():
         p = weakmeas.PointerProtocol(coupling=g, n_trials=1,
                                      pointer_model="gaussian",
                                      pointer_width=1.0)
-        return max(abs(complex(*[a[0] for a in
-                                 weakmeas.protocol_expectation(
-                                     pure, grid.index_of(x), p)])
-                       - complex(wv[grid.index_of(x)])) for x in sites)
+        res = weakmeas.scan_pointer_protocol(pure, sites, p)
+        return float(np.max(np.abs(res.expectation.view(complex)[:, 0, 0]
+                                   - wv[res.sites])))
 
     ratio = bias(0.08) / bias(0.04)
 

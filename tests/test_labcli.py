@@ -29,7 +29,7 @@ from cwflab.weakmeas import (
     GAUSSIAN_MOMENTUM_GAIN,
     GAUSSIAN_POSITION_GAIN,
     PointerProtocol,
-    run_pointer_protocol,
+    scan_pointer_protocol,
 )
 from cwflab.labcli import cli
 from cwflab.labcli.config import (
@@ -600,7 +600,7 @@ class TestSharedStream:
         cfg = parse_config({"scenario": "photon_planes", "n_trials": n_trials,
                             "protocol": {"bs_inserted": True, "plane": "B",
                                          "pointer_model": model}})
-        _, psi_det, _, _, collapsed, gx, gy = detection_state(cfg)
+        psi_det, _, _, collapsed, gx, gy = detection_state(cfg)
         assert collapsed
         proto = _protocol(cfg, gx, gy, pointer_model=model)
         if model == "qubit":
@@ -611,13 +611,14 @@ class TestSharedStream:
                      GAUSSIAN_MOMENTUM_GAIN * sigma_p**2 * proto.coupling]
         site = gx.index_of(3.0)
         rows = _rows(replay_records(psi_det, site, proto, n_trials))
-        result = run_pointer_protocol(psi_det, site, proto)
+        result = scan_pointer_protocol(psi_det, [site], proto)
         assert len(rows) == n_trials
-        for b, est in enumerate(result.bins):
+        for b, (counts, est) in enumerate(zip(result.counts[0],
+                                              result.estimate[0])):
             in_bin = [r for r in rows if r["accepted"] and r["y_bin"] == b]
-            assert len(in_bin) == est.n_accepted
-            for basis, n, value, gain in (("re", est.n_re, est.re, gains[0]),
-                                          ("im", est.n_im, est.im, gains[1])):
+            assert len(in_bin) == counts.sum()
+            for basis, n, value, gain in zip(("re", "im"), counts, est,
+                                             gains):
                 got = np.array([r["outcome"] for r in in_bin
                                 if r["basis"] == basis])
                 assert got.size == n > 0
@@ -630,7 +631,7 @@ class TestSharedStream:
         cfg = parse_config({"scenario": "photon_planes", "n_trials": 20_000,
                             "protocol": {"bs_inserted": True, "plane": "B",
                                          "pointer_model": "gaussian"}})
-        _, psi_det, _, _, _, gx, gy = detection_state(cfg)
+        psi_det, _, _, _, gx, gy = detection_state(cfg)
         proto = _protocol(cfg, gx, gy, pointer_model="gaussian")
         site = gx.index_of(3.0)
         full = _rows(replay_records(psi_det, site, proto, cfg.n_trials))
@@ -651,17 +652,16 @@ class TestSharedStream:
         proto = _protocol(cfg, gx, gy)
         gain = _qubit_gain(proto, gx)
         rows = run_order_invariance(cfg)["report"]["mc_comparison"]["rows"]
-        results = {}
+        sites = list(dict.fromkeys(row["x_site"] for row in rows))
+        result = scan_pointer_protocol(psi, sites, proto)
         for row in rows:
-            site = gx.index_of(row["x_site"])
-            if site not in results:
-                results[site] = run_pointer_protocol(psi, site, proto)
-            est = results[site].bins[row["bin"]]
+            k, b = sites.index(row["x_site"]), row["bin"]
+            (n_re, n_im), (re, im) = result.counts[k, b], result.estimate[k, b]
             # counts per [basis][outcome]; outcome 1 reads +1
             a0, a1, l0, l1 = row["counts_bs_first"]
-            assert (est.n_re, est.n_im) == (a0 + a1, l0 + l1)
-            assert round(est.re * gain * est.n_re) == a1 - a0
-            assert round(est.im * gain * est.n_im) == l1 - l0
+            assert (n_re, n_im) == (a0 + a1, l0 + l1)
+            assert round(re * gain * n_re) == a1 - a0
+            assert round(im * gain * n_im) == l1 - l0
 
 
 def _field_paths(tree, path=()):
@@ -813,6 +813,11 @@ class TestCli:
         ("order", {"protocol": {"sites": [99.0]}}, []),
         ("density", {"state": {"shift": 100.0}}, []),
         ("density", {"state": {"shift": 3.01}}, []),
+        # Y = 0 between y grid points: the y spacing is at fault, not the
+        # shift; these used to name no key, or config.state.shift
+        ("density", {"grid": {"y_min": -7.9},
+                     "protocol": {"bs_inserted": False}}, []),
+        ("density", {"grid": {"y_min": -7.9}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):
@@ -826,9 +831,12 @@ class TestCli:
         assert err.startswith("error: config")
         assert "Traceback" not in err
         assert not out_dir.exists()
-        # the message names each refused state key and a refused --trials
-        # (test_off_grid_position_names_key_and_grid checks the sites row)
+        # the message names each refused state key, a refused grid and a
+        # refused --trials (test_off_grid_position_names_key_and_grid
+        # checks the sites row)
         named = [f"config.state.{key}" for key in config.get("state", {})]
+        if "grid" in config:
+            named.append("config.grid")
         if "--trials" in flags:
             named.append("config.n_trials must be an integer >= 1")
         assert all(key in err for key in named)
@@ -838,6 +846,12 @@ class TestCli:
          "config.protocol.sites: x = 99 outside the x grid [-8, 8)"),
         ("density", {"state": {"shift": 100.0}},
          "config.state.shift: Y = +-100 outside the y grid [-8, 8)"),
+        ("density", {"state": {"shift": 3.01}},
+         "config.state.shift: shift must be an integer number of pos2 "
+         "cells (dy = 0.25)"),
+        ("density", {"grid": {"y_min": -7.9}},
+         "config.grid: Y = 0 is not a y grid point (y_min = -7.9, "
+         "dy = 0.248438)"),
     ])
     def test_off_grid_position_names_key_and_grid(self, tmp_path, capsys,
                                                   command, config, message):

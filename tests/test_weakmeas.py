@@ -1,8 +1,10 @@
 """Weak values, momentum-post-selected scans and the pointer protocol.
 
-The pointer Monte Carlo is checked against protocol_expectation (the exact
-infinite-trial limit of the same estimator) and against the closed-form
-weak values; the two pointer models are cross-checked in the weak limit.
+The pointer Monte Carlo runs through scan_pointer_protocol, the one entry
+point, whose per-(site, Y bin) arrays hold the estimates and their exact
+infinite-trial limit (ScanResult.expectation); both are checked against
+each other and against the closed-form weak values, and the two pointer
+models are cross-checked in the weak limit.
 """
 
 from dataclasses import fields
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state_1d, random_state_2d
+from conftest import random_state_1d
 from oracles import product_2d, weak_value, window_weak_value
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
@@ -22,9 +24,7 @@ from cwflab.weakmeas import (
     CHUNK_TRIALS,
     OVERLAP_FLOOR,
     PointerProtocol,
-    ProtocolResult,
-    protocol_expectation,
-    run_pointer_protocol,
+    ScanResult,
     scan_pointer_protocol,
     weak_value_entangled_scan,
     weak_value_scan,
@@ -248,87 +248,106 @@ class TestPointerMonteCarlo:
     def test_qubit_matches_exact_expectation(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=400_000, seed=3)
-        for x in (0.0, 0.5, -1.0):
-            site = grid256.index_of(x)
-            res = run_pointer_protocol(psi, site, proto)
-            re_ex, im_ex = protocol_expectation(psi, site, proto)
-            b = res.bins[0]
-            assert not b.empty
-            assert abs(b.re - re_ex[0]) < 3 * b.se_re
-            assert abs(b.im - im_ex[0]) < 3 * b.se_im
+        sites = [grid256.index_of(x) for x in (0.0, 0.5, -1.0)]
+        res = scan_pointer_protocol(psi, sites, proto)
+        assert not res.empty.any()
+        assert (np.abs(res.estimate - res.expectation) < 3 * res.se).all()
 
     def test_mc_matches_analytic_weak_value(self, grid256):
         # statistical errors dominate the small finite-g bias here
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=400_000, seed=12)
-        res = run_pointer_protocol(psi, grid256.index_of(0.5), proto)
-        wv = weak_value_scan(psi, 0.0)[grid256.index_of(0.5)]
-        b = res.bins[0]
-        assert abs(b.re - wv.real) < 3 * b.se_re
-        assert abs(b.im - wv.imag) < 3 * b.se_im
+        site = grid256.index_of(0.5)
+        res = scan_pointer_protocol(psi, [site], proto)
+        wv = weak_value_scan(psi, 0.0)[site]
+        (re, im), (se_re, se_im) = res.estimate[0, 0], res.se[0, 0]
+        assert abs(re - wv.real) < 3 * se_re
+        assert abs(im - wv.imag) < 3 * se_im
 
     def test_acceptance_rate(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=400_000, seed=3)
-        res = run_pointer_protocol(psi, grid256.index_of(0.0), proto)
+        res = scan_pointer_protocol(psi, [grid256.index_of(0.0)], proto)
         p = res.acceptance_expected
         se = np.sqrt(p * (1 - p) / proto.n_trials)
-        assert abs(res.acceptance_rate - p) < 4 * se
+        assert abs(res.acceptance_rate[0] - p) < 4 * se
 
     def test_gaussian_pointer_agrees_with_qubit_weak_limit(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         site = grid256.index_of(0.5)
-        pq = PointerProtocol(coupling=0.02, n_trials=200_000, seed=5)
+        pq = PointerProtocol(coupling=0.02, n_trials=1, seed=5)
         pg = PointerProtocol(coupling=0.02, n_trials=200_000, seed=5,
                              pointer_model="gaussian")
-        exq = protocol_expectation(psi, site, pq)
-        exg = protocol_expectation(psi, site, pg)
-        assert abs(exq[0][0] - exg[0][0]) < 5e-3
-        assert abs(exq[1][0] - exg[1][0]) < 5e-3
-        res = run_pointer_protocol(psi, site, pg)
-        b = res.bins[0]
-        assert abs(b.re - exg[0][0]) < 3 * b.se_re
-        assert abs(b.im - exg[1][0]) < 3 * b.se_im
+        exq = scan_pointer_protocol(psi, [site], pq).expectation[0, 0]
+        res = scan_pointer_protocol(psi, [site], pg)
+        exg = res.expectation[0, 0]
+        assert (np.abs(exq - exg) < 5e-3).all()
+        assert (np.abs(res.estimate[0, 0] - exg) < 3 * res.se[0, 0]).all()
 
     def test_determinism(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=3 * CHUNK_TRIALS // 2,
                                 seed=17)
-        site = grid256.index_of(0.5)
-        a = run_pointer_protocol(psi, site, proto)
-        b = run_pointer_protocol(psi, site, proto)
-        assert a.bins[0] == b.bins[0]
-        assert a.acceptance_rate == b.acceptance_rate
+        sites = [grid256.index_of(0.5)]
+        a = scan_pointer_protocol(psi, sites, proto)
+        b = scan_pointer_protocol(psi, sites, proto)
+        for field in fields(ScanResult):
+            assert (np.asarray(getattr(a, field.name)).tobytes()
+                    == np.asarray(getattr(b, field.name)).tobytes()), field.name
 
     def test_planes_bins_match_exact(self, grid128):
         Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7), 2.5)
         edges = np.array([grid128.x_min, 0.0, grid128.x_max])
         proto = PointerProtocol(coupling=0.02, n_trials=300_000, seed=23,
                                 y_bins=edges)
-        site = grid128.index_of(1.5)
-        res = run_pointer_protocol(Psi, site, proto)
-        re_ex, im_ex = protocol_expectation(Psi, site, proto)
-        assert res.y_edges is not None
-        for k, b in enumerate(res.bins):
-            assert not b.empty
-            assert abs(b.re - re_ex[k]) < 3.5 * b.se_re
-            assert abs(b.im - im_ex[k]) < 3.5 * b.se_im
+        res = scan_pointer_protocol(Psi, [grid128.index_of(1.5)], proto)
+        assert res.estimate.shape == (1, 2, 2)
+        assert not res.empty.any()
+        assert (np.abs(res.estimate - res.expectation) < 3.5 * res.se).all()
 
     def test_empty_bin_flagged(self, grid128):
         Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7), 2.5)
         edges = np.array([7.0, 7.5])
         proto = PointerProtocol(coupling=0.02, n_trials=20_000, seed=1,
                                 y_bins=edges)
-        res = run_pointer_protocol(Psi, grid128.index_of(1.5), proto)
-        assert res.bins[0].empty
-        assert np.isnan(res.bins[0].re)
+        res = scan_pointer_protocol(Psi, [grid128.index_of(1.5)], proto)
+        assert res.empty[0, 0]
+        assert np.isnan(res.estimate[0, 0]).all()
 
     def test_site_given_as_position(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0)
         proto = PointerProtocol(coupling=0.02, n_trials=10_000, seed=2)
-        res = run_pointer_protocol(psi, 0.5, proto)
-        assert res.site_index == grid256.index_of(0.5)
-        assert res.weakness_ratio == proto.weakness_ratio(grid256)
+        res = scan_pointer_protocol(psi, [0.5], proto)
+        assert res.sites.tolist() == [grid256.index_of(0.5)]
+
+    def test_result_arrays(self, grid128):
+        """One scan: sites given as positions and indexes resolve; a bin
+        whose trials fell in one basis only is empty, with NaN estimate and
+        se, and keeps its counts; expectation is NaN only in the bin that
+        holds no Y grid point, so no accepted mass."""
+        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
+                            2.5)
+        edges = [grid128.x_min, 0.0, 4.0, 4.5, 7.0, 7.01, 7.05]
+        proto = PointerProtocol(coupling=0.02, n_trials=4000, seed=0,
+                                y_bins=edges)
+        res = scan_pointer_protocol(Psi, [-3.0, 50, 1.5], proto)
+        assert res.sites.tolist() == [grid128.index_of(-3.0), 50,
+                                      grid128.index_of(1.5)]
+        assert (res.estimate.shape == res.se.shape == res.expectation.shape
+                == res.counts.shape == (3, 6, 2))
+        assert res.counts.dtype == np.int64
+        # this stream puts one re trial and no im trial at site 1.5, bin 3
+        assert res.counts[2, 3].tolist() == [1, 0]
+        filled = (res.counts > 0).all(axis=2)
+        assert filled.any() and (~filled).any()
+        np.testing.assert_array_equal(res.empty, ~filled)
+        assert np.isnan(res.estimate[~filled]).all()
+        assert np.isnan(res.se[~filled]).all()
+        assert np.isfinite(res.estimate[filled]).all()
+        assert np.isfinite(res.se[filled]).all()
+        no_mass = np.zeros((3, 6, 2), dtype=bool)
+        no_mass[:, 5] = True
+        np.testing.assert_array_equal(np.isnan(res.expectation), no_mass)
 
 
 class TestGuideLookup:
@@ -417,24 +436,7 @@ class TestGuideLookup:
 
 
 class TestPerStateWork:
-    """scan_pointer_protocol transforms the state once for all sites."""
-
-    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
-    def test_scan_equals_run_at_each_site(self, grid128, model):
-        Psi = random_state_2d(grid128, grid128, seed=3)
-        proto = PointerProtocol(coupling=0.02, n_trials=3000, seed=7,
-                                y_bins=3, pointer_model=model)
-        sites = [grid128.index_of(x) for x in (-2.0, 0.0, 0.5, 3.0)]
-        for site, res in zip(sites, scan_pointer_protocol(Psi, sites, proto)):
-            one = run_pointer_protocol(Psi, site, proto)
-            for field in fields(ProtocolResult):
-                a, b = getattr(res, field.name), getattr(one, field.name)
-                if isinstance(a, np.ndarray):
-                    assert a.tobytes() == b.tobytes(), field.name
-                else:
-                    assert repr(a) == repr(b), field.name
-            assert (np.float64(res.acceptance_expected).tobytes()
-                    == np.float64(one.acceptance_expected).tobytes())
+    """The per-state part of a scan: the momentum window."""
 
     @pytest.mark.parametrize("model", ["qubit", "gaussian"])
     def test_empty_window(self, grid128, model):
@@ -446,30 +448,11 @@ class TestPerStateWork:
                                                      grid128.x_max],
                                 pointer_model=model)
         sites = [grid128.index_of(x) for x in (-3.0, 1.5)]
-        for res in scan_pointer_protocol(Psi, sites, proto):
-            assert res.acceptance_rate == 0.0
-            assert res.acceptance_expected == 0.0
-            assert all(b.empty and b.n_accepted == 0 for b in res.bins)
-            assert np.isnan(res.expectation).all()
-
-
-class TestScanExpectation:
-    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
-    def test_bitwise_equal_to_protocol_expectation(self, grid128, model):
-        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
-                            2.5)
-        # the last bin holds no grid point, so its expectation is NaN
-        edges = [grid128.x_min, 0.0, 7.0, 7.01, 7.05]
-        proto = PointerProtocol(coupling=0.02, n_trials=2000, seed=5,
-                                y_bins=edges, pointer_model=model)
-        sites = [grid128.index_of(x) for x in (-3.0, 1.5, 3.0)]
-        results = scan_pointer_protocol(Psi, sites, proto)
-        for site, res in zip(sites, results):
-            re, im = protocol_expectation(Psi, site, proto)
-            assert np.isnan(re[-1]) and np.isnan(im[-1])
-            assert res.expectation.shape == (len(edges) - 1, 2)
-            assert (res.expectation.tobytes()
-                    == np.column_stack([re, im]).tobytes())
+        res = scan_pointer_protocol(Psi, sites, proto)
+        assert (res.acceptance_rate == 0.0).all()
+        assert res.acceptance_expected == 0.0
+        assert res.empty.all() and not res.counts.any()
+        assert np.isnan(res.expectation).all()
 
 
 class TestBiasStudy:
@@ -486,15 +469,10 @@ class TestBiasStudy:
         kw = {"y_bins": edges} if edges is not None else {}
         proto = PointerProtocol(coupling=gval, n_trials=1,
                                 pointer_model="gaussian", **kw)
-        d2 = 0.0
-        n2 = 0.0
-        for s in sites:
-            re, im = protocol_expectation(system, int(s), proto)
-            for k, scan in enumerate(scans):
-                est = complex(re[k], im[k])
-                d2 += abs(est - scan[s]) ** 2
-                n2 += abs(scan[s]) ** 2
-        return np.sqrt(d2 / n2)
+        est = scan_pointer_protocol(system, sites, proto).expectation
+        est = est.view(complex)[..., 0]   # (n_sites, n_bins)
+        want = np.column_stack([scan[sites] for scan in scans])
+        return np.linalg.norm(est - want) / np.linalg.norm(want)
 
     def test_pure_state_upper_doubling(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
@@ -546,11 +524,11 @@ def entangled_gaussians(seed):
 class TestConditionalReadout:
     """The paper's first claim on random entangled states, through the
     operational path: pointer coupling at one x cell, a momentum window
-    around p = 0, a Y bin, then protocol_expectation. With a one-cell Y bin
-    and a window holding only p = 0 the readout tends to c Psi(., Y), the
-    conditional wave function; with a three-cell window, to the window's
-    weak value (oracles.window_weak_value). The bias is even in the
-    coupling, so it falls fourfold when g halves."""
+    around p = 0, a Y bin, then the scan's exact expectation. With a
+    one-cell Y bin and a window holding only p = 0 the readout tends to
+    c Psi(., Y), the conditional wave function; with a three-cell window,
+    to the window's weak value (oracles.window_weak_value). The bias is
+    even in the coupling, so it falls fourfold when g halves."""
 
     @staticmethod
     def protocol(psi, g, model="qubit", width=1.0, n_win=1, j=None):
@@ -567,9 +545,8 @@ class TestConditionalReadout:
     @staticmethod
     def readout(psi, sites, proto):
         """The first Y bin's exact estimate re + i im at each site."""
-        return np.array([complex(*(v[0] for v in
-                                   protocol_expectation(psi, int(s), proto)))
-                         for s in sites])
+        ex = scan_pointer_protocol(psi, sites, proto).expectation
+        return ex.view(complex)[:, 0, 0]
 
     @staticmethod
     def sites(column):
@@ -675,6 +652,6 @@ class TestExports:
 
     def test_weak_values_accessor(self, grid256):
         results = self.make_results(grid256)
-        assert sum(not b.empty for b in results[0].bins) == 1
-        assert isinstance(results[0], ProtocolResult)
+        assert isinstance(results, ScanResult)
+        assert results.empty.shape == (2, 1) and not results.empty.any()
         assert OVERLAP_FLOOR == 1e-12
