@@ -3,12 +3,12 @@
 Subcommands map onto the scenario runners plus the invariant battery:
 
     cwflab fig1     --seed 7 --trials 10000
-    cwflab planes   --bs on --plane B --format json
+    cwflab planes   --bs on --plane B
     cwflab density  --out run3
     cwflab order    --trials 1000000
     cwflab selftest
 
-density writes no records, so it takes no --trials or --format.
+density writes no records, so it takes no --trials.
 
 Exit codes: 0 all checks passed, 2 configuration, validation or output
 error, 3 a numerical check failed. Identical flags and config produce
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "fig1": "impulsive measurement collapsing the conditional wave",
-        "planes": "two-packet scan with detection planes A/B/C",
+        "planes": "two-packet scan with detection planes A/B",
         "density": "polarization density-matrix reconstruction",
         "order": "operation-ordering invariance study",
     }
@@ -55,10 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "density":
             p.add_argument("--trials", type=int,
                            help="override config.n_trials")
-            p.add_argument("--format", choices=("csv", "json"),
-                           help="records container format")
         if name == "planes":
-            p.add_argument("--plane", choices=("A", "B", "C"),
+            p.add_argument("--plane", choices=("A", "B"),
                            help="detection plane")
             p.add_argument("--bs", choices=("on", "off"),
                            help="insert or remove the beam splitter")
@@ -81,8 +79,6 @@ def _load_data(args) -> dict:
         data["n_trials"] = args.trials
     if args.out is not None:
         data["output_dir"] = args.out
-    if getattr(args, "format", None) is not None:
-        _set_flag(data, "report", "format", args.format)
     if getattr(args, "plane", None) is not None:
         _set_flag(data, "protocol", "plane", args.plane)
     if getattr(args, "bs", None) is not None:
@@ -114,7 +110,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "selftest":
-        result, out_dir, fmt = {"report": run_selftest()}, args.out, None
+        result, out_dir = {"report": run_selftest()}, args.out
     else:
         scenario, runner = COMMANDS[args.command]
         try:
@@ -130,7 +126,6 @@ def main(argv=None) -> int:
         except CwflabError as e:
             return _fail(f"error: {e}")
         out_dir = cfg.output_dir
-        fmt = cfg.report["format"] if cfg.report else None
 
     report = result["report"]
     _print_report(report)
@@ -138,7 +133,7 @@ def main(argv=None) -> int:
         try:
             path = reports.emit(out_dir, report,
                                 records=result.get("records"),
-                                wf_tables=result.get("wf_tables"), fmt=fmt)
+                                wf_tables=result.get("wf_tables"))
         except OSError as e:
             return _fail(f"output error: {e}")
         print(f"wrote {path}")

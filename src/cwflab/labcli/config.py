@@ -10,7 +10,7 @@ A config file is a JSON object with the top-level keys
     grid        {x_min, x_max, n_x, y_min, y_max, n_y}
     state       scenario-specific state parameters (see DEFAULTS)
     protocol    pointer-protocol knobs (see DEFAULTS)
-    report      {records_cap, format}
+    report      {records_cap}
 
 Each scenario takes only the keys of its DEFAULTS entry: density_dm has no
 n_trials, no report section and no x grid, fig1_collapse no grid.n_y.
@@ -47,8 +47,6 @@ SIN_ALPHA_FLOOR = 1e-8
 FIELD_BOUNDS = (
     (None, "seed", int, 0),
     (None, "n_trials", int, 1),
-    ("grid", "n_x", int, 2),
-    ("grid", "n_y", int, 2),
     ("state", "flow_steps", int, 1),
     ("protocol", "resample_n", int, 1),
     ("protocol", "cwf_samples", int, 1),
@@ -81,7 +79,7 @@ DEFAULTS = {
             "flow_steps": 32,
         },
         "protocol": {},
-        "report": {"records_cap": 10_000, "format": "csv"},
+        "report": {"records_cap": 10_000},
     },
     "photon_planes": {
         "seed": 0,
@@ -103,7 +101,7 @@ DEFAULTS = {
             "site_density_floor": 1e-2,  # couple sites with rho_x above this
             "cwf_samples": 64,
         },
-        "report": {"records_cap": 10_000, "format": "csv"},
+        "report": {"records_cap": 10_000},
     },
     "density_dm": {
         "seed": 0,  # read only with resample_n
@@ -112,8 +110,7 @@ DEFAULTS = {
         # shift/width = 6 puts the pointer-overlap tail exp(-shift^2/width^2)
         # below 1e-15, so the conditioned matrices hit their ideal targets
         "state": {"shift": 3.0, "width": 0.5},
-        "protocol": {"bs_inserted": True, "four_phase": False,
-                     "resample_n": None},
+        "protocol": {"bs_inserted": True, "resample_n": None},
     },
     "order_invariance": {
         "seed": 0,
@@ -128,9 +125,8 @@ DEFAULTS = {
             "pointer_width": 0.2,
             "p_x_window_dp": 0.5,
             "sites": [3.0, -3.0],
-            "compare_planes": True,  # also run plane-B vs plane-C homogeneity
         },
-        "report": {"records_cap": 10_000, "format": "csv"},
+        "report": {"records_cap": 10_000},
     },
 }
 
@@ -242,10 +238,12 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
     for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
         if lo in grid and not grid[lo] < grid[hi]:
             raise ConfigError(f"config.grid.{lo} must be a number below {hi}")
-    if "plane" in pr and pr["plane"] not in ("A", "B", "C"):
-        raise ConfigError("config.protocol.plane must be A, B or C")
-    if merged.get("report", {}).get("format") not in (None, "csv", "json"):
-        raise ConfigError("config.report.format must be csv or json")
+    for key in ("n_x", "n_y"):
+        n = grid.get(key, 8)
+        if n < 8 or n & (n - 1):
+            raise ConfigError(f"config.grid.{key} must be a power of two >= 8")
+    if "plane" in pr and pr["plane"] not in ("A", "B"):
+        raise ConfigError("config.protocol.plane must be A or B")
     if "sites" in pr and not (pr["sites"]
                               and all(_is_number(x) for x in pr["sites"])):
         raise ConfigError("config.protocol.sites must be a non-empty list "

@@ -38,7 +38,6 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
     spec = polar.HilbertSpec(Grid1D(g["y_min"], g["y_max"], g["n_y"]))
     shift, width = st["shift"], st["width"]
     bs = bool(pr["bs_inserted"])
-    four_phase = bool(pr["four_phase"])
     resample_n = pr["resample_n"]
 
     dy = spec.pos2.dx
@@ -70,8 +69,7 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         tol = max(tol, RESAMPLE_TOL_FACTOR / np.sqrt(resample_n))
 
     direct_all = polar.direct_dm_measurement(
-        rho, None, four_phase=four_phase, resample_n=resample_n,
-        seed=cfg.seed)
+        rho, None, resample_n=resample_n, seed=cfg.seed)
 
     checks = [
         check_record("direct_equals_rdm",
@@ -94,8 +92,7 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
     for label, Y in y_points.items():
         cdm = polar.normalize_dm(polar.conditional_dm(rho, Y))
         direct_Y = polar.direct_dm_measurement(
-            rho, Y, four_phase=four_phase, resample_n=resample_n,
-            seed=cfg.seed)
+            rho, Y, resample_n=resample_n, seed=cfg.seed)
         checks.append(check_record(
             f"direct_equals_cdm_{label}",
             distance=_distance(direct_Y, cdm.matrix), tol=tol))
@@ -119,7 +116,6 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         "scenario": "density_dm",
         "config": cfg.to_dict(),
         "bs_inserted": bs,
-        "four_phase": four_phase,
         "resample_n": resample_n,
         # after the splitter the packets sit at +-shift; the wrong-branch
         # amplitude under Y conditioning decays as exp(-(shift/width)^2)

@@ -297,8 +297,11 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
             f"<= 3w = {3.0 * w:.4g}")
 
     x_range, y_range = (g["x_min"], g["x_max"]), (g["y_min"], g["y_max"])
-    if not (g["y_min"] < 0.0 and g["y_max"] > lam * float(modes.a.max())):
-        raise ValidationError("y grid does not cover the outcome range")
+    top = lam * float(modes.a.max())   # the highest outcome target
+    if not (g["y_min"] < 0.0 and g["y_max"] > top):
+        raise ValidationError(
+            f"config.grid: y_min = {g['y_min']:.6g} and y_max = "
+            f"{g['y_max']:.6g} do not cover the outcome range (0, {top:.6g}]")
 
     n = cfg.n_trials
     starts = sample_initial(modes, w, n, cfg.seed)

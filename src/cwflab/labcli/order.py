@@ -10,9 +10,9 @@ post-selected weak values for machine-precision agreement, and runs the
 Monte-Carlo arms with identical seeds (the matching cell distributions make
 the shared stream draw the same trials).
 
-A separate comparison reruns one arm with a fresh seed, standing in for
-detection planes B and C: statistically indistinguishable Re/Im readout
-histograms, tested per bin with a two-sample chi-square.
+A third arm reruns the splitter-first ordering with a fresh seed, standing
+in for detection planes B and C: statistically indistinguishable Re/Im
+readout histograms, tested per bin with a two-sample chi-square.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
 from .config import ScenarioConfig
-from .planes import RECORD_FIELDS, replay_records
+from .planes import RECORD_FIELDS, replay_records, split_at_zero
 from .reports import check_record
 
 TABLE_TOL = 1e-12
@@ -73,7 +73,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     degenerate = pr["coupling"] == 0.0
     dp = gx.conjugate().dx
     window = pr["p_x_window_dp"] * dp
-    y_edges = [gy.x_min, 0.0, gy.x_max]
+    y_edges = split_at_zero(gy)
     for x in pr["sites"]:
         if not gx.x_min <= x < gx.x_max:
             raise ValidationError(
@@ -129,16 +129,15 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                                        p_value=test["p_value"],
                                        minimum=P_VALUE_MIN))
 
-        if pr["compare_planes"]:
-            c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
-            for b in range(cells.n_bins):
-                test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
-                planes_rows.append({
-                    "x_site": x_site, "bin": b,
-                    "chi2": test["chi2"], "p_value": test["p_value"]})
-                checks.append(check_record(f"planes_b_vs_c_site{k}_bin{b}",
-                                           p_value=test["p_value"],
-                                           minimum=P_VALUE_MIN))
+        c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
+        for b in range(cells.n_bins):
+            test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
+            planes_rows.append({
+                "x_site": x_site, "bin": b,
+                "chi2": test["chi2"], "p_value": test["p_value"]})
+            checks.append(check_record(f"planes_b_vs_c_site{k}_bin{b}",
+                                       p_value=test["p_value"],
+                                       minimum=P_VALUE_MIN))
 
     checks = [check_record("table_identity", max_deviation=table_dev,
                            tol=TABLE_TOL),
@@ -165,8 +164,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
         "exact_weak_values": {"rows": exact_rows},
         "mc_comparison": {"n_trials_per_arm": cfg.n_trials, "rows": mc_rows,
                           "all_counts_identical": bool(all_equal)},
-        "planes_b_vs_c": {"enabled": bool(pr["compare_planes"]),
-                          "rows": planes_rows},
+        "planes_b_vs_c": {"rows": planes_rows},
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

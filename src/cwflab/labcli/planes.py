@@ -8,9 +8,9 @@ With it on, each packet drags the pointer to one side of y = 0 and the
 per-bin scans reconstruct the individual packets.
 
 Detection planes: A sits upstream of the beam splitter (the splitter never
-acts on the detected mode), B and C sit downstream. B and C differ only in
-whether detection happens before or after the scan coupling; the ordering
-is metadata here and run_order_invariance checks it does not matter.
+acts on the detected mode), B sits downstream with the scan coupling after
+detection. Plane C, coupling before detection, gives the same statistics;
+run_order_invariance checks that as its fresh-seed arm.
 """
 
 import numpy as np
@@ -33,11 +33,8 @@ RECON_FIDELITY_MIN = 0.99
 # (-1: none), readout basis ("re" or "im") and reading (None if rejected).
 RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 
-ORDERINGS = {
-    "A": "detect_upstream_of_bs",
-    "B": "detect_downstream, coupling_after_detection",
-    "C": "detect_downstream, coupling_before_detection",
-}
+ORDERINGS = {"A": "detect_upstream_of_bs",
+             "B": "detect_downstream, coupling_after_detection"}
 
 
 def detection_state(cfg: ScenarioConfig):
@@ -60,9 +57,17 @@ def detection_state(cfg: ScenarioConfig):
             f"packet supports overlap x = 0 (leaked mass {max(leak1, leak2):.3g}"
             f" > {SUPPORT_LEAK_TOL:g}); increase x_sep or shrink sigma_x")
 
-    collapsed = bool(pr["bs_inserted"] and pr["plane"] in ("B", "C"))
+    collapsed = bool(pr["bs_inserted"] and pr["plane"] == "B")
     psi_det = beam_splitter(psi_pre, st["bs_shift"]) if collapsed else psi_pre
     return psi_det, psi1, psi2, collapsed, gx, gy
+
+
+def split_at_zero(gy: Grid1D) -> list:
+    """Y bin edges [y_min, 0, y_max]: one bin each side of the splitter."""
+    if not gy.x_min < 0.0 < gy.x_max:
+        raise ValidationError(f"config.grid: y_min = {gy.x_min:g} and y_max "
+                              f"= {gy.x_max:g} must straddle Y = 0")
+    return [gy.x_min, 0.0, gy.x_max]
 
 
 def select_sites(psi_det, floor: float) -> np.ndarray:
@@ -109,7 +114,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
     tag = "collapsed" if collapsed else "uncollapsed"
 
     if collapsed:
-        y_edges = [gy.x_min, 0.0, gy.x_max]
+        y_edges = split_at_zero(gy)
         targets = [psi2, psi1]
         target_names = ["psi_2", "psi_1"]
     else:

@@ -79,28 +79,17 @@ def write_columns_csv(path, columns: dict):
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def write_columns_json(path, columns: dict):
-    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
-    payload = [{k: jsonify(v) for k, v in zip(columns, row)} for row in rows]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def emit(output_dir, report: dict, records=None, wf_tables=None,
-         fmt: str = None):
+def emit(output_dir, report: dict, records=None, wf_tables=None):
     """Write the standard artifact set and return the report path.
 
-    records: {field: column} of per-trial records, written as records.csv
-    or records.json by fmt ("csv" or "json"); wf_tables: {name: (xs,
-    complex values)} written under output_dir/wf/. report.json is always
-    written.
+    records: {field: column} of per-trial records, written as records.csv;
+    wf_tables: {name: (xs, complex values)} written under output_dir/wf/.
+    report.json is always written.
     """
     os.makedirs(output_dir, exist_ok=True)
     write_report_json(os.path.join(output_dir, "report.json"), report)
     if records is not None:
-        write = {"csv": write_columns_csv, "json": write_columns_json}[fmt]
-        write(os.path.join(output_dir, f"records.{fmt}"), records)
+        write_columns_csv(os.path.join(output_dir, "records.csv"), records)
     if wf_tables:
         wf_dir = os.path.join(output_dir, "wf")
         os.makedirs(wf_dir, exist_ok=True)

@@ -97,8 +97,8 @@ def check_scan_identity_conditional() -> dict:
     ys = rng.choice(gy.points, size=8, p=rho_y / rho_y.sum())
     dev = 0.0
     for y in ys:
-        scan = weakmeas.weak_value_entangled_scan(psi, 0.0, float(y))
         slc = conditional_slice(psi, float(y))
+        scan = weakmeas.weak_value_scan(slc, 0.0)
         const = scan[np.argmax(np.abs(slc.amplitudes))] / \
             slc.amplitudes[np.argmax(np.abs(slc.amplitudes))]
         dev = max(dev, float(np.abs(scan - const * slc.amplitudes).max()

@@ -20,9 +20,7 @@ Off-diagonal reconstruction: with X = |D><D| - |A><A| and pi_HH = |H><H|,
     P(D) <pi_HH>_W^D - P(A) <pi_HH>_W^A = Tr[X pi_HH sigma] = <H|sigma|V>,
 
 so the D/A route with pi_HH yields the (H, V) entry and the route with
-pi_VV yields (V, H); the circular-basis variant carries an extra -i
-(|L><L| - |R><R| = sigma_y). Both routes are implemented; tests pin their
-agreement.
+pi_VV yields (V, H).
 """
 
 from dataclasses import dataclass
@@ -74,8 +72,6 @@ H = PolarizationState(np.array([1.0, 0.0]), "H")
 V = PolarizationState(np.array([0.0, 1.0]), "V")
 D = PolarizationState(np.array([1.0, 1.0]) / np.sqrt(2.0), "D")
 A = PolarizationState(np.array([1.0, -1.0]) / np.sqrt(2.0), "A")
-L = PolarizationState(np.array([1.0, 1.0j]) / np.sqrt(2.0), "L")
-R = PolarizationState(np.array([1.0, -1.0j]) / np.sqrt(2.0), "R")
 
 PI_HH = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 PI_VV = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
@@ -222,15 +218,14 @@ def _postselect_probability(rho, b, Y) -> float:
 
 
 def direct_dm_measurement(rho: DensityOperator, Y_postselect: float = None,
-                          four_phase: bool = False,
                           resample_n: int = None, seed: int = 0) -> np.ndarray:
     """Entrywise reconstruction of the 2x2 pol1 matrix from weak values.
 
     Diagonal entries are weak values of pi_HH / pi_VV without polarization
     post-selection; off-diagonals combine D/A post-selected weak values
-    weighted by the post-selection rates (L/R variant behind four_phase).
-    Rates are exact traces; resample_n draws them binomially instead, to
-    emulate finite counting statistics.
+    weighted by the post-selection rates. Rates are exact traces;
+    resample_n draws them binomially instead, to emulate finite counting
+    statistics.
     """
     Y = Y_postselect
 
@@ -238,7 +233,7 @@ def direct_dm_measurement(rho: DensityOperator, Y_postselect: float = None,
         p = _postselect_probability(rho, b, Y)
         if resample_n is not None:
             rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence([seed, ord(b.label or "?")])))
+                np.random.SeedSequence([seed, ord(b.label)])))
             return rng.binomial(resample_n, min(max(p, 0.0), 1.0)) / resample_n
         return p
 
@@ -247,12 +242,8 @@ def direct_dm_measurement(rho: DensityOperator, Y_postselect: float = None,
 
     hh = wv(PI_HH, None)
     vv = wv(PI_VV, None)
-    if four_phase:
-        hv = -1j * (rate(L) * wv(PI_HH, L) - rate(R) * wv(PI_HH, R))
-        vh = +1j * (rate(L) * wv(PI_VV, L) - rate(R) * wv(PI_VV, R))
-    else:
-        hv = rate(D) * wv(PI_HH, D) - rate(A) * wv(PI_HH, A)
-        vh = rate(D) * wv(PI_VV, D) - rate(A) * wv(PI_VV, A)
+    hv = rate(D) * wv(PI_HH, D) - rate(A) * wv(PI_HH, A)
+    vh = rate(D) * wv(PI_VV, D) - rate(A) * wv(PI_VV, A)
     return np.array([[hh, hv], [vh, vv]], dtype=np.complex128)
 
 

@@ -107,18 +107,6 @@ def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0) -> np.ndarray:
     return ramped / den
 
 
-def weak_value_entangled_scan(Psi: WaveFunction2D, p_x: float,
-                              Y: float) -> np.ndarray:
-    """Scan of exp(-i p_x x) Psi(x, Y) / <p_x|Psi(., Y)> over x.
-
-    At p_x = 0 this is proportional to the conditional slice at Y.
-    """
-    j = Psi.grid_y.index_of(Y)
-    column = WaveFunction1D(Psi.grid_x, Psi.amplitudes[:, j],
-                            norm_tag="unnormalized")
-    return weak_value_scan(column, p_x)
-
-
 @dataclass(frozen=True)
 class PointerProtocol:
     """Knobs of the pointer-coupling run.

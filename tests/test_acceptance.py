@@ -58,8 +58,8 @@ def test_conditional_scan_identity():
     ys = rng.choice(gy.points, size=100, p=rho_y / rho_y.sum())
     dev = 0.0
     for y in ys:
-        scan = weakmeas.weak_value_entangled_scan(psi, 0.0, float(y))
         slc = conditional_slice(psi, float(y))
+        scan = weakmeas.weak_value_scan(slc, 0.0)
         dev = max(dev, _scan_deviation(scan, slc.amplitudes))
     elapsed = time.time() - t0
     ok = dev < 1e-9 and elapsed < 10.0

@@ -52,7 +52,6 @@ KEY_ROWS = [
     ("fig1_collapse", "state.lam", 0.07),
     ("fig1_collapse", "state.flow_steps", 16),
     ("fig1_collapse", "report.records_cap", 10),
-    ("fig1_collapse", "report.format", "json"),
     ("photon_planes", "seed", 1),
     ("photon_planes", "n_trials", 800),
     ("photon_planes", "output_dir", "elsewhere"),
@@ -76,7 +75,6 @@ KEY_ROWS = [
     ("photon_planes", "protocol.site_density_floor", 0.1),
     ("photon_planes", "protocol.cwf_samples", 8),
     ("photon_planes", "report.records_cap", 100),
-    ("photon_planes", "report.format", "json"),
     ("density_dm", "seed", 1),
     ("density_dm", "output_dir", "elsewhere"),
     ("density_dm", "grid.y_min", -24.0),
@@ -85,7 +83,6 @@ KEY_ROWS = [
     ("density_dm", "state.shift", 4.0),
     ("density_dm", "state.width", 0.6),
     ("density_dm", "protocol.bs_inserted", False),
-    ("density_dm", "protocol.four_phase", True),
     ("density_dm", "protocol.resample_n", 2000),
     ("order_invariance", "seed", 1),
     ("order_invariance", "n_trials", 800),
@@ -104,9 +101,7 @@ KEY_ROWS = [
     ("order_invariance", "protocol.pointer_width", 0.3),
     ("order_invariance", "protocol.p_x_window_dp", 1.5),
     ("order_invariance", "protocol.sites", [2.0, -2.0]),
-    ("order_invariance", "protocol.compare_planes", False),
     ("order_invariance", "report.records_cap", 100),
-    ("order_invariance", "report.format", "json"),
 ]
 
 

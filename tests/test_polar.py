@@ -14,6 +14,12 @@ from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import Grid1D
 
 
+# circular polarizations: not used by the reconstruction, only as further
+# post-selection states for the weak-value checks
+L = polar.PolarizationState(np.array([1.0, 1.0j]) / np.sqrt(2.0), "L")
+R = polar.PolarizationState(np.array([1.0, -1.0j]) / np.sqrt(2.0), "R")
+
+
 def make_spec(n_y=64):
     return polar.HilbertSpec(Grid1D(-8.0, 8.0, n_y))
 
@@ -51,10 +57,10 @@ def pointer_branches(spec, shift, width):
 
 class TestStates:
     def test_named_polarizations(self):
-        for s in (polar.H, polar.V, polar.D, polar.A, polar.L, polar.R):
+        for s in (polar.H, polar.V, polar.D, polar.A, L, R):
             assert abs(np.vdot(s.vector, s.vector) - 1.0) < 1e-15
         assert abs(np.vdot(polar.D.vector, polar.A.vector)) < 1e-15
-        assert abs(np.vdot(polar.L.vector, polar.R.vector)) < 1e-15
+        assert abs(np.vdot(L.vector, R.vector)) < 1e-15
         assert polar.D.label == "D"
 
     def test_bad_polarization_raises(self):
@@ -200,7 +206,7 @@ class TestWeakValueMixed:
     def test_identity_observable(self):
         spec = make_spec()
         rho = oracles.make_state_psi2(spec, 2.0)
-        for b in (polar.H, polar.D, polar.L):
+        for b in (polar.H, polar.D, L):
             assert abs(polar.weak_value_mixed(np.eye(2), rho, b) - 1.0) < 1e-12
 
     def test_no_postselection_is_trace(self):
@@ -271,18 +277,6 @@ class TestDirectMeasurement:
         rho = random_pure_composite(spec, seed)
         got = polar.direct_dm_measurement(rho)
         assert np.max(np.abs(got - polar.reduced_dm(rho).matrix)) < 1e-10
-
-    def test_four_phase_agrees(self):
-        spec = make_spec()
-        a = np.array([1.0, np.exp(1j * np.pi / 5)]) / np.sqrt(2.0)
-        e = np.zeros(2 * spec.n_y)
-        e[70] = 1.0
-        rho = polar.pure_dm(np.kron(a, e), spec)
-        two = polar.direct_dm_measurement(rho)
-        four = polar.direct_dm_measurement(rho, four_phase=True)
-        want = np.outer(a, a.conj())
-        assert np.max(np.abs(two - want)) < 1e-12
-        assert np.max(np.abs(four - two)) < 1e-12
 
     def test_resampled_rates(self):
         spec = make_spec()
@@ -357,12 +351,12 @@ class TestFactorAgainstDense:
             Y = float(spec.pos2.points[j])
             cond = polar.conditional_dm(rho, Y).matrix
             assert np.max(np.abs(cond - oracles.dense_conditional(m, n_y, j))) < 1e-12
-            for b in (None, polar.H, polar.D, polar.L):
+            for b in (None, polar.H, polar.D, L):
                 vec = None if b is None else b.vector
                 got = polar.weak_value_mixed(obs, rho, b, Y)
                 want = oracles.dense_weak_value(obs, m, n_y, vec, j)
                 assert abs(got - want) < 1e-12
-        for b in (polar.V, polar.A, polar.R):
+        for b in (polar.V, polar.A, R):
             got = polar.weak_value_mixed(obs, rho, b)
             want = oracles.dense_weak_value(obs, m, n_y, b.vector)
             assert abs(got - want) < 1e-12

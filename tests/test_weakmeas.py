@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from conftest import random_state_1d
 from oracles import product_2d, weak_value, window_weak_value
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
-from cwflab.qgrid import Grid1D, WaveFunction1D, WaveFunction2D, normalize, to_momentum
+from cwflab.qgrid import (
+    Grid1D,
+    WaveFunction1D,
+    WaveFunction2D,
+    conditional_slice,
+    normalize,
+    to_momentum,
+)
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
 from cwflab import weakmeas
 from cwflab.weakmeas import (
@@ -26,7 +33,6 @@ from cwflab.weakmeas import (
     PointerProtocol,
     ScanResult,
     scan_pointer_protocol,
-    weak_value_entangled_scan,
     weak_value_scan,
 )
 
@@ -173,7 +179,7 @@ class TestEntangledScan:
         psi_y = gaussian_1d(grid128, -0.2, 1.1)
         Psi = product_2d(psi_x, psi_y)
         for Y in (-0.2, 0.5, 1.0):
-            ent = weak_value_entangled_scan(Psi, 0.3, Y)
+            ent = weak_value_scan(conditional_slice(Psi, Y), 0.3)
             pure = weak_value_scan(psi_x, 0.3)
             assert np.max(np.abs(ent - pure)) < 1e-12 * np.max(np.abs(pure))
 
@@ -183,7 +189,7 @@ class TestEntangledScan:
         psi1 = gaussian_1d(grid128, +3.0, 0.5).amplitudes
         psi2 = gaussian_1d(grid128, -3.0, 0.5).amplitudes
         for Y, branch in ((2.5, psi1), (-2.5, psi2)):
-            scan = weak_value_entangled_scan(Psi, 0.0, Y)
+            scan = weak_value_scan(conditional_slice(Psi, Y), 0.0)
             c = lsq_constant(branch, scan)
             assert np.max(np.abs(c * scan - branch)) < 5e-4 * np.max(np.abs(branch))
 
@@ -191,17 +197,15 @@ class TestEntangledScan:
         Psi = two_branch_state(grid128, grid128, 3.0, 0.5, 0.7)
         both = (gaussian_1d(grid128, +1.5, 0.5).amplitudes
                 + gaussian_1d(grid128, -1.5, 0.5).amplitudes) / np.sqrt(2.0)
-        scan = weak_value_entangled_scan(Psi, 0.0, 0.35)
+        scan = weak_value_scan(conditional_slice(Psi, 0.35), 0.0)
         c = lsq_constant(both, scan)
         assert np.max(np.abs(c * scan - both)) < 1e-12 * np.max(np.abs(both))
 
     def test_scan_proportional_to_conditional_slice(self, grid128):
-        from cwflab.qgrid import conditional_slice
-
         Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7), 2.5)
         for Y in (-2.5, -1.8, 2.2):
-            scan = weak_value_entangled_scan(Psi, 0.0, Y)
             sl = conditional_slice(Psi, Y).amplitudes
+            scan = weak_value_scan(conditional_slice(Psi, Y), 0.0)
             c = lsq_constant(sl, scan)
             assert np.max(np.abs(c * scan - sl)) < 1e-12 * np.max(np.abs(sl))
 
@@ -213,12 +217,12 @@ class TestEntangledScan:
         amp[:, j] = 0.0
         Psi = WaveFunction2D(grid128, grid128, amp, norm_tag="unnormalized")
         with pytest.raises(PostSelectionError):
-            weak_value_entangled_scan(Psi, 0.0, 2.0)
+            weak_value_scan(conditional_slice(Psi, 2.0), 0.0)
 
     def test_off_grid_Y_raises(self, grid128):
         Psi = two_branch_state(grid128, grid128, 3.0, 0.5, 0.7)
         with pytest.raises(OffGridError):
-            weak_value_entangled_scan(Psi, 0.0, 99.0)
+            weak_value_scan(conditional_slice(Psi, 99.0), 0.0)
 
 
 class TestPointerProtocolConfig:
@@ -487,8 +491,8 @@ class TestBiasStudy:
         grid = Grid1D(-8.0, 8.0, 256)
         Psi = beam_splitter(two_branch_state(grid, grid, 6.0, 0.5, 0.7), 2.5)
         edges = np.array([grid.x_min, 0.0, grid.x_max])
-        scan_m = weak_value_entangled_scan(Psi, 0.0, -2.5)
-        scan_p = weak_value_entangled_scan(Psi, 0.0, 2.5)
+        scan_m = weak_value_scan(conditional_slice(Psi, -2.5), 0.0)
+        scan_p = weak_value_scan(conditional_slice(Psi, 2.5), 0.0)
         dens_x = Psi.density().sum(axis=1)
         sites = np.flatnonzero(dens_x > 0.0025 * dens_x.max())
         b1 = self.relative_bias(Psi, sites, [scan_m, scan_p], 0.02, edges)
