@@ -293,6 +293,7 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
     lam = st["lam"] if st["lam"] is not None else 8.0 * w / modes.min_gap()
     if lam * modes.min_gap() <= 3.0 * w:
         raise ValidationError(
+            f"config.state.lam = {lam:.4g} and config.state.w = {w:.4g}: "
             f"impulse too weak: lam*min_gap = {lam * modes.min_gap():.4g} "
             f"<= 3w = {3.0 * w:.4g}")
 

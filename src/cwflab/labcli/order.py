@@ -7,8 +7,9 @@ coupling before or after the splitter yields the same joint statistics of
 (momentum window, detected Y, qubit readout). This module builds both
 orderings explicitly, checks the induced measurement tables and the exact
 post-selected weak values for machine-precision agreement, and runs the
-Monte-Carlo arms with identical seeds (the matching cell distributions make
-the shared stream draw the same trials).
+Monte-Carlo arms with identical seeds through weakmeas.tally (both arms'
+category laws come from the same tables code and match to roundoff, so the
+shared stream draws the same counts).
 
 A third arm reruns the splitter-first ordering with a fresh seed, standing
 in for detection planes B and C: statistically indistinguishable Re/Im
@@ -23,23 +24,24 @@ from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
 from .config import ScenarioConfig
-from .planes import RECORD_FIELDS, replay_records, split_at_zero
+from .planes import replay_records, split_at_zero
 from .reports import check_record
 
 TABLE_TOL = 1e-12
 P_VALUE_MIN = 1e-3
 
 
-def _route_tables(psi, site_index: int, alpha: float, cells, bs_shift: float,
-                  route: str):
-    """Coupling tables of one operation ordering, plus their coherences.
+def _route_tables(psi, site_index: int, alpha: float, cells, total: float,
+                  bs_shift: float, route: str):
+    """Coupling tables of one operation ordering, plus its whole-grid cell
+    probabilities and coherences, all over the state's norm total.
 
     route "bs_first": splitter, then coupling at the site (the engine's
     convention); "coupling_first": coupling, then splitter. Supports
     alpha = 0 (no coupling; readout carries no signal). The coherences
-    uH conj(uV) are normalized like cell_probs; the readout ratios blow
-    roundoff up on negligible-mass cells, so the operator identity is
-    checked on these instead.
+    uH conj(uV) are normalized like the cell probabilities; the readout
+    ratios blow roundoff up on negligible-mass cells, so the operator
+    identity is checked on these instead.
     """
     gx, gy = psi.grid_x, psi.grid_y
 
@@ -58,8 +60,17 @@ def _route_tables(psi, site_index: int, alpha: float, cells, bs_shift: float,
     else:
         h, v = map(split, couple(psi.amplitudes))
     uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
-    tab = weakmeas._QubitTables(cells, uH, uV, alpha)
-    return tab, uH * np.conj(uV) * cells.measure / tab.total
+    tab = weakmeas._QubitTables(cells, uH[cells.rows], uV[cells.rows], alpha,
+                                total)
+    scale = cells.measure / total
+    return (tab, (np.abs(uH) ** 2 + np.abs(uV) ** 2) * scale,
+            uH * np.conj(uV) * scale)
+
+
+def _arm_counts(tab, n_trials: int, seed: int, site: int) -> np.ndarray:
+    """One Monte-Carlo arm's counts[bin, basis, outcome]."""
+    counts = weakmeas.tally(tab, n_trials, seed, site)[0]
+    return counts[:-2].reshape(-1, 2, 2)
 
 
 def run_order_invariance(cfg: ScenarioConfig) -> dict:
@@ -81,6 +92,9 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 f"[{gx.x_min:g}, {gx.x_max:g})")
     site_indices = [int(gx.index_of(float(x))) for x in pr["sites"]]
     cells = weakmeas._Cells(gx, gy, window, y_edges)
+    # the state's norm, which neither the coupling nor the splitter moves
+    total = float((np.abs(momentum_fft(psi.amplitudes, gx)) ** 2).sum()
+                  * cells.measure)
 
     table_dev = 0.0
     wv_dev = 0.0
@@ -91,12 +105,11 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
     all_equal = True
     for k, site in enumerate(site_indices):
         x_site = float(gx.points[site])
-        t1, x1 = _route_tables(psi, site, alpha, cells, st["bs_shift"],
-                               "bs_first")
-        t2, x2 = _route_tables(psi, site, alpha, cells, st["bs_shift"],
-                               "coupling_first")
-        table_dev = max(table_dev,
-                        float(np.abs(t1.cell_probs - t2.cell_probs).max()),
+        t1, p1, x1 = _route_tables(psi, site, alpha, cells, total,
+                                   st["bs_shift"], "bs_first")
+        t2, p2, x2 = _route_tables(psi, site, alpha, cells, total,
+                                   st["bs_shift"], "coupling_first")
+        table_dev = max(table_dev, float(np.abs(p1 - p2).max()),
                         float(np.abs(x1 - x2).max()))
 
         e1, e2 = t1.pooled(), t2.pooled()
@@ -111,8 +124,8 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 "route_coupling_first": {"re": float(e2[b, 0]),
                                          "im": float(e2[b, 1])}})
 
-        c1 = weakmeas._tally(t1, cfg.n_trials, cfg.seed, site)[1]
-        c2 = weakmeas._tally(t2, cfg.n_trials, cfg.seed, site)[1]
+        c1 = _arm_counts(t1, cfg.n_trials, cfg.seed, site)
+        c2 = _arm_counts(t2, cfg.n_trials, cfg.seed, site)
         for b in range(cells.n_bins):
             h1 = c1[b].ravel()
             h2 = c2[b].ravel()
@@ -129,7 +142,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                                        p_value=test["p_value"],
                                        minimum=P_VALUE_MIN))
 
-        c3 = weakmeas._tally(t1, cfg.n_trials, cfg.seed + 1, site)[1]
+        c3 = _arm_counts(t1, cfg.n_trials, cfg.seed + 1, site)
         for b in range(cells.n_bins):
             test = chi2_two_sample(c1[b].ravel(), c3[b].ravel())
             planes_rows.append({
@@ -145,7 +158,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                            tol=TABLE_TOL),
               *checks]
 
-    records = {name: [] for name in RECORD_FIELDS}
+    records = {name: [] for name in weakmeas.RECORD_FIELDS}
     if not degenerate:
         proto = weakmeas.PointerProtocol(
             coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,

@@ -15,23 +15,18 @@ run_order_invariance checks that as its fresh-seed arm.
 
 import numpy as np
 
-from .. import bohm, weakmeas
+from .. import bohm
 from ..errors import ValidationError
 from ..qgrid import Grid1D, WaveFunction1D, conditional_slice, normalize
 from ..states import beam_splitter, branch_waves, two_branch_state
 from ..stats import fidelity, fidelity_debiased, fidelity_debiased_sigma
-from ..weakmeas import PointerProtocol, scan_pointer_protocol
+from ..weakmeas import PointerProtocol, replay_records, scan_pointer_protocol
 from .config import ScenarioConfig
 from .reports import check_record
 
 # max branch probability mass allowed on the wrong side of x = 0
 SUPPORT_LEAK_TOL = 1e-6
 RECON_FIDELITY_MIN = 0.99
-
-# Columns of the per-trial protocol records: trial index, accepted (inside
-# the momentum window and a Y bin), the trial's p_x and Y cell, its Y bin
-# (-1: none), readout basis ("re" or "im") and reading (None if rejected).
-RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 
 ORDERINGS = {"A": "detect_upstream_of_bs",
              "B": "detect_downstream, coupling_after_detection"}
@@ -54,8 +49,10 @@ def detection_state(cfg: ScenarioConfig):
     leak2 = float(psi2.density()[~neg].sum() * gx.dx)
     if max(leak1, leak2) > SUPPORT_LEAK_TOL:
         raise ValidationError(
-            f"packet supports overlap x = 0 (leaked mass {max(leak1, leak2):.3g}"
-            f" > {SUPPORT_LEAK_TOL:g}); increase x_sep or shrink sigma_x")
+            f"config.state.x_sep = {st['x_sep']:g} and config.state.sigma_x = "
+            f"{st['sigma_x']:g}: packet supports overlap x = 0 (leaked mass "
+            f"{max(leak1, leak2):.3g} > {SUPPORT_LEAK_TOL:g}); increase x_sep "
+            "or shrink sigma_x")
 
     collapsed = bool(pr["bs_inserted"] and pr["plane"] == "B")
     psi_det = beam_splitter(psi_pre, st["bs_shift"]) if collapsed else psi_pre
@@ -74,36 +71,6 @@ def select_sites(psi_det, floor: float) -> np.ndarray:
     """Grid indices whose x-marginal density clears floor * max."""
     rho_x = psi_det.density().sum(axis=1)
     return np.flatnonzero(rho_x > floor * rho_x.max())
-
-
-def replay_records(system, site_index: int, proto: PointerProtocol,
-                   cap: int) -> dict:
-    """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials
-    of the first chunk of one site's protocol run.
-
-    The rows come from the engine's own chunk draw, so they are exactly
-    the trials scan_pointer_protocol consumed at that site; every trial's
-    cell is the search of the whole CDF for the chunk's first uniforms.
-    """
-    tab = weakmeas._site_tables(weakmeas._state(system, proto), site_index,
-                                proto)
-    c = tab.cells
-    if c.gy is None:
-        raise ValidationError("trial records need a two-particle system")
-    n = min(weakmeas.CHUNK_TRIALS, proto.n_trials)
-    m = min(n, cap)
-    chunk = weakmeas._draw_chunk(tab, proto.seed, site_index, 0, n)
-    u = weakmeas._chunk_rng(proto.seed, site_index, 0).random(m)
-    p_idx, y_idx = np.divmod(np.searchsorted(tab.cdf, u, side="right"),
-                             c.gy.n_points)
-    kept = chunk.kept[chunk.kept < m]
-    accepted = np.zeros(m, dtype=bool)
-    accepted[kept] = True
-    outcome = np.full(m, None, dtype=object)
-    outcome[kept] = chunk.reading[:kept.size].tolist()
-    return dict(zip(RECORD_FIELDS, (
-        np.arange(m), accepted, c.p_values[p_idx], c.gy.points[y_idx],
-        c.bin_of_y[y_idx], np.where(chunk.basis[:m], "im", "re"), outcome)))
 
 
 def run_photon_planes(cfg: ScenarioConfig) -> dict:

@@ -52,26 +52,27 @@ Monte Carlo
 -----------
 The protocol samples the exact joint distribution of (momentum cell,
 Y cell, readout) implied by the unitary coupling, so the simulation is
-faithful at every coupling strength, not only to first order.
-One engine serves every caller: coupling tables built from the coupled
-state's momentum-space branches (qubit uH, uV; gaussian den, num) and one
-per-chunk draw (cells, basis, readout uniform, model readout). Site scans,
-both operation orderings of labcli.order and the per-trial records of
-labcli.planes all pool or list the trials of that draw. Randomness is
-counter-based (Philox) keyed by (seed, site, chunk) with a fixed chunk
-size, which makes results independent of how chunks are distributed over
-workers; partial sums merge in fixed chunk order.
+faithful at every coupling strength, not only to first order. Randomness
+is counter-based (Philox) keyed by (seed, site, chunk) with a fixed chunk
+size, so results do not depend on how chunks are spread over workers.
 
-Only the trials inside the momentum window are located to a cell. p
-ascends, so the window is one flat cell range [s, e) of the (p, Y) CDF: a
-trial is inside exactly when cdf[s-1] <= u < cdf[e-1], and its cell, that of
-searchsorted(cdf, u, side="right"), is s plus the search of cdf[s:e]. The
-cell weights span the grid; the readout tables hold the window rows only.
+The estimators need counts, not trials: each chunk is one multinomial
+draw (tally) over categories whose probabilities the coupling tables sum
+once per site. They are (Y bin, basis, outcome) for the qubit pointer and
+(window cell in a Y bin, basis) for the gaussian pointer, which then draws
+its window trials' readings from two rejection samplers; the last two
+categories are "in the window but in no Y bin" and "outside the window".
+A qubit chunk thus costs O(categories) whatever its trial count. The
+tables hold the momentum-window rows only; their normaliser `total` is the
+state's norm, sum |den|^2 * measure, which the coupled cell weights also
+sum to over the whole grid (the coupling is unitary; Parseval).
 
-The state's momentum transform and expected acceptance are computed once
-per state, the tables once per site. scan_pointer_protocol is the one
-runner: it returns per-(site, Y bin) arrays (ScanResult) of the estimates,
-their standard errors and counts, and the exact expectation of the tables.
+The per-trial records (replay_records) are a view of chunk 0's draw: its
+category labels expanded and permuted with the chunk's rng, each record's
+cell drawn from its category's cell weights. Only cells outside the window
+need whole-grid weights, built for the one record site. Scans, all three
+arms of labcli.order and the records share this draw. The one runner,
+scan_pointer_protocol, returns per-(site, Y bin) arrays (ScanResult).
 """
 
 from dataclasses import dataclass
@@ -89,11 +90,6 @@ GAUSSIAN_POSITION_GAIN = 1.0   # <q> = GAIN * g * Re w + O(g^2)
 GAUSSIAN_MOMENTUM_GAIN = 2.0   # <p> = GAIN * sigma_p^2 * g * Im w + O(g^2)
 
 
-def _denominator_scale(psi: WaveFunction1D) -> float:
-    tilde = to_momentum(psi)
-    return float(np.sqrt(2.0 * np.pi) * np.max(np.abs(tilde.amplitudes)))
-
-
 def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0) -> np.ndarray:
     """exp(-i p_x x) psi(x) / <p_x|psi> over the whole grid.
 
@@ -101,7 +97,8 @@ def weak_value_scan(psi: WaveFunction1D, p_x: float = 0.0) -> np.ndarray:
     """
     ramped = np.exp(-1j * p_x * psi.grid.points) * psi.amplitudes
     den = complex(np.sum(ramped) * psi.grid.dx)  # <p_x|psi>
-    scale = _denominator_scale(psi)
+    scale = float(np.sqrt(2.0 * np.pi)
+                  * np.max(np.abs(to_momentum(psi).amplitudes)))
     if scale == 0.0 or abs(den) < OVERLAP_FLOOR * scale:
         raise PostSelectionError(f"momentum amplitude at p={p_x} below floor")
     return ramped / den
@@ -163,21 +160,20 @@ class ScanResult:
 
 class _Cells:
     """The (p, Y) cell grid of a run: the momentum window |p| < window (the
-    row range `rows`, the flat cell range `flat`), Y bins and cell measure.
-    A lone particle (gy None) has one Y cell."""
+    row range `rows`), Y bins and cell measure. A lone particle (gy None)
+    has one Y cell."""
 
     def __init__(self, gx, gy, window, y_bins):
         pgrid = gx.conjugate()
         self.gx, self.gy = gx, gy
         self.p_values = pgrid.points
-        self.window = window if window is not None else 1.5 * pgrid.dx
-        self.win_p = np.abs(self.p_values) < self.window
+        window = window if window is not None else 1.5 * pgrid.dx
+        self.win_p = np.abs(self.p_values) < window
         first = int(np.argmax(self.win_p))   # 0 if the window is empty
         self.rows = slice(first, first + int(self.win_p.sum()))
         self.measure = pgrid.dx / (2.0 * np.pi)
         if gy is None:
-            self.y_edges = np.array([0.0, 1.0])
-            self.bin_of_y = np.zeros(1, dtype=int)
+            self.bin_of_y, self.n_bins = np.zeros(1, dtype=int), 1
         else:
             self.measure *= gy.dx
             if np.isscalar(y_bins):
@@ -186,126 +182,171 @@ class _Cells:
                 edges = np.asarray(y_bins, dtype=float)
                 if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
                     raise ValidationError("y_bins edges must be increasing")
-            self.y_edges = edges
-            idx = np.searchsorted(edges, gy.points, side="right") - 1
-            idx[gy.points >= edges[-1]] = -1
-            self.bin_of_y = idx
+            self.n_bins = edges.size - 1
+            self.bin_of_y = np.where(gy.points < edges[-1], np.searchsorted(
+                edges, gy.points, side="right") - 1, -1)
         self.n_y = self.bin_of_y.size
-        self.flat = slice(self.rows.start * self.n_y, self.rows.stop * self.n_y)
-        self.n_bins = self.y_edges.size - 1
 
 
 class _CouplingTables:
-    """Exact per-(p cell, Y cell) statistics of a coupled, post-selected run.
+    """Exact per-(p cell, Y cell) statistics of one coupled site on the
+    momentum-window rows.
 
-    The pointer models below reduce the coupled state's momentum-space
-    branches (n_p, n_y) to cell weights nu on the whole grid, whose
-    distribution and CDF this base holds, and to the expected (re, im)
-    readings `means` on the window rows. Each model adds `gains`, which turn
-    pooled readings into weak-value estimates, and readout(rng, cells,
-    basis, u_read), which draws readings in window cells (flat indexes into
-    the window rows). Tables from _site_tables also carry the site index.
+    A pointer model gives cell weights nu and nu times the expected (re, im)
+    reading, (rows, n_y) each; over the norm `total` they become the cell
+    probabilities q and qm. `kept` lists the flat cells in a Y bin, `sums`
+    the per-bin sums of q and qm. Each model adds `gains` (reading per weak
+    value), `kappa` (nu = |den|^2 - 2 kappa (Re(conj(den) num) - |num|^2)),
+    `probs` (the chunk draw's category law), draw_cells(cat, u) (cells and
+    bases of window trials of categories cat), readings(rng, drawn) (the
+    window trials' readings in category order) and moments(rng, drawn)
+    (their count, sum and sum of squares per (bin, basis)).
     """
 
-    def __init__(self, cells: _Cells, nu):
+    def __init__(self, cells: _Cells, nu, weighted, total: float):
         self.cells = cells
-        raw = nu * cells.measure
-        self.total = raw.sum()
-        self.cell_probs = raw / self.total
-        self.cdf = np.cumsum(self.cell_probs.ravel())
-        self.cdf /= self.cdf[-1]
+        scale = cells.measure / total
+        self.q, self.qm = nu * scale, weighted * scale
+        self.kept = np.flatnonzero(np.tile(cells.bin_of_y >= 0, nu.shape[0]))
+        self.bin_of_kept = cells.bin_of_y[self.kept % cells.n_y]
+        self.sums = np.array([
+            np.bincount(self.bin_of_kept, weights=x.ravel()[self.kept],
+                        minlength=cells.n_bins) for x in (self.q, *self.qm)])
+        col = self.q.sum(axis=0)
+        self.tail = [col[cells.bin_of_y < 0].sum(), max(1.0 - col.sum(), 0.0)]
 
     def pooled(self) -> np.ndarray:
         """Expected (re, im) reading over each Y bin's accepted cells, shape
-        (n_bins, 2); NaN where a bin has no accepted mass. The sums run over
-        the whole grid (zero outside the window rows)."""
-        c = self.cells
-        probs = self.cell_probs * c.win_p[:, None]
-        means = np.zeros((2,) + probs.shape)
-        means[:, c.rows] = self.means
-        out = np.full((c.n_bins, 2), np.nan)
-        for b in range(c.n_bins):
-            cols = c.bin_of_y == b
-            p = probs[:, cols]
-            mass = p.sum()
-            if mass > 0:
-                out[b] = [(p * m).sum() / mass for m in means[:, :, cols]]
-        return out
-
-    def expectation(self) -> np.ndarray:
-        """Infinite-trial limit of the (re, im) bin estimates, shape
-        (n_bins, 2); NaN where a bin has no accepted mass."""
-        return self.pooled() / self.gains
+        (n_bins, 2), NaN where a bin has no accepted mass; over the gains,
+        the infinite-trial limit of the bin estimates."""
+        mass, *m = self.sums
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mass > 0, np.array(m) / mass, np.nan).T
 
 
 class _QubitTables(_CouplingTables):
     """Qubit pointer with ancilla branches uH, uV; reads +-1 in D/A or L/R
     with gain QUBIT_IMBALANCE_GAIN dx sin(alpha), 0 without coupling (then
-    only the tables themselves are meaningful)."""
+    only the tables themselves are meaningful). Category 4 bin + 2 basis +
+    outcome (outcome 1 reads +1) has probability (Q -+ M) / 4, with Q the
+    bin's mass and M its sum of q * reading."""
 
-    def __init__(self, cells, uH, uV, alpha):
-        nu = np.abs(uH) ** 2 + np.abs(uV) ** 2
-        super().__init__(cells, nu)
-        w = cells.rows
+    def __init__(self, cells, uH, uV, alpha, total):
         # the operand order fixes the readings' last bits (numpy's SIMD
         # complex multiply is not bitwise commutative): do not swap it
-        cross = np.conj(uV[w]) * uH[w]
-        nu = nu[w]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(nu, 1e-300)
-            self.means = (np.where(nu > 0, 2.0 * cross.real / safe, 0.0),
-                          np.where(nu > 0, -2.0 * cross.imag / safe, 0.0))
+        cross = np.conj(uV) * uH
+        super().__init__(cells, np.abs(uH) ** 2 + np.abs(uV) ** 2,
+                         np.array([2.0 * cross.real, -2.0 * cross.imag]),
+                         total)
         gain = QUBIT_IMBALANCE_GAIN * cells.gx.dx * np.sin(alpha)
+        self.kappa = 1.0 - np.cos(alpha)
         self.gains = np.array([gain, gain])
+        mass, *m = self.sums
+        p = 0.25 * (mass[:, None, None]
+                    + np.multiply.outer(np.array(m).T, [-1.0, 1.0]))
+        self.probs = np.append(np.maximum(p, 0.0), self.tail)
 
-    def readout(self, rng, cells, basis, u_read):
-        d_re, d_im = self.means
-        d = np.where(basis, d_im.ravel()[cells], d_re.ravel()[cells])
-        return np.where(u_read < 0.5 * (1.0 + d), 1.0, -1.0)
+    def draw_cells(self, cat, u):
+        cells = np.empty(cat.size, dtype=int)
+        for k in np.unique(cat):
+            b, basis, sign = k // 4, k // 2 % 2, 2 * (k % 2) - 1
+            w = (self.q + sign * self.qm[basis]) * (self.cells.bin_of_y == b)
+            cells[cat == k] = _draw_cell(np.maximum(w, 0.0), u[cat == k])
+        return cells, cat // 2 % 2 == 1
+
+    def readings(self, rng, drawn):
+        return np.repeat(np.resize([-1.0, 1.0], drawn.size - 2), drawn[:-2])
+
+    def moments(self, rng, drawn):
+        c = drawn[:-2].reshape(-1, 2)
+        n = c.sum(axis=1)
+        return np.array([n, c[:, 1] - c[:, 0], n], dtype=float)
 
 
 class _GaussianTables(_CouplingTables):
     """Gaussian pointer shifted by s = g / dx on the coupled share num of the
-    uncoupled amplitude den; reads position (re) or momentum (im)."""
+    uncoupled amplitude den; reads position (re) or momentum (im). Category
+    2 j + basis, probability q / 2, is kept cell j read in that basis."""
 
-    def __init__(self, cells, den, num, proto: PointerProtocol):
+    def __init__(self, cells, den, num, proto: PointerProtocol, total):
         self.sigma_q = proto.pointer_width
-        self.sigma_p = 1.0 / (2.0 * self.sigma_q)
+        self.sigma_p = 0.5 / proto.pointer_width
         s = self.s = proto.coupling / cells.gx.dx
         damp = np.exp(-(s * self.sigma_p) ** 2 / 2.0)
+        self.kappa = 1.0 - damp
         rest = den - num
         K = np.conj(rest) * num
         A, B, C = np.abs(rest) ** 2, np.abs(num) ** 2, 2.0 * K.real * damp
-        nu = A + B + C
-        super().__init__(cells, nu)
-        w = cells.rows
+        super().__init__(cells, A + B + C, np.array([
+            B * s + 0.5 * C * s, 2.0 * K.imag * s * self.sigma_p**2 * damp]),
+            total)
         self.A, self.B, self.C, self.rest, self.num = (
-            t[w] for t in (A, B, C, rest, num))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(nu[w], 1e-300)
-            self.means = (
-                (self.B * s + 0.5 * self.C * s) / safe,
-                (2.0 * K[w].imag * s * self.sigma_p**2 * damp) / safe)
+            t.ravel()[self.kept] for t in (A, B, C, rest, num))
+        self.slot = 2 * self.bin_of_kept[:, None] + np.array([0, 1])
+        self.probs = np.append(np.repeat(0.5 * self.q.ravel()[self.kept], 2),
+                               self.tail)
         self.gains = np.array([
             GAUSSIAN_POSITION_GAIN * proto.coupling,
             GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling])
 
-    def readout(self, rng, cells, basis, u_read):
-        out = np.empty(cells.size)
-        pos, mom = cells[~basis], cells[basis]
-        out[~basis] = _sample_position_readout(
-            rng, self.A.ravel()[pos], self.B.ravel()[pos], self.C.ravel()[pos],
-            self.s, self.sigma_q)
-        out[basis] = _sample_momentum_readout(
-            rng, self.rest.ravel()[mom], self.num.ravel()[mom], self.s,
-            self.sigma_p)
+    def draw_cells(self, cat, u):
+        return self.kept[cat // 2], cat % 2 == 1
+
+    def readings(self, rng, drawn):
+        """Exact draws, by rejection, from the position density
+        A N(0) + B N(s) + C N(s/2) (envelope: |C| for C) and from the
+        momentum density N(0, sigma_p^2)(p) |rest + num e^{-i p s}|^2."""
+        cat = np.repeat(np.arange(drawn.size - 2), drawn[:-2])
+        j, mom = cat // 2, cat % 2 == 1
+        A, B, C, s = self.A, self.B, self.C, self.s
+        out = np.empty(cat.size)
+
+        def mixture(t):
+            u = rng.random(t.size) * (A[t] + B[t] + np.abs(C[t]))
+            return rng.normal(np.where(u < A[t], 0.0, np.where(
+                u < A[t] + B[t], s, 0.5 * s)), self.sigma_q)
+
+        def mixture_ratio(t, q):
+            n0, ns, nh = (np.exp(-((q - mu) / self.sigma_q) ** 2 / 2.0)
+                          for mu in (0.0, s, 0.5 * s))
+            envelope = A[t] * n0 + B[t] * ns + np.abs(C[t]) * nh
+            return 1.0 + (C[t] - np.abs(C[t])) * nh / envelope
+
+        out[~mom] = _rejection(rng, j[~mom], mixture, mixture_ratio)
+        rest, num = self.rest, self.num
+        bound = (np.abs(rest) + np.abs(num)) ** 2
+        out[mom] = _rejection(
+            rng, j[mom], lambda t: rng.normal(0.0, self.sigma_p, t.size),
+            lambda t, p: np.abs(rest[t] + num[t] * np.exp(-1j * p * s)) ** 2
+            / bound[t])
         return out
+
+    def moments(self, rng, drawn):
+        slots = np.repeat(self.slot.ravel(), drawn[:-2])
+        r = self.readings(rng, drawn)
+        n = 2 * self.cells.n_bins
+        return np.array([np.bincount(slots, weights=w, minlength=n)
+                         for w in (np.ones_like(r), r, r * r)])
+
+
+def _rejection(rng, cells, propose, ratio):
+    """One exact draw per entry of cells: propose(t) draws candidates for
+    cells t, accepted with probability ratio(t, x) (target / envelope)."""
+    out = np.empty(cells.size)
+    todo = np.arange(cells.size)
+    while todo.size:
+        x = propose(cells[todo])
+        ok = rng.random(todo.size) <= ratio(cells[todo], x)
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return out
 
 
 def _state(system, proto: PointerProtocol):
-    """The per-state part of a run: (cells, amp, den, acceptance_expected)
-    with amp the amplitudes (n_x, n_y), den = momentum_fft(amp) and the
-    uncoupled state's probability of landing inside the momentum window."""
+    """The per-state part of a run: (cells, amp, den, total, acceptance)
+    with amp the amplitudes (n_x, n_y), den = momentum_fft(amp), total the
+    state's norm sum |den|^2 * measure, and acceptance the uncoupled
+    state's probability of landing inside the momentum window."""
     if isinstance(system, WaveFunction1D):
         gx, gy, amp = system.grid, None, system.amplitudes[:, None]
     elif isinstance(system, WaveFunction2D):
@@ -315,87 +356,38 @@ def _state(system, proto: PointerProtocol):
     cells = _Cells(gx, gy, proto.p_x_bin, proto.y_bins)
     den = momentum_fft(amp, gx)
     base = np.abs(den) ** 2 * cells.measure
-    base /= base.sum()
-    return cells, amp, den, float(base[cells.win_p].sum())
+    total = base.sum()
+    base /= total
+    return cells, amp, den, float(total), float(base[cells.win_p].sum())
 
 
 def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
     """Tables of proto's pointer coupled at A_site (grid index or position)
     of the state that _state prepared."""
-    cells, amp, den, _ = state
-    gx = cells.gx
+    cells, amp, den, total, _ = state
+    gx, rows = cells.gx, cells.rows
     site = A_site if isinstance(A_site, (int, np.integer)) \
         else gx.index_of(float(A_site))
     x_site = gx.points[site]
-    num = gx.dx * np.exp(-1j * cells.p_values[:, None] * x_site) \
+    num = gx.dx * np.exp(-1j * cells.p_values[rows, None] * x_site) \
         * amp[site, None, :]
+    den = den[rows]
     if proto.pointer_model == "qubit":
         a = proto.coupling / (gx.dx * proto.pointer_width)
         tab = _QubitTables(cells, den + (np.cos(a) - 1.0) * num,
-                           np.sin(a) * num, a)
+                           np.sin(a) * num, a, total)
     else:
-        tab = _GaussianTables(cells, den, num, proto)
+        tab = _GaussianTables(cells, den, num, proto, total)
     tab.site = site
     return tab
 
 
-def _norm_pdf(q, mean, sigma):
-    return np.exp(-((q - mean) ** 2) / (2.0 * sigma**2)) / (sigma * np.sqrt(2.0 * np.pi))
-
-
-def _sample_position_readout(rng, A, B, C, s, sigma):
-    """Exact draws from |(1-W) phi(q) + W phi(q - s)|^2 per trial.
-
-    The density is A*N(0) + B*N(s) + C*N(s/2) (C may be negative); sampling
-    is mixture-proposal rejection with envelope A*N(0) + B*N(s) + |C|*N(s/2).
-    """
-    n = A.size
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        a, b, c = A[todo], B[todo], C[todo]
-        absc = np.abs(c)
-        u = rng.random(todo.size) * (a + b + absc)
-        mean = np.where(u < a, 0.0, np.where(u < a + b, s, 0.5 * s))
-        q = rng.normal(mean, sigma)
-        accept = np.ones(todo.size, dtype=bool)
-        neg = c < 0
-        if np.any(neg):
-            n0 = _norm_pdf(q[neg], 0.0, sigma)
-            ns = _norm_pdf(q[neg], s, sigma)
-            nh = _norm_pdf(q[neg], 0.5 * s, sigma)
-            target = a[neg] * n0 + b[neg] * ns + c[neg] * nh
-            envelope = a[neg] * n0 + b[neg] * ns + absc[neg] * nh
-            accept[neg] = rng.random(neg.sum()) * envelope <= target
-        out[todo[accept]] = q[accept]
-        todo = todo[~accept]
-    return out
-
-
-def _sample_momentum_readout(rng, rest, num, s, sigma_p):
-    """Exact draws from N(0, sigma_p^2)(p) |rest + num e^{-i p s}|^2 (normalized)."""
-    n = rest.size
-    out = np.empty(n)
-    todo = np.arange(n)
-    bound = (np.abs(rest) + np.abs(num)) ** 2
-    while todo.size:
-        p = rng.normal(0.0, sigma_p, todo.size)
-        f = np.abs(rest[todo] + num[todo] * np.exp(-1j * p * s)) ** 2
-        accept = rng.random(todo.size) * bound[todo] <= f
-        out[todo[accept]] = p[accept]
-        todo = todo[~accept]
-    return out
-
-
-def _window_lookup(cdf: np.ndarray, s: int, e: int, u: np.ndarray):
-    """(trials, cells): the u whose searchsorted(cdf, u, side="right") lies
-    in the cell range [s, e), and those cells. For a non-decreasing cdf it
-    does exactly when cdf[s-1] <= u < cdf[e-1]; only those u are searched.
-    """
-    lo = cdf[s - 1] if s else 0.0
-    hi = cdf[e - 1] if e else 0.0
-    trials = np.flatnonzero((lo <= u) & (u < hi))
-    return trials, s + np.searchsorted(cdf[s:e], u[trials], side="right")
+def _draw_cell(weights, u):
+    """Flat cells drawn at uniforms u in [0, 1) from non-negative weights.
+    u * total rounds below total, so only cells of positive weight come
+    out."""
+    cdf = np.cumsum(weights.ravel())
+    return np.searchsorted(cdf, u * cdf[-1], side="right")
 
 
 def _chunk_rng(seed: int, site_index: int, chunk_id: int):
@@ -403,67 +395,77 @@ def _chunk_rng(seed: int, site_index: int, chunk_id: int):
         np.random.SeedSequence([seed, site_index, chunk_id])))
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """The trials of one chunk: basis of every trial (True: imaginary part),
-    the count n_window inside the momentum window, the indexes kept of those
-    also in a Y bin, and their cells (flat (p, Y)), bins and readings."""
+def tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
+    """Pool n_trials trials of one site's stream, one count draw per chunk.
 
-    basis: np.ndarray
-    n_window: int
-    kept: np.ndarray
-    cells: np.ndarray
-    bins: np.ndarray
-    reading: np.ndarray
-
-
-def _draw_chunk(tab: _CouplingTables, seed: int, site_index: int,
-                chunk_id: int, n: int) -> _Chunk:
-    """n trials from the stream keyed (seed, site_index, chunk_id).
-
-    Draw order: cell uniforms, bases, readout uniforms, then the pointer
-    model's readings of the kept trials.
+    Chunk k draws, from the stream keyed (seed, site_index, k), one
+    multinomial of its trials over tab.probs, then the readings of its
+    window trials. Returns (counts, moments): the category counts summed
+    over chunks (for the qubit pointer counts[:-2] reshape to [bin, basis,
+    outcome]), and the readings' count, sum and sum of squares per
+    (Y bin, basis), shape (3, n_bins, 2).
     """
-    c = tab.cells
-    rng = _chunk_rng(seed, site_index, chunk_id)
-    inside, cells = _window_lookup(tab.cdf, c.flat.start, c.flat.stop,
-                                   rng.random(n))
-    basis = rng.random(n) < 0.5
-    u_read = rng.random(n)
-    bins = c.bin_of_y[cells % c.n_y]
-    in_bin = bins >= 0
-    kept, cells = inside[in_bin], cells[in_bin]
-    reading = tab.readout(rng, cells - c.flat.start, basis[kept],
-                          u_read[kept])
-    return _Chunk(basis, inside.size, kept, cells, bins[in_bin], reading)
-
-
-def _tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
-    """Pool n_trials trials of one site's stream, chunk by chunk.
-
-    Returns (n_window, stats): the trials inside the momentum window, and
-    for the qubit pointer counts[bin, basis, outcome] (outcome 1 reads +1),
-    for the gaussian pointer the count, sum and sum of squares of the
-    readings, shape (3, n_bins, 2).
-    """
-    nb = tab.cells.n_bins
-    qubit = isinstance(tab, _QubitTables)
-    stats = (np.zeros((nb, 2, 2), dtype=np.int64) if qubit
-             else np.zeros((3, nb, 2)))
-    n_window = 0
+    counts = np.zeros(tab.probs.size, dtype=np.int64)
+    moments = np.zeros((3, 2 * tab.cells.n_bins))
     for chunk_id, done in enumerate(range(0, n_trials, CHUNK_TRIALS)):
-        chunk = _draw_chunk(tab, seed, site_index, chunk_id,
-                            min(CHUNK_TRIALS, n_trials - done))
-        n_window += chunk.n_window
-        idx = chunk.bins * 2 + chunk.basis[chunk.kept]
-        if qubit:
-            stats += np.bincount(idx * 2 + (chunk.reading > 0),
-                                 minlength=nb * 4).reshape(nb, 2, 2)
-        else:
-            powers = (1.0, chunk.reading, chunk.reading**2)
-            for row, value in enumerate(powers):
-                np.add.at(stats[row].ravel(), idx, value)
-    return n_window, stats
+        rng = _chunk_rng(seed, site_index, chunk_id)
+        drawn = rng.multinomial(min(CHUNK_TRIALS, n_trials - done), tab.probs)
+        counts += drawn
+        moments += tab.moments(rng, drawn)
+    return counts, moments.reshape(3, -1, 2)
+
+
+# Columns of the per-trial records: trial index, accepted (inside the
+# momentum window and a Y bin), the trial's p_x and Y cell, its Y bin
+# (-1: none), readout basis ("re" or "im") and reading (None if rejected).
+RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
+
+
+def replay_records(system, site_index: int, proto: PointerProtocol,
+                   cap: int) -> dict:
+    """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials of
+    chunk 0 of one site's run: a view of tally's draw of that chunk.
+
+    The chunk's category labels, expanded and permuted with its rng, give
+    the trials in order; each then draws a uniform for its cell within its
+    category and one for its basis where the category has none. Only the
+    cells outside the window need whole-grid weights.
+    """
+    state = _state(system, proto)
+    tab = _site_tables(state, site_index, proto)
+    c = tab.cells
+    if c.gy is None:
+        raise ValidationError("trial records need a two-particle system")
+    n = min(CHUNK_TRIALS, proto.n_trials)
+    m = min(n, cap)
+    rng = _chunk_rng(proto.seed, tab.site, 0)
+    drawn = rng.multinomial(n, tab.probs)
+    values = tab.readings(rng, drawn)
+    order = rng.permutation(n)[:m]
+    cat = np.repeat(np.arange(drawn.size), drawn)[order]
+    u = rng.random((m, 2))
+    basis, cell = u[:, 1] < 0.5, np.empty(m, dtype=int)
+    win, no_bin, out = (cat < drawn.size - 2, cat == drawn.size - 2,
+                        cat == drawn.size - 1)
+    cell[win], basis[win] = tab.draw_cells(cat[win], u[win, 0])
+    if no_bin.any():
+        cell[no_bin] = _draw_cell(tab.q * (c.bin_of_y < 0), u[no_bin, 0])
+    cell[~out] += c.rows.start * c.n_y
+    if out.any():
+        _, amp, den, _, _ = state
+        num = c.gx.dx * np.outer(np.exp(-1j * c.p_values
+                                        * c.gx.points[tab.site]), amp[tab.site])
+        w = np.maximum(np.abs(den) ** 2 - 2.0 * tab.kappa * (
+            (np.conj(den) * num).real - np.abs(num) ** 2), 0.0)
+        w[c.rows] = 0.0
+        cell[out] = _draw_cell(w, u[out, 0])
+    p_idx, y_idx = np.divmod(cell, c.n_y)
+    accepted = order < values.size
+    outcome = np.full(m, None, dtype=object)
+    outcome[accepted] = values[order[accepted]].tolist()
+    return dict(zip(RECORD_FIELDS, (
+        np.arange(m), accepted, c.p_values[p_idx], c.gy.points[y_idx],
+        c.bin_of_y[y_idx], np.where(basis, "im", "re"), outcome)))
 
 
 def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
@@ -471,19 +473,16 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
 
     Per trial: sample the exact joint (momentum cell, Y cell) distribution of
     the coupled state, accept iff |p_x| < window, assign the trial to one of
-    the two readout bases, sample the readout, and pool per Y bin. Empty bins
-    are flagged, not errors. The per-state work is done once; each site's
-    stream is keyed (seed, site, chunk).
+    the two readout bases, sample the readout, and pool per Y bin; tally
+    draws these trials as counts. Empty bins are flagged, not errors.
     """
     state = _state(system, proto)
     rows = []
     for s in sites:
         tab = _site_tables(state, s, proto)
-        n_window, stats = _tally(tab, proto.n_trials, proto.seed, tab.site)
-        if isinstance(tab, _QubitTables):
-            count = stats.sum(axis=2)
-            stats = (count, stats[..., 1] - stats[..., 0], count)
-        rows.append((tab.site, n_window, *stats, tab.expectation()))
+        counts, moments = tally(tab, proto.n_trials, proto.seed, tab.site)
+        rows.append((tab.site, proto.n_trials - counts[-1], *moments,
+                     tab.pooled() / tab.gains))
         gains = tab.gains
         del tab   # one site's tables in memory at a time
     index, n_window, n, total, total_sq, exact = map(np.array, zip(*rows))
@@ -494,5 +493,5 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
         est = mean / gains
         se = np.sqrt(var / n) / gains
     est[empty] = se[empty] = np.nan
-    return ScanResult(index, n_window / proto.n_trials, state[3], est, se,
+    return ScanResult(index, n_window / proto.n_trials, state[4], est, se,
                       exact, n.astype(np.int64), empty)

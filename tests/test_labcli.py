@@ -28,6 +28,7 @@ from cwflab.weakmeas import (
     CHUNK_TRIALS,
     GAUSSIAN_MOMENTUM_GAIN,
     GAUSSIAN_POSITION_GAIN,
+    RECORD_FIELDS,
     PointerProtocol,
     scan_pointer_protocol,
 )
@@ -48,7 +49,6 @@ from cwflab.labcli.fig1 import (
 )
 from cwflab.labcli.order import run_order_invariance
 from cwflab.labcli.planes import (
-    RECORD_FIELDS,
     detection_state,
     replay_records,
     run_photon_planes,
@@ -300,7 +300,9 @@ class TestFig1:
     def test_weak_impulse_rejected(self):
         cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 10,
                             "state": {"lam": 0.001}})
-        with pytest.raises(ValidationError, match="impulse too weak"):
+        with pytest.raises(ValidationError,
+                           match=r"^config\.state\.lam = 0\.001 and "
+                                 r"config\.state\.w = .*impulse too weak"):
             run_fig1(cfg)
 
     def test_box_edges_off_grid_points(self):
@@ -814,6 +816,8 @@ class TestCli:
         ("density", {"protocol": {"four_phase": True}}, []),
         ("order", {"protocol": {"compare_planes": False}}, []),
         ("fig1", {"report": {"format": "csv"}}, []),
+        # overlapping packets: this used to name no key
+        ("planes", {"state": {"x_sep": 1.0}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
                                     flags):

@@ -22,10 +22,12 @@ from cwflab.qgrid import (
     WaveFunction1D,
     WaveFunction2D,
     conditional_slice,
+    momentum_fft,
     normalize,
     to_momentum,
 )
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
+from cwflab.stats import chi2_gof
 from cwflab import weakmeas
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
@@ -332,7 +334,7 @@ class TestPointerMonteCarlo:
         Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
                             2.5)
         edges = [grid128.x_min, 0.0, 4.0, 4.5, 7.0, 7.01, 7.05]
-        proto = PointerProtocol(coupling=0.02, n_trials=4000, seed=0,
+        proto = PointerProtocol(coupling=0.02, n_trials=4000, seed=1,
                                 y_bins=edges)
         res = scan_pointer_protocol(Psi, [-3.0, 50, 1.5], proto)
         assert res.sites.tolist() == [grid128.index_of(-3.0), 50,
@@ -340,8 +342,8 @@ class TestPointerMonteCarlo:
         assert (res.estimate.shape == res.se.shape == res.expectation.shape
                 == res.counts.shape == (3, 6, 2))
         assert res.counts.dtype == np.int64
-        # this stream puts one re trial and no im trial at site 1.5, bin 3
-        assert res.counts[2, 3].tolist() == [1, 0]
+        # this stream puts one re trial and no im trial at site -3.0, bin 3
+        assert res.counts[0, 3].tolist() == [1, 0]
         filled = (res.counts > 0).all(axis=2)
         assert filled.any() and (~filled).any()
         np.testing.assert_array_equal(res.empty, ~filled)
@@ -354,89 +356,265 @@ class TestPointerMonteCarlo:
         np.testing.assert_array_equal(np.isnan(res.expectation), no_mass)
 
 
+def planes_b_on(model, **kw):
+    """The planes scenario's default state behind the splitter, its grid and
+    a protocol at its defaults (one Y bin each side of Y = 0)."""
+    grid = Grid1D(-8.0, 8.0, 256)
+    Psi = beam_splitter(two_branch_state(grid, grid, 6.0, 0.5, 0.7), 2.5)
+    kw = {"y_bins": [grid.x_min, 0.0, grid.x_max], "n_trials": CHUNK_TRIALS,
+          "p_x_bin": 0.5 * grid.conjugate().dx, **kw}
+    proto = PointerProtocol(coupling=0.02, seed=4, pointer_width=0.2,
+                            pointer_model=model, **kw)
+    return Psi, grid, proto
+
+
+def qubit_cell_law(Psi, site, proto):
+    """Brute-force cell probabilities of the qubit readouts A, D, R, L,
+    shape (4, n_p, n_y): couple the whole 2-D state at the site, transform
+    it, project the ancilla, and divide by the position-space norm."""
+    gx, gy = Psi.grid_x, Psi.grid_y
+    a = proto.coupling / (gx.dx * proto.pointer_width)
+    h = Psi.amplitudes.copy()
+    h[site] *= np.cos(a)
+    v = np.zeros_like(h)
+    v[site] = np.sin(a) * Psi.amplitudes[site]
+    uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
+    norm = (np.abs(Psi.amplitudes) ** 2).sum() * gx.dx * gy.dx
+    scale = 0.25 * gx.conjugate().dx * gy.dx / (2.0 * np.pi) / norm
+    return np.array([np.abs(uH + c * uV) ** 2 * scale
+                     for c in (-1.0, 1.0, 1j, -1j)])
+
+
+def coupled_cell_probs(Psi, site, proto):
+    """Brute-force whole-grid cell probabilities (n_p, n_y) of the state
+    coupled at the site, over the position-space norm: for the qubit the
+    sum of its four readout laws, for the gaussian pointer the uncoupled
+    and coupled parts' weights plus their cross term times the overlap of
+    the pointer mode with its shift."""
+    if proto.pointer_model == "qubit":
+        return qubit_cell_law(Psi, site, proto).sum(axis=0)
+    gx, gy = Psi.grid_x, Psi.grid_y
+    rest, part = Psi.amplitudes.copy(), np.zeros_like(Psi.amplitudes)
+    part[site], rest[site] = rest[site], 0.0
+    R, N = momentum_fft(rest, gx), momentum_fft(part, gx)
+    s = proto.coupling / gx.dx
+    overlap = np.exp(-s**2 / (8.0 * proto.pointer_width**2))
+    nu = np.abs(R) ** 2 + np.abs(N) ** 2 + 2.0 * (np.conj(R) * N).real * overlap
+    norm = (np.abs(Psi.amplitudes) ** 2).sum() * gx.dx * gy.dx
+    return nu * gx.conjugate().dx * gy.dx / (2.0 * np.pi) / norm
+
+
+class TestCountDraw:
+    """The count draw of one site: its category law, the gaussian readings
+    drawn for its window trials, and the records that view its chunk 0."""
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_total_is_the_whole_grid_mass(self, model, seed):
+        """The state's norm normalises the window-row tables: the coupled
+        cell probabilities sum to 1 over the whole grid, and the tables
+        hold their window rows."""
+        psi, _ = entangled_gaussians(seed)
+        proto = PointerProtocol(coupling=0.3, n_trials=1,
+                                pointer_model=model, p_x_bin=2.0)
+        state = weakmeas._state(psi, proto)
+        for site in (5, psi.grid_x.n_points // 2):
+            tab = weakmeas._site_tables(state, site, proto)
+            full = coupled_cell_probs(psi, site, proto)
+            assert full.sum() == pytest.approx(1.0, abs=1e-13)
+            np.testing.assert_allclose(tab.q, full[tab.cells.rows],
+                                       rtol=1e-10, atol=1e-16)
+            assert tab.probs.sum() == pytest.approx(1.0, abs=1e-13)
+            assert tab.probs[-1] == pytest.approx(
+                1.0 - full[tab.cells.rows].sum(), abs=1e-13)
+
+    @pytest.mark.parametrize("splitter", [True, False])
+    def test_qubit_counts_follow_the_category_law(self, splitter):
+        """Counts pooled over 400 chunk keys of a planes site (B/on, or the
+        state before the splitter) against the brute-force (bin, basis,
+        outcome) probabilities, chi-square; the tables' law equals them to
+        roundoff."""
+        Psi, grid, proto = planes_b_on("qubit", y_bins=[-3.0, 0.0, 3.0])
+        if not splitter:
+            Psi = two_branch_state(grid, grid, 6.0, 0.5, 0.7)
+        site = grid.index_of(3.0)
+        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
+        law = qubit_cell_law(Psi, site, proto)
+        c = tab.cells
+        window = law[:, np.abs(c.p_values) < proto.p_x_bin]
+        want = [window[..., c.bin_of_y == b].sum(axis=(1, 2))
+                for b in range(c.n_bins)]
+        want = np.append(want, window[..., c.bin_of_y < 0].sum())
+        want = np.append(want, 1.0 - want.sum())
+        np.testing.assert_allclose(tab.probs, want, rtol=1e-10, atol=1e-15)
+        counts, moments = weakmeas.tally(tab, 400 * CHUNK_TRIALS, 7, site)
+        assert counts.sum() == 400 * CHUNK_TRIALS
+        assert chi2_gof(counts, want)["p_value"] > 1e-3
+        n = counts[:-2].reshape(-1, 2, 2)
+        np.testing.assert_array_equal(moments[0], n.sum(axis=2))
+        np.testing.assert_array_equal(moments[1], n[..., 1] - n[..., 0])
+
+    @pytest.mark.parametrize("system", ["planes", "entangled"])
+    def test_gaussian_readings_follow_the_table_means(self, system):
+        """The readings drawn for one site's window trials: per (bin, basis)
+        mean within 3 SE of the tables' expected reading, on a planes B/on
+        site and on a random entangled state, whose weak values are complex
+        (the planes state's are real)."""
+        if system == "planes":
+            Psi, grid, proto = planes_b_on("gaussian")
+            site, chunks = grid.index_of(3.0), 100
+        else:
+            Psi, _ = entangled_gaussians(2)
+            proto = PointerProtocol(coupling=0.3, n_trials=1, p_x_bin=1.0,
+                                    pointer_width=0.5, y_bins=2,
+                                    pointer_model="gaussian")
+            site, chunks = Psi.grid_x.n_points // 2, 8
+        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
+        counts, (n, total, total_sq) = weakmeas.tally(
+            tab, chunks * CHUNK_TRIALS, 7, site)
+        assert chi2_gof(counts, tab.probs)["p_value"] > 1e-3
+        assert (n > 10_000).all()
+        mean = total / n
+        se = np.sqrt((total_sq / n - mean**2) / n)
+        assert (np.abs(mean - tab.pooled()) < 3.0 * se).all()
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_window_of_every_row_leaves_no_trial_outside(self, model):
+        """A window wider than the p grid: the outside category has no
+        mass, every trial is inside, and the records need no whole-grid
+        weights."""
+        Psi, grid, proto = planes_b_on(model, p_x_bin=1e3, n_trials=5000,
+                                       y_bins=[-3.0, 0.0, 3.0])
+        site = grid.index_of(3.0)
+        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
+        assert tab.q.shape == (grid.n_points, grid.n_points)
+        assert tab.probs[-1] == pytest.approx(0.0, abs=1e-13)
+        res = scan_pointer_protocol(Psi, [site], proto)
+        assert res.acceptance_rate[0] == 1.0 == res.acceptance_expected
+        assert (res.counts.sum(axis=(1, 2)) < proto.n_trials).all()
+        rec = weakmeas.replay_records(Psi, site, proto, 5000)
+        assert (np.abs(rec["p_x"]) < proto.p_x_bin).all()
+        np.testing.assert_array_equal(rec["accepted"], rec["y_bin"] >= 0)
+
+    @pytest.mark.parametrize("model", ["qubit", "gaussian"])
+    def test_records_view_the_chunk(self, model):
+        """The records of all of chunk 0: their category counts are the
+        chunk's, accepted records lie in the window and the Y bin, and
+        their cells follow each category's cell law. On a coarse x grid
+        the coupled cell carries a large weak value for Y > 0 and none for
+        Y < 0, so the qubit outcomes tell the two halves of the bin apart."""
+        gx, gy = Grid1D(-8.0, 8.0, 32), Grid1D(-8.0, 8.0, 128)
+        Psi = beam_splitter(two_branch_state(gx, gy, 6.0, 0.5, 0.7), 2.5)
+        proto = PointerProtocol(coupling=0.3, n_trials=CHUNK_TRIALS, seed=4,
+                                pointer_width=0.4, y_bins=[-3.0, 3.0],
+                                p_x_bin=0.5 * gx.conjugate().dx,
+                                pointer_model=model)
+        site = gx.index_of(3.0)
+        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
+        c = tab.cells
+        counts = weakmeas.tally(tab, CHUNK_TRIALS, proto.seed, site)[0]
+        rec = weakmeas.replay_records(Psi, site, proto, CHUNK_TRIALS)
+        inside = np.abs(rec["p_x"]) < proto.p_x_bin
+        acc = rec["accepted"]
+        np.testing.assert_array_equal(acc, inside & (rec["y_bin"] >= 0))
+        assert (inside & (rec["y_bin"] < 0)).sum() == counts[-2] > 0
+        assert (~inside).sum() == counts[-1]
+        # the outside records' p rows follow the whole-grid law
+        rows = coupled_cell_probs(Psi, site, proto).sum(axis=1)
+        rows[c.rows] = 0.0
+        p_all = np.rint((rec["p_x"] - c.p_values[0])
+                        / gx.conjugate().dx).astype(int)
+        seen = np.bincount(p_all[~inside], minlength=rows.size)
+        assert not seen[c.rows].any()
+        assert chi2_gof(seen[rows > 0], rows[rows > 0])["p_value"] > 1e-3
+        y_idx = np.rint((rec["y"] - gy.x_min) / gy.dx).astype(int)
+        p_row = np.rint((rec["p_x"] - c.p_values[c.rows.start])
+                        / gx.conjugate().dx).astype(int)
+        cell = (p_row * c.n_y + y_idx)[acc]
+        im = rec["basis"][acc] == "im"
+        if model == "gaussian":
+            # a gaussian category is one (cell, basis): the counts match
+            kept = np.searchsorted(tab.kept, cell)
+            assert (tab.kept[kept] == cell).all()
+            got = np.bincount(2 * kept + im, minlength=counts.size - 2)
+            np.testing.assert_array_equal(got, counts[:-2])
+            return
+        law = qubit_cell_law(Psi, site, proto)[:, c.rows].reshape(4, -1)
+        outcome = np.array([o for o in rec["outcome"][acc]])
+        kind = 2 * im + (outcome > 0)
+        for k in range(4):
+            sel = kind == k
+            assert sel.sum() == counts[k]
+            w = law[k] * (c.bin_of_y[np.arange(law.shape[1]) % c.n_y] == 0)
+            seen = np.bincount(cell[sel], minlength=w.size)
+            assert (seen[w == 0] == 0).all()
+            assert chi2_gof(seen[w > 0], w[w > 0])["p_value"] > 1e-3
+
+
 class TestGuideLookup:
-    """The chunk draw's window lookup equals a full binary search of the
-    CDF, restricted to the answers inside the window's flat cell range."""
+    """The records' cell lookup, weakmeas._draw_cell: an inverse-CDF search
+    of non-negative weights. It returns only cells of positive weight, in
+    the order of u, and hits each cell with its share of an even grid of
+    uniforms to within one."""
 
     @staticmethod
-    def check(mass, s, e, extra_u=()):
-        cdf = np.cumsum(np.asarray(mass, dtype=float))
-        cdf /= cdf[-1]
-        edges = cdf[[k for k in (s - 1, e - 1) if 0 <= k]]
-        u = np.concatenate([
-            [0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-            cdf, np.nextafter(cdf, 0.0), np.asarray(extra_u, dtype=float)])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        full = np.searchsorted(cdf, u, side="right")
-        want = np.flatnonzero((full >= s) & (full < e))
-        trials, cells = weakmeas._window_lookup(cdf, s, e, u)
-        np.testing.assert_array_equal(trials, want)
-        np.testing.assert_array_equal(cells, full[want])
+    def check(mass, extra_u=()):
+        mass = np.asarray(mass, dtype=float)
+        even = (np.arange(4096) + 0.5) / 4096
+        u = np.concatenate([even, [0.0, np.nextafter(1.0, 0.0)],
+                            np.asarray(extra_u, dtype=float)])
+        cells = weakmeas._draw_cell(mass, u)
+        assert (mass.ravel()[cells] > 0).all()
+        hits = cells[:even.size]
+        assert (np.diff(hits) >= 0).all()
+        share = mass.ravel() / mass.sum() * even.size
+        assert (np.abs(np.bincount(hits, minlength=mass.size) - share)
+                <= 2.0).all()
+        return cells
 
     @settings(max_examples=150, deadline=None)
     @given(runs=st.lists(st.tuples(st.booleans(), st.integers(1, 70)),
                          min_size=1, max_size=10),
-           seed=st.integers(0, 2**32 - 1),
-           zero_near=st.lists(st.booleans(), min_size=6, max_size=6))
-    def test_zero_mass_runs(self, runs, seed, zero_near):
-        """Stretches of zero mass anywhere, also at and next to the cells
-        s - 1, s and e - 1 that bound the window."""
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_mass_runs(self, runs, seed):
+        """Stretches of zero mass anywhere, also first and last."""
         rng = np.random.default_rng(seed)
         mass = np.concatenate([np.zeros(n) if empty else rng.random(n)
                                for empty, n in runs])
-        s = int(rng.integers(0, mass.size + 1))
-        e = int(rng.integers(s, mass.size + 1))
-        for k, zero in zip((s - 2, s - 1, s, s + 1, e - 2, e - 1), zero_near):
-            if zero and 0 <= k < mass.size:
-                mass[k] = 0.0
         if not mass.any():
             mass[rng.integers(mass.size)] = 1.0
-        self.check(mass, s, e, rng.random(2000))
+        self.check(mass, rng.random(2000))
 
     @pytest.mark.parametrize("n_p, n_y", [(1, 1), (2, 3), (7, 1), (9, 16)])
     def test_windows_on_the_first_and_last_rows(self, n_p, n_y):
+        """The records' outside-window weights: (n_p, n_y) cells with a row
+        range zeroed, at the grid's first and last rows and inside it."""
         rng = np.random.default_rng(n_p * 100 + n_y)
-        mass = rng.random(n_p * n_y)
-        for r0, r1 in {(0, 1), (0, n_p), (n_p - 1, n_p), (0, 0),
-                       (n_p, n_p), (n_p // 2, n_p // 2 + 1)}:
-            self.check(mass, r0 * n_y, r1 * n_y, rng.random(500))
+        for r0, r1 in {(0, 1), (n_p - 1, n_p), (0, 0), (n_p, n_p),
+                       (n_p // 2, n_p // 2 + 1)}:
+            mass = rng.random((n_p, n_y))
+            mass[r0:r1] = 0.0
+            if not mass.any():
+                continue
+            rows = self.check(mass, rng.random(500)) // n_y
+            assert not ((r0 <= rows) & (rows < r1)).any()
 
     @pytest.mark.parametrize("size", [1, 2, 3, 100, 256, 257])
     def test_single_cell_carries_all_mass(self, size):
         for cell in {0, size // 2, size - 1}:
             mass = np.zeros(size)
             mass[cell] = 2.5
-            for s, e in {(0, size), (cell, cell + 1), (0, cell),
-                         (cell + 1, size), (cell, size), (0, cell + 1)}:
-                self.check(mass, s, e, [0.5, np.nextafter(1.0, 0.0)])
+            assert (self.check(mass, [0.5]) == cell).all()
 
     def test_uneven_masses_with_ties(self):
-        # masses spanning 30 decades make cdf steps far below one ulp of 1
+        # masses spanning 30 decades make cdf steps far below one ulp of
+        # the total; u just below 1 must still land on a massive cell
         rng = np.random.default_rng(11)
         mass = 10.0 ** rng.uniform(-30, 0, 3000)
         mass[::7] = 0.0
-        for s, e in ((0, 3000), (1, 2999), (700, 707), (2000, 3000),
-                     (14, 15)):
-            self.check(mass, s, e, rng.random(5000))
-
-    def test_chunk_cells_follow_the_stream(self, grid128):
-        """The kept cells and n_window of a chunk are those of the full
-        CDF's searchsorted of the stream's first n uniforms."""
-        Psi = beam_splitter(two_branch_state(grid128, grid128, 3.0, 0.5, 0.7),
-                            2.5)
-        proto = PointerProtocol(coupling=0.02, n_trials=5000, seed=9,
-                                y_bins=[-3.0, 0.0, 3.0])
-        site = grid128.index_of(2.0)
-        tab = weakmeas._site_tables(weakmeas._state(Psi, proto), site, proto)
-        chunk = weakmeas._draw_chunk(tab, proto.seed, site, 0, 5000)
-        u = weakmeas._chunk_rng(proto.seed, site, 0).random(5000)
-        full = np.searchsorted(tab.cdf, u, side="right")
-        c = tab.cells
-        inside = (full >= c.flat.start) & (full < c.flat.stop)
-        kept = np.flatnonzero(inside & (c.bin_of_y[full % c.n_y] >= 0))
-        assert chunk.n_window == inside.sum() > kept.size > 0
-        np.testing.assert_array_equal(chunk.kept, kept)
-        np.testing.assert_array_equal(chunk.cells, full[kept])
+        mass[-5:] = 0.0
+        self.check(mass, np.concatenate([rng.random(5000),
+                                         1.0 - 2.0 ** -np.arange(40, 54)]))
 
 
 class TestPerStateWork:
@@ -457,6 +635,8 @@ class TestPerStateWork:
         assert res.acceptance_expected == 0.0
         assert res.empty.all() and not res.counts.any()
         assert np.isnan(res.expectation).all()
+        rec = weakmeas.replay_records(Psi, sites[1], proto, 1000)
+        assert rec["trial"].size == 1000 and not rec["accepted"].any()
 
 
 class TestBiasStudy:
