@@ -41,6 +41,36 @@ EQUIVARIANCE_BINS = 16
 EQUIVARIANCE_P_MIN = 1e-3
 
 
+def _harmonics(t, numbers, cosines: bool = False):
+    """sin(n t) for each entry n >= 0 of the integer array numbers, shape
+    numbers.shape + t.shape, and with cosines a leading (sin, cos) axis:
+    one sin and one cos of t, then the Chebyshev recurrence f_{k+1} =
+    2 cos(t) f_k - f_{k-1} up to the largest n, three rows at a time; its
+    error stays below n^2 eps."""
+    t, numbers = np.asarray(t), np.asarray(numbers)
+    pos = {}   # harmonic -> its entries in numbers
+    for i, k in enumerate(numbers.ravel().tolist()):
+        pos.setdefault(k, []).append(i)
+    top = max(pos)
+    f = np.empty((3, 2) + t.shape)   # f_0, f_1 and a spare; rows sin, cos
+    f[0, 0], f[0, 1] = 0.0, 1.0
+    np.sin(t, out=f[1, 0, ...])
+    np.cos(t, out=f[1, 1, ...])
+    two_c = 2.0 * f[1, 1]
+    rows = slice(0, 1 + cosines)
+    prev, cur, nxt = f[0, rows], f[1, rows], f[2, rows]
+    out = np.empty((1 + cosines, numbers.size) + t.shape)
+    for k in range(top + 1):   # prev = f_k, cur = f_{k+1}
+        for i in pos.get(k, ()):
+            out[:, i] = prev
+        if k + 2 <= top:
+            np.multiply(two_c, cur, out=nxt)
+            nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+    out = out.reshape((1 + cosines,) + numbers.shape + t.shape)
+    return out if cosines else out[0]
+
+
 class BoxModes:
     """Closed-form box eigenmodes restricted to the active coefficients."""
 
@@ -61,7 +91,7 @@ class BoxModes:
         xi = (np.asarray(x) - self.box_min) / self.length
         inside = (xi > 0.0) & (xi < 1.0)
         return (np.sqrt(2.0 / self.length)
-                * np.sin(self.numbers[:, None] * np.pi * xi) * inside)
+                * _harmonics(np.pi * xi, self.numbers) * inside)
 
     def min_gap(self) -> float:
         if self.a.size < 2:
@@ -70,27 +100,40 @@ class BoxModes:
 
 
 def flow_velocity(modes: BoxModes, w: float, X, Y, s):
-    """(j_x, j_y, rho) of the impulse flow at positions (X, Y).
+    """(j_x, j_y, rho) of the impulse flow at positions (X, Y), one (3, n)
+    array.
 
     s is a scalar or one impulse parameter per position. The mode sums
     Psi, d_x Psi, d_y Psi and d_x^2 Psi use the sines' continuation past
     the walls, so a Runge-Kutta stage that strays outside the box sees the
-    same smooth field."""
-    k = modes.numbers[:, None] * np.pi
-    theta = k * ((X - modes.box_min) / modes.length)
-    z = Y - modes.a[:, None] * s
-    phi = np.sqrt(2.0 / modes.length) * np.exp(-(z * z) / (2.0 * w * w))
-    u_phi = np.sin(theta) * phi
-    coef = np.stack([modes.c.real, modes.c.imag])
-    # rows: real and imaginary part of each mode sum
-    psi = coef @ u_phi
-    psi_x = coef @ (np.cos(theta) * phi * (k / modes.length))
-    psi_y = coef @ (u_phi * (-z / (w * w)))
-    psi_xx = (coef * (-2.0 * modes.a)) @ u_phi
-    rho = np.sum(psi * psi, axis=0)
-    jx = np.sum(psi_x * psi_y, axis=0)
-    jy = -np.sum(psi * psi_xx, axis=0) - 0.5 * np.sum(psi_x * psi_x, axis=0)
-    return jx, jy, rho
+    same smooth field. They come from one contraction of the coefficients
+    sqrt(2/L) c_n times (1, n pi / L, 1, 2 a_n) with the products W = (u
+    phi, u' phi, u phi z, u phi) of each mode's sine, cosine, pointer
+    Gaussian phi = exp(-z^2 / 2w^2) and z = Y - s a_n."""
+    n = modes.numbers
+    c = np.sqrt(2.0 / modes.length) * np.array([modes.c.real, modes.c.imag])
+    sums = np.array([c, c * (n * np.pi / modes.length), c,
+                     c * (2.0 * modes.a)])
+    W = np.empty((4, n.size, np.size(X)))
+    z, phi = W[2], W[3]
+    np.subtract(Y, modes.a[:, None] * s, out=z)
+    np.multiply(z, z, out=phi)
+    phi *= -0.5 / (w * w)
+    np.exp(phi, out=phi)
+    t = np.pi * ((X - modes.box_min) / modes.length)
+    W[:2] = _harmonics(t, n, cosines=True)
+    W[:2] *= phi
+    z *= W[0]
+    W[3] = W[0]
+    # rows: real and imaginary part of Psi, d_x Psi, -w^2 d_y Psi, -d_x^2 Psi
+    psi, psi_x, psi_z, minus_psi_xx = sums @ W
+    out = np.empty((3, W.shape[2]))
+    np.einsum("kn,kn->n", psi_x, psi_z, out=out[0])
+    out[0] *= -1.0 / (w * w)
+    np.einsum("kn,kn->n", psi, minus_psi_xx, out=out[1])
+    out[1] -= 0.5 * np.einsum("kn,kn->n", psi_x, psi_x)
+    np.einsum("kn,kn->n", psi, psi, out=out[2])
+    return out
 
 
 POSITION_TOL = 1e-6     # absolute error allowed per step in x, y and s
@@ -117,20 +160,16 @@ _DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
          -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _combine(weights, ks):
-    """sum_i weights[i] * ks[i] over the nonzero weights."""
-    return sum(c * k for c, k in zip(weights, ks) if c != 0.0)
-
-
-def _landing(z0, z1, h, ks, lam):
+def _landing(z0, z1, h, K, lam):
     """Dense-output point where s = lam inside each step (s0 < lam <= s1).
 
     Newton on the s row of the continuous extension, started from the
-    secant; s grows monotonically through the step since ds/dtau >= 0."""
+    secant; s grows monotonically through the step since ds/dtau >= 0.
+    K holds the step's seven stage slopes, shape (7, 3, n)."""
     r2 = z1 - z0
-    r3 = h * ks[0] - r2
-    r4 = r2 - h * ks[-1] - r3
-    r5 = h * _combine(_DP_D, ks)
+    r3 = h * K[0] - r2
+    r4 = r2 - h * K[-1] - r3
+    r5 = h * np.tensordot(_DP_D, K, axes=1)
     t = np.clip((lam - z0[2]) / r2[2], 0.0, 1.0)
     for _ in range(6):
         t1 = 1.0 - t
@@ -158,36 +197,38 @@ def transport(modes: BoxModes, w: float, starts, lam: float, steps: int):
     its last accepted point."""
     Z = np.array([starts[:, 0], starts[:, 1], np.zeros(len(starts))],
                  dtype=float)
+    n = Z.shape[1]
     rho_ref = 2.0 / modes.length * float(np.sum(np.abs(modes.c))) ** 2
-
-    def field(z):
-        return np.array(flow_velocity(modes, w, z[0], z[1], z[2])) / rho_ref
 
     def admissible(z):
         return (np.isfinite(z).all(axis=0) & (z[0] > modes.box_min)
                 & (z[0] < modes.box_min + modes.length))
 
-    slope = field(Z)
+    slope = flow_velocity(modes, w, *Z) / rho_ref
     first = lam / steps
-    h = np.full(Z.shape[1], first)
-    active = np.ones(Z.shape[1], dtype=bool)
-    failed = np.zeros(Z.shape[1], dtype=bool)
+    h = np.full(n, first)
+    active = np.ones(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    stages = np.empty(7 * 3 * n)
     for _ in range(ROUND_BUDGET):
-        ia = np.flatnonzero(active)
-        if ia.size == 0:
+        sel = np.flatnonzero(active)
+        if sel.size == 0:
             break
-        z0, hh = Z[:, ia], h[ia]
-        ks = [slope[:, ia]]
-        for row in _DP_A:
-            z1 = z0 + hh * _combine(row, ks)
-            ks.append(field(z1))
-        err = np.max(np.abs(hh * _combine(_DP_E, ks)), axis=0) / POSITION_TOL
+        z0, hh = Z[:, sel], h[sel]
+        # the round's stage slopes, one row per stage
+        K = stages[:7 * z0.size].reshape(7, 3, -1)
+        K2 = K.reshape(7, -1)
+        K[0] = slope[:, sel]
+        for i, row in enumerate(_DP_A):
+            z1 = z0 + hh * (row @ K2[:i + 1]).reshape(z0.shape)
+            np.divide(flow_velocity(modes, w, *z1), rho_ref, out=K[i + 1])
+        err = np.max(np.abs(hh * (_DP_E @ K2).reshape(z0.shape)),
+                     axis=0) / POSITION_TOL
         ok = (err <= 1.0) & admissible(z1)
         land = ok & (z1[2] >= lam)
         if land.any():
             il = np.flatnonzero(land)
-            zl = _landing(z0[:, il], z1[:, il], hh[il],
-                          [k[:, il] for k in ks], lam)
+            zl = _landing(z0[:, il], z1[:, il], hh[il], K[:, :, il], lam)
             stray = il[~admissible(zl)]
             ok[stray] = land[stray] = False
             zl[2] = lam
@@ -196,32 +237,31 @@ def transport(modes: BoxModes, w: float, starts, lam: float, steps: int):
             grow = 0.9 * err**-0.2
         grow = np.where(ok, np.fmax(np.fmin(grow, 5.0), 0.2),
                         np.fmax(np.fmin(grow, 0.5), 0.2))
-        acc = ia[ok]
-        Z[:, acc] = z1[:, ok]
-        slope[:, acc] = ks[-1][:, ok]
+        Z[:, sel] = np.where(ok, z1, z0)
+        slope[:, sel] = np.where(ok, K[6], K[0])
         with np.errstate(divide="ignore"):
-            cap = first / slope[2, ia]
-        h[ia] = np.minimum(hh * grow, cap)
-        tiny = ~land & (h[ia] < MIN_STEP * first)
-        failed[ia[tiny]] = True
-        active[ia[land | tiny]] = False
+            cap = first / slope[2, sel]
+        h[sel] = np.minimum(hh * grow, cap)
+        tiny = ~land & (h[sel] < MIN_STEP * first)
+        failed[sel] |= tiny
+        active[sel] &= ~(land | tiny)
     failed |= active
     return Z[0], Z[1], failed
 
 
-def _anti(n: int, m: int, t):
-    """Antiderivative of 2 sin(n pi t) sin(m pi t), zero at t = 0."""
-    if n == m:
-        return t - np.sin(2.0 * n * np.pi * t) / (2.0 * n * np.pi)
-    return (np.sin((n - m) * np.pi * t) / ((n - m) * np.pi)
-            - np.sin((n + m) * np.pi * t) / ((n + m) * np.pi))
-
-
 def _pair_anti(modes: BoxModes, xi):
     """A[n, m, ...] = integral of u_n u_m from the left wall to box
-    fraction xi (continuum, exact)."""
-    return np.array([[_anti(int(n), int(m), xi) for m in modes.numbers]
-                     for n in modes.numbers])
+    fraction xi (continuum, exact), from the sines of the harmonics
+    |n - m| and n + m."""
+    n = modes.numbers
+    diff = np.abs(n[:, None] - n)
+    add = n[:, None] + n
+    sin_d, sin_a = _harmonics(np.pi * np.asarray(xi), np.stack([diff, add]))
+    tail = (...,) + (None,) * np.ndim(xi)
+    A = sin_d / (np.pi * np.maximum(diff, 1))[tail]
+    A -= sin_a / (np.pi * add)[tail]
+    A += (diff == 0)[tail] * xi
+    return A
 
 
 def sample_initial(modes: BoxModes, w: float, n: int, seed: int):
@@ -274,22 +314,26 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
     """Collapse study: outcome frequencies, per-trajectory conditional-state
     overlap with the selected mode, and equivariance before and after."""
     st, g = cfg.state, cfg.grid
-    modes = BoxModes(parse_complex_list(st["c"]), st["box_min"],
-                     st["box_length"])
+    box_min, length, w = st["box_min"], st["box_length"], st["w"]
     gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
-    if not (g["x_min"] <= modes.box_min
-            and modes.box_min + modes.length <= g["x_max"]):
+    if not (g["x_min"] <= box_min and box_min + length <= g["x_max"]):
         raise ValidationError(
-            f"config.state.box_min = {modes.box_min:.6g} with box_length = "
-            f"{modes.length:.6g} puts the box outside the x grid "
+            f"config.state.box_min = {box_min:.6g} with box_length = "
+            f"{length:.6g} puts the box outside the x grid "
             f"[{g['x_min']:.6g}, {g['x_max']:.6g}]")
-    n_max = int(modes.numbers.max())
-    if modes.length < 2.0 * n_max * gx.dx:
+    coeffs = parse_complex_list(st["c"])
+    n_max = int(np.flatnonzero(coeffs)[-1]) + 1
+    if length < 2.0 * n_max * gx.dx:
         raise ValidationError(
-            f"config.state.box_length = {modes.length:.6g} gives mode "
+            f"config.state.box_length = {length:.6g} gives mode "
             f"{n_max} fewer than two x-grid points per half-wave (needs >= "
             f"2 n dx = {2.0 * n_max * gx.dx:.6g})")
-    w = st["w"]
+    if w * w < np.finfo(float).tiny:
+        raise ValidationError(
+            f"config.state.w = {w:.6g}: the pointer Gaussian "
+            f"exp(-y^2 / 2w^2) needs w^2 to be a normal double (w >= "
+            f"{np.sqrt(np.finfo(float).tiny):.6g})")
+    modes = BoxModes(coeffs, box_min, length)
     lam = st["lam"] if st["lam"] is not None else 8.0 * w / modes.min_gap()
     if lam * modes.min_gap() <= 3.0 * w:
         raise ValidationError(

@@ -164,8 +164,9 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
             coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
             pointer_width=pr["pointer_width"], p_x_bin=window,
             y_bins=y_edges, pointer_model="qubit")
-        records = replay_records(beam_splitter(psi, st["bs_shift"]),
-                                 site_indices[0], proto,
+        state = weakmeas.prepare_state(beam_splitter(psi, st["bs_shift"]),
+                                       proto)
+        records = replay_records(state, site_indices[0], proto,
                                  cfg.report["records_cap"])
 
     report = {

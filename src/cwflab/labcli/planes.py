@@ -178,7 +178,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
 
     rho_sites = psi_det.density().sum(axis=1)[sites]
     record_site = int(sites[int(np.argmax(rho_sites))])
-    records = replay_records(psi_det, record_site, proto,
+    records = replay_records(scan.state, record_site, proto,
                              cfg.report["records_cap"])
 
     report = {

@@ -72,7 +72,8 @@ category labels expanded and permuted with the chunk's rng, each record's
 cell drawn from its category's cell weights. Only cells outside the window
 need whole-grid weights, built for the one record site. Scans, all three
 arms of labcli.order and the records share this draw. The one runner,
-scan_pointer_protocol, returns per-(site, Y bin) arrays (ScanResult).
+scan_pointer_protocol, returns per-(site, Y bin) arrays (ScanResult) and
+the state that prepare_state made for it, which the records reuse.
 """
 
 from dataclasses import dataclass
@@ -156,6 +157,7 @@ class ScanResult:
     expectation: np.ndarray
     counts: np.ndarray
     empty: np.ndarray              # (n_sites, n_bins)
+    state: tuple                   # prepare_state's, for replay_records
 
 
 class _Cells:
@@ -342,7 +344,7 @@ def _rejection(rng, cells, propose, ratio):
     return out
 
 
-def _state(system, proto: PointerProtocol):
+def prepare_state(system, proto: PointerProtocol):
     """The per-state part of a run: (cells, amp, den, total, acceptance)
     with amp the amplitudes (n_x, n_y), den = momentum_fft(amp), total the
     state's norm sum |den|^2 * measure, and acceptance the uncoupled
@@ -363,7 +365,7 @@ def _state(system, proto: PointerProtocol):
 
 def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
     """Tables of proto's pointer coupled at A_site (grid index or position)
-    of the state that _state prepared."""
+    of the state that prepare_state prepared."""
     cells, amp, den, total, _ = state
     gx, rows = cells.gx, cells.rows
     site = A_site if isinstance(A_site, (int, np.integer)) \
@@ -421,17 +423,17 @@ def tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
 RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 
 
-def replay_records(system, site_index: int, proto: PointerProtocol,
+def replay_records(state, site_index: int, proto: PointerProtocol,
                    cap: int) -> dict:
     """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials of
-    chunk 0 of one site's run: a view of tally's draw of that chunk.
+    chunk 0 of one site's run: a view of tally's draw of that chunk. state
+    is prepare_state(system, proto), or the state of a scan with proto.
 
     The chunk's category labels, expanded and permuted with its rng, give
     the trials in order; each then draws a uniform for its cell within its
     category and one for its basis where the category has none. Only the
     cells outside the window need whole-grid weights.
     """
-    state = _state(system, proto)
     tab = _site_tables(state, site_index, proto)
     c = tab.cells
     if c.gy is None:
@@ -476,7 +478,7 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
     the two readout bases, sample the readout, and pool per Y bin; tally
     draws these trials as counts. Empty bins are flagged, not errors.
     """
-    state = _state(system, proto)
+    state = prepare_state(system, proto)
     rows = []
     for s in sites:
         tab = _site_tables(state, s, proto)
@@ -494,4 +496,4 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
         se = np.sqrt(var / n) / gains
     est[empty] = se[empty] = np.nan
     return ScanResult(index, n_window / proto.n_trials, state[4], est, se,
-                      exact, n.astype(np.int64), empty)
+                      exact, n.astype(np.int64), empty, state)

@@ -30,6 +30,7 @@ from cwflab.weakmeas import (
     GAUSSIAN_POSITION_GAIN,
     RECORD_FIELDS,
     PointerProtocol,
+    prepare_state,
     scan_pointer_protocol,
 )
 from cwflab.labcli import cli
@@ -40,8 +41,11 @@ from cwflab.labcli.config import (
     parse_config,
 )
 from cwflab.labcli.density import run_density_dm
+from cwflab.labcli import fig1
 from cwflab.labcli.fig1 import (
+    POSITION_TOL,
     BoxModes,
+    _pair_anti,
     flow_velocity,
     run_fig1,
     sample_initial,
@@ -325,21 +329,46 @@ class TestFig1:
 
 EQUAL_PAIR = [2.0**-0.5, 2.0**-0.5]
 THREE_MODES = [0.6, 0.48j, 0.64]
+# modes 1 and 48: the sine table reaches mode 48 by 47 recurrence steps
+HIGH_PAIR = [2.0**-0.5 if n in (1, 48) else 0.0 for n in range(1, 49)]
 
 
 class TestFig1Flow:
-    @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES])
+    @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES, HIGH_PAIR])
     def test_flow_matches_mode_pair_sum(self, coeffs):
         modes = BoxModes(coeffs, 0.0, 1.0)
         rng = np.random.default_rng(3)
         X = rng.uniform(0.01, 0.99, 400)
         Y = rng.uniform(-0.3, 1.3, 400)
-        s = rng.uniform(0.0, 0.06, 400)
+        # the top mode's pointer branch y = s a_n sweeps [0, 2.6], so about
+        # half the points sit on it
+        s = rng.uniform(0.0, 2.6 / modes.a.max(), 400)
         got = flow_velocity(modes, 0.1, X, Y, s)
         want = box_flow_pairs(modes.numbers, modes.c, 0.0, 1.0, 0.1, X, Y, s)
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0.0,
                                        atol=1e-12 * np.abs(r).max())
+
+    @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES, HIGH_PAIR])
+    def test_pair_antiderivative_is_identity_at_far_wall(self, coeffs):
+        modes = BoxModes(coeffs, 0.0, 1.0)
+        np.testing.assert_allclose(_pair_anti(modes, 1.0),
+                                   np.eye(modes.numbers.size), rtol=0.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES, HIGH_PAIR])
+    def test_pair_antiderivative_matches_direct_sines(self, coeffs):
+        # integral from 0 to xi of 2 sin(n pi t) sin(m pi t), each sine
+        # from np.sin
+        modes = BoxModes(coeffs, 0.0, 1.0)
+        xi = np.random.default_rng(4).uniform(0.0, 1.0, 200)
+        n = modes.numbers[:, None, None]
+        m = modes.numbers[None, :, None]
+        d = np.where(n == m, 1, n - m)
+        want = (np.where(n == m, xi, np.sin(d * np.pi * xi) / (d * np.pi))
+                - np.sin((n + m) * np.pi * xi) / ((n + m) * np.pi))
+        np.testing.assert_allclose(_pair_anti(modes, xi), want, rtol=0.0,
+                                   atol=1e-12)
 
     def test_flow_is_divergence_free_in_x_y_s(self):
         modes = BoxModes(THREE_MODES, 0.0, 1.0)
@@ -373,6 +402,44 @@ class TestFig1Flow:
         X, Y, failed = transport(modes, w, starts, lam, 32)
         assert not failed.any()
         assert np.all((X > 0.0) & (X < 1.0)) and np.isfinite(Y).all()
+
+    def test_transport_matches_tight_reference(self, monkeypatch):
+        """Each endpoint agrees with DOP853 at rtol = atol = 1e-12 on the
+        same Sundman-time ODE to within its step count times POSITION_TOL.
+        The starts' reference paths keep rho / rho_ref above 1e-3 at every
+        reference step, away from the moving node."""
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        lam = 8.0 * w / modes.min_gap()
+        rho_ref = 2.0 * float(np.sum(np.abs(modes.c))) ** 2
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return flow_velocity(*args)
+
+        def rhs(tau, z):
+            return flow_velocity(modes, w, *z[:, None])[:, 0] / rho_ref
+
+        def at_lam(tau, z):
+            return z[2] - lam
+        at_lam.terminal = True
+
+        monkeypatch.setattr(fig1, "flow_velocity", counted)
+        for start in ((0.15, 0.0), (0.5, 0.08), (0.85, -0.08), (0.85, 0.0)):
+            ref = integrate.solve_ivp(rhs, (0.0, 1e3), [*start, 0.0],
+                                      method="DOP853", rtol=1e-12,
+                                      atol=1e-12, events=at_lam)
+            assert ref.status == 1
+            assert flow_velocity(modes, w, *ref.y)[2].min() > 1e-3 * rho_ref
+            calls.clear()
+            X, Y, failed = transport(modes, w, np.array([start]), lam, 32)
+            # one slope at the start, then six new stages per step
+            steps = (len(calls) - 1) / 6
+            end = ref.y_events[0][0]
+            assert not failed[0]
+            assert (max(abs(X[0] - end[0]), abs(Y[0] - end[1]))
+                    <= steps * POSITION_TOL)
 
     def test_pooled_initial_sample_follows_closed_form(self):
         # 20 seeds x 10k draws; a grid-cell draw jittered inside its cell
@@ -595,8 +662,8 @@ class TestSharedStream:
             gains = [GAUSSIAN_POSITION_GAIN * proto.coupling,
                      GAUSSIAN_MOMENTUM_GAIN * sigma_p**2 * proto.coupling]
         site = gx.index_of(3.0)
-        rows = _rows(replay_records(psi_det, site, proto, n_trials))
         result = scan_pointer_protocol(psi_det, [site], proto)
+        rows = _rows(replay_records(result.state, site, proto, n_trials))
         assert len(rows) == n_trials
         for b, (counts, est) in enumerate(zip(result.counts[0],
                                               result.estimate[0])):
@@ -619,8 +686,9 @@ class TestSharedStream:
         psi_det, _, _, _, gx, gy = detection_state(cfg)
         proto = _protocol(cfg, gx, gy, pointer_model="gaussian")
         site = gx.index_of(3.0)
-        full = _rows(replay_records(psi_det, site, proto, cfg.n_trials))
-        head = _rows(replay_records(psi_det, site, proto, 777))
+        state = prepare_state(psi_det, proto)
+        full = _rows(replay_records(state, site, proto, cfg.n_trials))
+        head = _rows(replay_records(state, site, proto, 777))
         assert head == full[:777]
         assert any(r["accepted"] for r in head)
 
@@ -818,9 +886,12 @@ class TestCli:
         ("fig1", {"report": {"format": "csv"}}, []),
         # overlapping packets: this used to name no key
         ("planes", {"state": {"x_sep": 1.0}}, []),
+        # these used to print a RuntimeWarning first; w also named no key
+        ("fig1", {"state": {"w": 1e-300}}, []),
+        ("fig1", {"state": {"box_length": 1e-300}}, []),
     ])
-    def test_invalid_config_exits_2(self, tmp_path, capsys, command, config,
-                                    flags):
+    def test_invalid_config_exits_2(self, tmp_path, capsys, recwarn, command,
+                                    config, flags):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out_dir = tmp_path / "out"
@@ -829,7 +900,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: config")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Warning" not in err
+        # pytest captures warnings, so they would not reach err
+        assert not [str(w.message) for w in recwarn]
         assert not out_dir.exists()
         # the message names each refused state key, a refused grid and a
         # refused --trials (test_off_grid_position_names_key_and_grid
