@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GridExitError, ValidationError
 from .evolve import propagate
 from .qgrid import WaveFunction1D, WaveFunction2D
-from .stats import chi2_gof, chi2_joint
+from .stats import chi2_gof, chi2_joint, draw_cells, stream
 
 NODE_FLOOR = 1e-12  # fraction of max |Psi|^2 below which a point is a node
 STENCIL = 8  # points per axis of the 2-D fields' Lagrange stencil (even)
@@ -187,14 +187,11 @@ def sample_qeh(psi, n: int, seed: int) -> np.ndarray:
     i-th variate of the stream. Returns shape (n, 2) for 2-D states and
     (n,) for 1-D.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dens = psi.density().ravel()
-    cdf = np.cumsum(dens)
-    cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    dens = psi.density()
+    idx = draw_cells(dens, stream(seed).random(n))
     if isinstance(psi, WaveFunction1D):
         return psi.grid.points[idx]
-    i, j = np.unravel_index(idx, psi.density().shape)
+    i, j = np.unravel_index(idx, dens.shape)
     return np.column_stack([psi.grid_x.points[i], psi.grid_y.points[j]])
 
 
@@ -220,9 +217,8 @@ def equivariance_check(psi0: WaveFunction2D, potential: np.ndarray,
     starts = sample_qeh(psi0, n, seed)
     # spread each grid-cell draw uniformly over its cell; the bare lattice
     # of cell centers aliases through the flow map into the final histogram
-    jit = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, 1])))
-    starts = starts + jit.uniform(-0.5, 0.5, starts.shape) * [gx.dx, gy.dx]
+    starts = starts + stream(seed, 1).uniform(
+        -0.5, 0.5, starts.shape) * [gx.dx, gy.dx]
     starts = np.maximum(starts, [gx.x_min, gy.x_min])
     res = evolve_trajectories(psi0, potential, dt, steps, starts)
     keep = ~res.failed

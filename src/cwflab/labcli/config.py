@@ -260,8 +260,17 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
                 f"pointer_width) = {alpha:.6g} has |sin(alpha)| below "
                 f"{SIN_ALPHA_FLOOR:g}, so the readout 2 dx sin(alpha) "
                 "vanishes")
-    if "c" in merged["state"]:
-        c = parse_complex_list(merged["state"]["c"])
+    st = merged["state"]
+    for key in ("w", "sigma_x", "sigma_y", "width"):
+        # Gaussians divide by width^2; a float power that overflows raises
+        if key in st and not (sys.float_info.min <= st[key] * st[key]
+                              <= sys.float_info.max):
+            raise ConfigError(
+                f"config.state.{key} = {st[key]:.6g}: {key}^2 must be a "
+                f"normal double ({np.sqrt(sys.float_info.min):.6g} <= {key} "
+                f"<= {np.sqrt(sys.float_info.max):.6g})")
+    if "c" in st:
+        c = parse_complex_list(st["c"])
         if abs(np.sum(np.abs(c) ** 2) - 1.0) > COEFF_TOL:
             raise ConfigError("config.state.c must be unit-norm within 1e-10")
 

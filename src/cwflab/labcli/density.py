@@ -42,7 +42,7 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
 
     dy = spec.pos2.dx
     try:
-        polar._pos_index(spec.pos2, 0.0)   # so are +-shift, if whole cells
+        polar.pos_index(spec.pos2, 0.0)   # so are +-shift, if whole cells
     except OffGridError:
         raise ValidationError(
             f"config.grid: Y = 0 is not a y grid point (y_min = "
@@ -117,10 +117,10 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         "config": cfg.to_dict(),
         "bs_inserted": bs,
         "resample_n": resample_n,
-        # after the splitter the packets sit at +-shift; the wrong-branch
-        # amplitude under Y conditioning decays as exp(-(shift/width)^2)
+        # the wrong-branch amplitude at Y = +-shift decays as exp(-r r) with
+        # r = shift / width (r ** 2 raises where r r overflows to inf)
         "well_separated": bool(
-            bs and np.exp(-((shift / width) ** 2)) < EXACT_TOL),
+            bs and np.exp(-(shift / width) * (shift / width)) < EXACT_TOL),
         "matrices": matrices,
         "targets": targets,
         "checks": checks,

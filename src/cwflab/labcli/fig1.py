@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..qgrid import Grid1D
-from ..stats import chi2_gof, chi2_joint, normal_cdf
+from ..stats import chi2_gof, chi2_joint, normal_cdf, stream
 from .config import ScenarioConfig, parse_complex_list
 from .reports import check_record
 
@@ -270,7 +270,7 @@ def sample_initial(modes: BoxModes, w: float, n: int, seed: int):
     y is (w / sqrt 2) times a standard normal; x inverts the closed-form
     CDF sum_nm R_nm A_nm(xi) by vectorised bisection. Both come from one
     Philox stream keyed by seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = stream(seed)
     target = rng.random(n) * np.trace(modes.R)
     y = (w / np.sqrt(2.0)) * rng.standard_normal(n)
     lo = np.zeros(n)
@@ -328,11 +328,6 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
             f"config.state.box_length = {length:.6g} gives mode "
             f"{n_max} fewer than two x-grid points per half-wave (needs >= "
             f"2 n dx = {2.0 * n_max * gx.dx:.6g})")
-    if w * w < np.finfo(float).tiny:
-        raise ValidationError(
-            f"config.state.w = {w:.6g}: the pointer Gaussian "
-            f"exp(-y^2 / 2w^2) needs w^2 to be a normal double (w >= "
-            f"{np.sqrt(np.finfo(float).tiny):.6g})")
     modes = BoxModes(coeffs, box_min, length)
     lam = st["lam"] if st["lam"] is not None else 8.0 * w / modes.min_gap()
     if lam * modes.min_gap() <= 3.0 * w:

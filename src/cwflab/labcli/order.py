@@ -18,13 +18,14 @@ readout histograms, tested per bin with a two-sample chi-square.
 
 import numpy as np
 
-from .. import weakmeas
 from ..errors import ValidationError
 from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
+from ..weakmeas import (RECORD_FIELDS, Cells, PointerProtocol, QubitTables,
+                        ScanState, replay_records, tally)
 from .config import ScenarioConfig
-from .planes import replay_records, split_at_zero
+from .planes import split_at_zero
 from .reports import check_record
 
 TABLE_TOL = 1e-12
@@ -60,8 +61,7 @@ def _route_tables(psi, site_index: int, alpha: float, cells, total: float,
     else:
         h, v = map(split, couple(psi.amplitudes))
     uH, uV = momentum_fft(h, gx), momentum_fft(v, gx)
-    tab = weakmeas._QubitTables(cells, uH[cells.rows], uV[cells.rows], alpha,
-                                total)
+    tab = QubitTables(cells, uH[cells.rows], uV[cells.rows], alpha, total)
     scale = cells.measure / total
     return (tab, (np.abs(uH) ** 2 + np.abs(uV) ** 2) * scale,
             uH * np.conj(uV) * scale)
@@ -69,7 +69,7 @@ def _route_tables(psi, site_index: int, alpha: float, cells, total: float,
 
 def _arm_counts(tab, n_trials: int, seed: int, site: int) -> np.ndarray:
     """One Monte-Carlo arm's counts[bin, basis, outcome]."""
-    counts = weakmeas.tally(tab, n_trials, seed, site)[0]
+    counts = tally(tab, n_trials, seed, site)[0]
     return counts[:-2].reshape(-1, 2, 2)
 
 
@@ -91,7 +91,7 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                 f"config.protocol.sites: x = {x:g} outside the x grid "
                 f"[{gx.x_min:g}, {gx.x_max:g})")
     site_indices = [int(gx.index_of(float(x))) for x in pr["sites"]]
-    cells = weakmeas._Cells(gx, gy, window, y_edges)
+    cells = Cells(gx, gy, window, y_edges)
     # the state's norm, which neither the coupling nor the splitter moves
     total = float((np.abs(momentum_fft(psi.amplitudes, gx)) ** 2).sum()
                   * cells.measure)
@@ -158,14 +158,12 @@ def run_order_invariance(cfg: ScenarioConfig) -> dict:
                            tol=TABLE_TOL),
               *checks]
 
-    records = {name: [] for name in weakmeas.RECORD_FIELDS}
+    records = {name: [] for name in RECORD_FIELDS}
     if not degenerate:
-        proto = weakmeas.PointerProtocol(
+        proto = PointerProtocol(
             coupling=pr["coupling"], n_trials=cfg.n_trials, seed=cfg.seed,
-            pointer_width=pr["pointer_width"], p_x_bin=window,
-            y_bins=y_edges, pointer_model="qubit")
-        state = weakmeas.prepare_state(beam_splitter(psi, st["bs_shift"]),
-                                       proto)
+            pointer_width=pr["pointer_width"])
+        state = ScanState(beam_splitter(psi, st["bs_shift"]), window, y_edges)
         records = replay_records(state, site_indices[0], proto,
                                  cfg.report["records_cap"])
 

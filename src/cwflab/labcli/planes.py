@@ -196,7 +196,7 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
                   "x_max": float(x_sites.max()),
                   "record_site_index": record_site},
         "acceptance": {
-            "expected": float(scan.acceptance_expected),
+            "expected": float(scan.state.acceptance),
             "mean_rate": float(np.mean(scan.acceptance_rate))},
         "bins": bins_report,
         "empty_bins": empty_bins,

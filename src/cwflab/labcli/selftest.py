@@ -6,7 +6,7 @@ runs in a few seconds. The CLI maps a failing battery to exit code 3.
 
 import numpy as np
 
-from .. import bohm, polar, weakmeas
+from .. import bohm, polar, stats, weakmeas
 from ..evolve import free_potential, harmonic_potential, propagate
 from ..qgrid import Grid1D, WaveFunction1D, WaveFunction2D, conditional_slice, \
     normalize, to_momentum, to_position
@@ -19,7 +19,7 @@ MOMENT_SIGMAS = 5.0
 
 def _random_state(grid: Grid1D, seed: int, modes: int = 12) -> WaveFunction1D:
     """Band-limited random state: a few low-k Fourier modes, smooth density."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = stats.stream(seed)
     coef = np.zeros(grid.n_points, dtype=np.complex128)
     half = (rng.standard_normal(modes) + 1j * rng.standard_normal(modes))
     coef[1:modes + 1] = half
@@ -92,7 +92,7 @@ def check_scan_identity_conditional() -> dict:
     gx = Grid1D(-8.0, 8.0, 128)
     gy = Grid1D(-8.0, 8.0, 128)
     psi = beam_splitter(two_branch_state(gx, gy, 6.0, 0.5, 0.7), 2.5)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+    rng = stats.stream(17)
     rho_y = psi.density().sum(axis=0)
     ys = rng.choice(gy.points, size=8, p=rho_y / rho_y.sum())
     dev = 0.0

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import OffGridError, PostSelectionError, ValidationError
 from .qgrid import Grid1D
+from .stats import stream
 
 TRACE_TOL = 1e-12
 POSTSELECT_FLOOR = 1e-12
@@ -47,10 +48,6 @@ class HilbertSpec:
     @property
     def dims(self) -> tuple:
         return (2, 2, self.n_y)
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n_y
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,8 @@ def _as_full(rho: DensityOperator) -> np.ndarray:
     return rho.factor
 
 
-def _pos_index(spec_grid: Grid1D, Y: float) -> int:
+def pos_index(spec_grid: Grid1D, Y: float) -> int:
+    """The index of grid point Y on spec_grid; OffGridError between points."""
     j = spec_grid.index_of(Y)
     if abs(spec_grid.points[j] - Y) > 1e-9 * spec_grid.dx:
         raise OffGridError(f"Y={Y} is not a pos2 grid point")
@@ -160,7 +158,7 @@ def _pol1_rows(rho: DensityOperator, Y) -> np.ndarray:
     if Y is None:
         k = rho.factor
     else:
-        k = _as_full(rho)[:, :, _pos_index(rho.spec.pos2, Y)]
+        k = _as_full(rho)[:, :, pos_index(rho.spec.pos2, Y)]
     return k.reshape(2, -1)
 
 
@@ -232,9 +230,8 @@ def direct_dm_measurement(rho: DensityOperator, Y_postselect: float = None,
     def rate(b):
         p = _postselect_probability(rho, b, Y)
         if resample_n is not None:
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence([seed, ord(b.label)])))
-            return rng.binomial(resample_n, min(max(p, 0.0), 1.0)) / resample_n
+            return stream(seed, ord(b.label)).binomial(
+                resample_n, min(max(p, 0.0), 1.0)) / resample_n
         return p
 
     def wv(Apol, b):

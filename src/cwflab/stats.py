@@ -1,5 +1,5 @@
-"""Small statistics helpers: chi-square tests, the chi-square tail and
-normal CDF they need, and overlap fidelities."""
+"""Statistics helpers: the keyed random stream and the flat-cell draw,
+chi-square tests with their tail and normal CDF, and overlap fidelities."""
 
 import math
 
@@ -10,6 +10,18 @@ from .errors import ValidationError
 # Cells with expected count below this are pooled into one collective cell
 # before the chi-square statistic is formed (Cochran's rule of thumb).
 MIN_EXPECTED = 5.0
+
+
+def stream(*key):  # unannotated, so numpy.random loads only when called
+    """The counter-based (Philox) numpy Generator keyed by the integers key."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def draw_cells(weights, u) -> np.ndarray:
+    """Flat cells drawn at uniforms u in [0, 1) from non-negative weights:
+    u * total rounds below total, so only cells of positive weight come out."""
+    cdf = np.cumsum(weights.ravel())
+    return np.searchsorted(cdf, u * cdf[-1], side="right")
 
 
 def chi2_tail(dof: int, x: float) -> float:

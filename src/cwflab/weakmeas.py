@@ -73,7 +73,12 @@ cell drawn from its category's cell weights. Only cells outside the window
 need whole-grid weights, built for the one record site. Scans, all three
 arms of labcli.order and the records share this draw. The one runner,
 scan_pointer_protocol, returns per-(site, Y bin) arrays (ScanResult) and
-the state that prepare_state made for it, which the records reuse.
+the ScanState it prepared, which the records reuse.
+
+The public surface: weak_value_scan, PointerProtocol, Cells, ScanState,
+QubitTables, site_tables, tally, replay_records, RECORD_FIELDS,
+scan_pointer_protocol and ScanResult; the three gain constants and
+CHUNK_TRIALS. Other names may change without notice.
 """
 
 from dataclasses import dataclass
@@ -82,6 +87,7 @@ import numpy as np
 
 from .errors import PostSelectionError, ValidationError
 from .qgrid import Grid1D, WaveFunction1D, WaveFunction2D, momentum_fft, to_momentum
+from .stats import draw_cells, stream
 
 OVERLAP_FLOOR = 1e-12
 CHUNK_TRIALS = 1 << 16
@@ -113,7 +119,7 @@ class PointerProtocol:
     pointer_width: qubit model -> readout scale (alpha = g/(dx*scale));
         gaussian model -> position spread sigma_q of the pointer mode.
     p_x_bin: half-width of the accepted momentum window (None: 1.5 * dp).
-    y_bins: bin count (uniform over the Y domain) or explicit edges.
+    y_bins: increasing Y bin edges; a two-particle run needs them.
     """
 
     coupling: float
@@ -121,7 +127,7 @@ class PointerProtocol:
     seed: int = 0
     pointer_width: float = 1.0
     p_x_bin: float = None
-    y_bins: object = 16
+    y_bins: object = None
     pointer_model: str = "qubit"
 
     def __post_init__(self):
@@ -151,21 +157,20 @@ class ScanResult:
 
     sites: np.ndarray              # resolved grid indexes
     acceptance_rate: np.ndarray    # per site, inside the momentum window
-    acceptance_expected: float
     estimate: np.ndarray
     se: np.ndarray
     expectation: np.ndarray
     counts: np.ndarray
     empty: np.ndarray              # (n_sites, n_bins)
-    state: tuple                   # prepare_state's, for replay_records
+    state: "ScanState"             # the scanned state, for replay_records
 
 
-class _Cells:
+class Cells:
     """The (p, Y) cell grid of a run: the momentum window |p| < window (the
-    row range `rows`), Y bins and cell measure. A lone particle (gy None)
-    has one Y cell."""
+    row range `rows`), the Y bins between y_edges and the cell measure. A
+    lone particle (gy None) has one Y cell and ignores y_edges."""
 
-    def __init__(self, gx, gy, window, y_bins):
+    def __init__(self, gx, gy, window, y_edges):
         pgrid = gx.conjugate()
         self.gx, self.gy = gx, gy
         self.p_values = pgrid.points
@@ -178,12 +183,9 @@ class _Cells:
             self.bin_of_y, self.n_bins = np.zeros(1, dtype=int), 1
         else:
             self.measure *= gy.dx
-            if np.isscalar(y_bins):
-                edges = np.linspace(gy.x_min, gy.x_max, int(y_bins) + 1)
-            else:
-                edges = np.asarray(y_bins, dtype=float)
-                if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-                    raise ValidationError("y_bins edges must be increasing")
+            edges = np.asarray(y_edges, dtype=float)
+            if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+                raise ValidationError("y_bins edges must be increasing")
             self.n_bins = edges.size - 1
             self.bin_of_y = np.where(gy.points < edges[-1], np.searchsorted(
                 edges, gy.points, side="right") - 1, -1)
@@ -205,7 +207,7 @@ class _CouplingTables:
     (their count, sum and sum of squares per (bin, basis)).
     """
 
-    def __init__(self, cells: _Cells, nu, weighted, total: float):
+    def __init__(self, cells: Cells, nu, weighted, total: float):
         self.cells = cells
         scale = cells.measure / total
         self.q, self.qm = nu * scale, weighted * scale
@@ -226,12 +228,12 @@ class _CouplingTables:
             return np.where(mass > 0, np.array(m) / mass, np.nan).T
 
 
-class _QubitTables(_CouplingTables):
-    """Qubit pointer with ancilla branches uH, uV; reads +-1 in D/A or L/R
-    with gain QUBIT_IMBALANCE_GAIN dx sin(alpha), 0 without coupling (then
-    only the tables themselves are meaningful). Category 4 bin + 2 basis +
-    outcome (outcome 1 reads +1) has probability (Q -+ M) / 4, with Q the
-    bin's mass and M its sum of q * reading."""
+class QubitTables(_CouplingTables):
+    """Qubit pointer at rotation alpha with window-row ancilla branches uH,
+    uV; reads +-1 in D/A or L/R with gain QUBIT_IMBALANCE_GAIN dx sin(alpha),
+    0 without coupling (then only the tables themselves are meaningful).
+    Category 4 bin + 2 basis + outcome (outcome 1 reads +1) has probability
+    (Q -+ M) / 4, with Q the bin's mass and M its sum of q * reading."""
 
     def __init__(self, cells, uH, uV, alpha, total):
         # the operand order fixes the readings' last bits (numpy's SIMD
@@ -253,7 +255,7 @@ class _QubitTables(_CouplingTables):
         for k in np.unique(cat):
             b, basis, sign = k // 4, k // 2 % 2, 2 * (k % 2) - 1
             w = (self.q + sign * self.qm[basis]) * (self.cells.bin_of_y == b)
-            cells[cat == k] = _draw_cell(np.maximum(w, 0.0), u[cat == k])
+            cells[cat == k] = draw_cells(np.maximum(w, 0.0), u[cat == k])
         return cells, cat // 2 % 2 == 1
 
     def readings(self, rng, drawn):
@@ -344,57 +346,47 @@ def _rejection(rng, cells, propose, ratio):
     return out
 
 
-def prepare_state(system, proto: PointerProtocol):
-    """The per-state part of a run: (cells, amp, den, total, acceptance)
-    with amp the amplitudes (n_x, n_y), den = momentum_fft(amp), total the
-    state's norm sum |den|^2 * measure, and acceptance the uncoupled
-    state's probability of landing inside the momentum window."""
-    if isinstance(system, WaveFunction1D):
-        gx, gy, amp = system.grid, None, system.amplitudes[:, None]
-    elif isinstance(system, WaveFunction2D):
-        gx, gy, amp = system.grid_x, system.grid_y, system.amplitudes
-    else:
-        raise ValidationError("system must be a 1-D or 2-D wave function")
-    cells = _Cells(gx, gy, proto.p_x_bin, proto.y_bins)
-    den = momentum_fft(amp, gx)
-    base = np.abs(den) ** 2 * cells.measure
-    total = base.sum()
-    base /= total
-    return cells, amp, den, float(total), float(base[cells.win_p].sum())
+class ScanState(Cells):
+    """The per-state part of a run: its Cells plus amp, the amplitudes
+    (n_x, n_y); den = momentum_fft(amp); total, the state's norm
+    sum |den|^2 * measure; and acceptance, the uncoupled state's
+    probability of landing inside the momentum window."""
+
+    def __init__(self, system, window, y_edges):
+        if isinstance(system, WaveFunction1D):
+            gx, gy, amp = system.grid, None, system.amplitudes[:, None]
+        elif isinstance(system, WaveFunction2D):
+            gx, gy, amp = system.grid_x, system.grid_y, system.amplitudes
+        else:
+            raise ValidationError("system must be a 1-D or 2-D wave function")
+        super().__init__(gx, gy, window, y_edges)
+        self.amp = amp
+        self.den = momentum_fft(amp, gx)
+        base = np.abs(self.den) ** 2 * self.measure
+        total = base.sum()
+        base /= total
+        self.total = float(total)
+        self.acceptance = float(base[self.win_p].sum())
 
 
-def _site_tables(state, A_site, proto: PointerProtocol) -> _CouplingTables:
+def site_tables(state: ScanState, A_site, proto: PointerProtocol):
     """Tables of proto's pointer coupled at A_site (grid index or position)
-    of the state that prepare_state prepared."""
-    cells, amp, den, total, _ = state
-    gx, rows = cells.gx, cells.rows
+    of state."""
+    gx, rows = state.gx, state.rows
     site = A_site if isinstance(A_site, (int, np.integer)) \
         else gx.index_of(float(A_site))
     x_site = gx.points[site]
-    num = gx.dx * np.exp(-1j * cells.p_values[rows, None] * x_site) \
-        * amp[site, None, :]
-    den = den[rows]
+    num = gx.dx * np.exp(-1j * state.p_values[rows, None] * x_site) \
+        * state.amp[site, None, :]
+    den = state.den[rows]
     if proto.pointer_model == "qubit":
         a = proto.coupling / (gx.dx * proto.pointer_width)
-        tab = _QubitTables(cells, den + (np.cos(a) - 1.0) * num,
-                           np.sin(a) * num, a, total)
+        tab = QubitTables(state, den + (np.cos(a) - 1.0) * num,
+                          np.sin(a) * num, a, state.total)
     else:
-        tab = _GaussianTables(cells, den, num, proto, total)
+        tab = _GaussianTables(state, den, num, proto, state.total)
     tab.site = site
     return tab
-
-
-def _draw_cell(weights, u):
-    """Flat cells drawn at uniforms u in [0, 1) from non-negative weights.
-    u * total rounds below total, so only cells of positive weight come
-    out."""
-    cdf = np.cumsum(weights.ravel())
-    return np.searchsorted(cdf, u * cdf[-1], side="right")
-
-
-def _chunk_rng(seed: int, site_index: int, chunk_id: int):
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, site_index, chunk_id])))
 
 
 def tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
@@ -410,7 +402,7 @@ def tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
     counts = np.zeros(tab.probs.size, dtype=np.int64)
     moments = np.zeros((3, 2 * tab.cells.n_bins))
     for chunk_id, done in enumerate(range(0, n_trials, CHUNK_TRIALS)):
-        rng = _chunk_rng(seed, site_index, chunk_id)
+        rng = stream(seed, site_index, chunk_id)
         drawn = rng.multinomial(min(CHUNK_TRIALS, n_trials - done), tab.probs)
         counts += drawn
         moments += tab.moments(rng, drawn)
@@ -423,24 +415,24 @@ def tally(tab: _CouplingTables, n_trials: int, seed: int, site_index: int):
 RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 
 
-def replay_records(state, site_index: int, proto: PointerProtocol,
-                   cap: int) -> dict:
+def replay_records(state: ScanState, site_index: int,
+                   proto: PointerProtocol, cap: int) -> dict:
     """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials of
-    chunk 0 of one site's run: a view of tally's draw of that chunk. state
-    is prepare_state(system, proto), or the state of a scan with proto.
+    chunk 0 of one site's run on state: a view of tally's draw of that
+    chunk.
 
     The chunk's category labels, expanded and permuted with its rng, give
     the trials in order; each then draws a uniform for its cell within its
     category and one for its basis where the category has none. Only the
     cells outside the window need whole-grid weights.
     """
-    tab = _site_tables(state, site_index, proto)
-    c = tab.cells
+    tab = site_tables(state, site_index, proto)
+    c = state
     if c.gy is None:
         raise ValidationError("trial records need a two-particle system")
     n = min(CHUNK_TRIALS, proto.n_trials)
     m = min(n, cap)
-    rng = _chunk_rng(proto.seed, tab.site, 0)
+    rng = stream(proto.seed, tab.site, 0)
     drawn = rng.multinomial(n, tab.probs)
     values = tab.readings(rng, drawn)
     order = rng.permutation(n)[:m]
@@ -451,16 +443,16 @@ def replay_records(state, site_index: int, proto: PointerProtocol,
                         cat == drawn.size - 1)
     cell[win], basis[win] = tab.draw_cells(cat[win], u[win, 0])
     if no_bin.any():
-        cell[no_bin] = _draw_cell(tab.q * (c.bin_of_y < 0), u[no_bin, 0])
+        cell[no_bin] = draw_cells(tab.q * (c.bin_of_y < 0), u[no_bin, 0])
     cell[~out] += c.rows.start * c.n_y
     if out.any():
-        _, amp, den, _, _ = state
+        amp, den = c.amp, c.den
         num = c.gx.dx * np.outer(np.exp(-1j * c.p_values
                                         * c.gx.points[tab.site]), amp[tab.site])
         w = np.maximum(np.abs(den) ** 2 - 2.0 * tab.kappa * (
             (np.conj(den) * num).real - np.abs(num) ** 2), 0.0)
         w[c.rows] = 0.0
-        cell[out] = _draw_cell(w, u[out, 0])
+        cell[out] = draw_cells(w, u[out, 0])
     p_idx, y_idx = np.divmod(cell, c.n_y)
     accepted = order < values.size
     outcome = np.full(m, None, dtype=object)
@@ -478,10 +470,10 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
     the two readout bases, sample the readout, and pool per Y bin; tally
     draws these trials as counts. Empty bins are flagged, not errors.
     """
-    state = prepare_state(system, proto)
+    state = ScanState(system, proto.p_x_bin, proto.y_bins)
     rows = []
     for s in sites:
-        tab = _site_tables(state, s, proto)
+        tab = site_tables(state, s, proto)
         counts, moments = tally(tab, proto.n_trials, proto.seed, tab.site)
         rows.append((tab.site, proto.n_trials - counts[-1], *moments,
                      tab.pooled() / tab.gains))
@@ -495,5 +487,5 @@ def scan_pointer_protocol(system, sites, proto: PointerProtocol) -> ScanResult:
         est = mean / gains
         se = np.sqrt(var / n) / gains
     est[empty] = se[empty] = np.nan
-    return ScanResult(index, n_window / proto.n_trials, state[4], est, se,
-                      exact, n.astype(np.int64), empty, state)
+    return ScanResult(index, n_window / proto.n_trials, est, se, exact,
+                      n.astype(np.int64), empty, state)

@@ -30,7 +30,7 @@ from cwflab.weakmeas import (
     GAUSSIAN_POSITION_GAIN,
     RECORD_FIELDS,
     PointerProtocol,
-    prepare_state,
+    ScanState,
     scan_pointer_protocol,
 )
 from cwflab.labcli import cli
@@ -686,7 +686,7 @@ class TestSharedStream:
         psi_det, _, _, _, gx, gy = detection_state(cfg)
         proto = _protocol(cfg, gx, gy, pointer_model="gaussian")
         site = gx.index_of(3.0)
-        state = prepare_state(psi_det, proto)
+        state = ScanState(psi_det, proto.p_x_bin, proto.y_bins)
         full = _rows(replay_records(state, site, proto, cfg.n_trials))
         head = _rows(replay_records(state, site, proto, 777))
         assert head == full[:777]
@@ -889,6 +889,14 @@ class TestCli:
         # these used to print a RuntimeWarning first; w also named no key
         ("fig1", {"state": {"w": 1e-300}}, []),
         ("fig1", {"state": {"box_length": 1e-300}}, []),
+        # widths whose square is no normal double: these used to end in an
+        # OverflowError traceback
+        ("planes", {"state": {"sigma_x": 1e300}}, []),
+        ("planes", {"state": {"sigma_y": 1e300}}, []),
+        ("order", {"state": {"sigma_x": 1e300}}, []),
+        ("order", {"state": {"sigma_y": 1e300}}, []),
+        ("density", {"state": {"width": 1e300}}, []),
+        ("density", {"state": {"width": 1e-300}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, recwarn, command,
                                     config, flags):

@@ -46,7 +46,7 @@ def maximally_mixed_2x2():
 
 def random_pure_composite(spec, seed):
     rng = np.random.default_rng(seed)
-    ket = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+    ket = rng.normal(size=4 * spec.n_y) + 1j * rng.normal(size=4 * spec.n_y)
     return polar.pure_dm(ket / np.linalg.norm(ket), spec)
 
 
@@ -297,7 +297,7 @@ class TestBeamSplitter:
     def test_unitary(self):
         spec = make_spec(16)
         U = oracles.beam_splitter_matrix(spec, 1.0)
-        assert np.array_equal(U @ U.conj().T, np.eye(spec.dim))
+        assert np.array_equal(U @ U.conj().T, np.eye(4 * spec.n_y))
 
     def test_maps_psi1_to_psi2(self):
         spec = make_spec()
@@ -338,7 +338,7 @@ class TestFactorAgainstDense:
             + 1j * rng.normal(size=spec.dims + (rank,))
         k /= np.linalg.norm(k)
         rho = polar.DensityOperator(k, spec.dims, spec=spec)
-        flat = k.reshape(spec.dim, rank)
+        flat = k.reshape(4 * spec.n_y, rank)
         m = flat @ flat.conj().T
         assert np.max(np.abs(rho.matrix - m)) < 1e-15
         red = polar.reduced_dm(rho).matrix

@@ -27,13 +27,14 @@ from cwflab.qgrid import (
     to_momentum,
 )
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
-from cwflab.stats import chi2_gof
+from cwflab.stats import chi2_gof, draw_cells
 from cwflab import weakmeas
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
     OVERLAP_FLOOR,
     PointerProtocol,
     ScanResult,
+    ScanState,
     scan_pointer_protocol,
     weak_value_scan,
 )
@@ -274,7 +275,7 @@ class TestPointerMonteCarlo:
         psi = gaussian_1d(grid256, 0.0, 1.0, k0=0.4)
         proto = PointerProtocol(coupling=0.02, n_trials=400_000, seed=3)
         res = scan_pointer_protocol(psi, [grid256.index_of(0.0)], proto)
-        p = res.acceptance_expected
+        p = res.state.acceptance
         se = np.sqrt(p * (1 - p) / proto.n_trials)
         assert abs(res.acceptance_rate[0] - p) < 4 * se
 
@@ -300,8 +301,9 @@ class TestPointerMonteCarlo:
 
         def numbers(result, name):
             value = getattr(result, name)
-            if name == "state":   # (cells, amp, den, total, acceptance)
-                return b"".join(np.asarray(v).tobytes() for v in value[1:])
+            if name == "state":
+                return b"".join(np.asarray(getattr(value, k)).tobytes() for k
+                                in ("amp", "den", "total", "acceptance"))
             return np.asarray(value).tobytes()
 
         for field in fields(ScanResult):
@@ -325,6 +327,14 @@ class TestPointerMonteCarlo:
         res = scan_pointer_protocol(Psi, [grid128.index_of(1.5)], proto)
         assert res.empty[0, 0]
         assert np.isnan(res.estimate[0, 0]).all()
+
+    @pytest.mark.parametrize("edges", [None, [1.0], [0.0, -1.0]])
+    def test_two_particle_run_needs_increasing_edges(self, grid128, edges):
+        """Y bins come only as edges: none, one, or decreasing are refused."""
+        Psi = two_branch_state(grid128, grid128, 3.0, 0.5, 0.7)
+        proto = PointerProtocol(coupling=0.02, n_trials=10, y_bins=edges)
+        with pytest.raises(ValidationError, match="increasing"):
+            scan_pointer_protocol(Psi, [64], proto)
 
     def test_site_given_as_position(self, grid256):
         psi = gaussian_1d(grid256, 0.0, 1.0)
@@ -421,11 +431,13 @@ class TestCountDraw:
         cell probabilities sum to 1 over the whole grid, and the tables
         hold their window rows."""
         psi, _ = entangled_gaussians(seed)
+        gy = psi.grid_y
         proto = PointerProtocol(coupling=0.3, n_trials=1,
-                                pointer_model=model, p_x_bin=2.0)
-        state = weakmeas.prepare_state(psi, proto)
+                                pointer_model=model, p_x_bin=2.0,
+                                y_bins=np.linspace(gy.x_min, gy.x_max, 17))
+        state = ScanState(psi, proto.p_x_bin, proto.y_bins)
         for site in (5, psi.grid_x.n_points // 2):
-            tab = weakmeas._site_tables(state, site, proto)
+            tab = weakmeas.site_tables(state, site, proto)
             full = coupled_cell_probs(psi, site, proto)
             assert full.sum() == pytest.approx(1.0, abs=1e-13)
             np.testing.assert_allclose(tab.q, full[tab.cells.rows],
@@ -444,7 +456,8 @@ class TestCountDraw:
         if not splitter:
             Psi = two_branch_state(grid, grid, 6.0, 0.5, 0.7)
         site = grid.index_of(3.0)
-        tab = weakmeas._site_tables(weakmeas.prepare_state(Psi, proto), site, proto)
+        state = ScanState(Psi, proto.p_x_bin, proto.y_bins)
+        tab = weakmeas.site_tables(state, site, proto)
         law = qubit_cell_law(Psi, site, proto)
         c = tab.cells
         window = law[:, np.abs(c.p_values) < proto.p_x_bin]
@@ -471,11 +484,14 @@ class TestCountDraw:
             site, chunks = grid.index_of(3.0), 100
         else:
             Psi, _ = entangled_gaussians(2)
+            gy = Psi.grid_y
             proto = PointerProtocol(coupling=0.3, n_trials=1, p_x_bin=1.0,
-                                    pointer_width=0.5, y_bins=2,
+                                    pointer_width=0.5,
+                                    y_bins=np.linspace(gy.x_min, gy.x_max, 3),
                                     pointer_model="gaussian")
             site, chunks = Psi.grid_x.n_points // 2, 8
-        tab = weakmeas._site_tables(weakmeas.prepare_state(Psi, proto), site, proto)
+        state = ScanState(Psi, proto.p_x_bin, proto.y_bins)
+        tab = weakmeas.site_tables(state, site, proto)
         counts, (n, total, total_sq) = weakmeas.tally(
             tab, chunks * CHUNK_TRIALS, 7, site)
         assert chi2_gof(counts, tab.probs)["p_value"] > 1e-3
@@ -492,11 +508,12 @@ class TestCountDraw:
         Psi, grid, proto = planes_b_on(model, p_x_bin=1e3, n_trials=5000,
                                        y_bins=[-3.0, 0.0, 3.0])
         site = grid.index_of(3.0)
-        tab = weakmeas._site_tables(weakmeas.prepare_state(Psi, proto), site, proto)
+        state = ScanState(Psi, proto.p_x_bin, proto.y_bins)
+        tab = weakmeas.site_tables(state, site, proto)
         assert tab.q.shape == (grid.n_points, grid.n_points)
         assert tab.probs[-1] == pytest.approx(0.0, abs=1e-13)
         res = scan_pointer_protocol(Psi, [site], proto)
-        assert res.acceptance_rate[0] == 1.0 == res.acceptance_expected
+        assert res.acceptance_rate[0] == 1.0 == res.state.acceptance
         assert (res.counts.sum(axis=(1, 2)) < proto.n_trials).all()
         rec = weakmeas.replay_records(res.state, site, proto, 5000)
         assert (np.abs(rec["p_x"]) < proto.p_x_bin).all()
@@ -516,8 +533,8 @@ class TestCountDraw:
                                 p_x_bin=0.5 * gx.conjugate().dx,
                                 pointer_model=model)
         site = gx.index_of(3.0)
-        state = weakmeas.prepare_state(Psi, proto)
-        tab = weakmeas._site_tables(state, site, proto)
+        state = ScanState(Psi, proto.p_x_bin, proto.y_bins)
+        tab = weakmeas.site_tables(state, site, proto)
         c = tab.cells
         counts = weakmeas.tally(tab, CHUNK_TRIALS, proto.seed, site)[0]
         rec = weakmeas.replay_records(state, site, proto, CHUNK_TRIALS)
@@ -559,7 +576,7 @@ class TestCountDraw:
 
 
 class TestGuideLookup:
-    """The records' cell lookup, weakmeas._draw_cell: an inverse-CDF search
+    """The records' cell lookup, stats.draw_cells: an inverse-CDF search
     of non-negative weights. It returns only cells of positive weight, in
     the order of u, and hits each cell with its share of an even grid of
     uniforms to within one."""
@@ -570,7 +587,7 @@ class TestGuideLookup:
         even = (np.arange(4096) + 0.5) / 4096
         u = np.concatenate([even, [0.0, np.nextafter(1.0, 0.0)],
                             np.asarray(extra_u, dtype=float)])
-        cells = weakmeas._draw_cell(mass, u)
+        cells = draw_cells(mass, u)
         assert (mass.ravel()[cells] > 0).all()
         hits = cells[:even.size]
         assert (np.diff(hits) >= 0).all()
@@ -639,7 +656,7 @@ class TestPerStateWork:
         sites = [grid128.index_of(x) for x in (-3.0, 1.5)]
         res = scan_pointer_protocol(Psi, sites, proto)
         assert (res.acceptance_rate == 0.0).all()
-        assert res.acceptance_expected == 0.0
+        assert res.state.acceptance == 0.0
         assert res.empty.all() and not res.counts.any()
         assert np.isnan(res.expectation).all()
         rec = weakmeas.replay_records(res.state, sites[1], proto, 1000)
@@ -727,8 +744,8 @@ class TestConditionalReadout:
         of n_win momentum cells."""
         gx, gy = psi.grid_x, psi.grid_y
         dp = 2.0 * np.pi / (gx.n_points * gx.dx)
-        edges = 1 if j is None else [gy.points[j] - 0.5 * gy.dx,
-                                     gy.points[j] + 0.5 * gy.dx]
+        edges = np.linspace(gy.x_min, gy.x_max, 2) if j is None else [
+            gy.points[j] - 0.5 * gy.dx, gy.points[j] + 0.5 * gy.dx]
         return PointerProtocol(coupling=g, n_trials=1, pointer_width=width,
                                p_x_bin=0.5 * n_win * dp, y_bins=edges,
                                pointer_model=model)
