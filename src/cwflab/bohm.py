@@ -14,30 +14,32 @@ the node mask there, and the ensemble runner marks such trajectories failed
 instead of aborting the batch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridExitError, ValidationError
-from .evolve import propagate
+from .evolve import strang_step
 from .qgrid import WaveFunction1D, WaveFunction2D
 from .stats import chi2_gof, chi2_joint, draw_cells, stream
 
 NODE_FLOOR = 1e-12  # fraction of max |Psi|^2 below which a point is a node
 STENCIL = 8  # points per axis of the 2-D fields' Lagrange stencil (even)
 _OFFSETS = np.arange(1 - STENCIL // 2, 1 + STENCIL // 2)
-_OTHERS = np.array([np.delete(np.arange(STENCIL), k) for k in range(STENCIL)])
-_DENOM = np.prod(_OFFSETS[:, None] - _OFFSETS[_OTHERS], axis=1)
+_DENOM = np.prod(np.eye(STENCIL) + _OFFSETS[:, None] - _OFFSETS, axis=1)
 
 
 def _stencil(g, X):
-    """(indexes, weights), each (X.size, STENCIL), of the periodic Lagrange
-    stencil on g around X: exactly one-hot at grid points, NaN at NaN."""
+    """(i, w): the cell i holding X on g and the (STENCIL, X.size) weights
+    of cells i + _OFFSETS, exactly one-hot at grid points, NaN at NaN."""
     t = (X - g.x_min) / g.dx
-    i = np.floor(t)
-    d = (t - i)[:, None] - _OFFSETS
-    idx = (np.nan_to_num(i).astype(np.intp)[:, None] + _OFFSETS) % g.n_points
-    return idx, np.prod(d[:, _OTHERS], axis=2) / _DENOM
+    i = np.minimum(np.floor(t), g.n_points - 1)  # t may round up to n
+    d = (t - i) - _OFFSETS[:, None]
+    pre, suf = np.ones_like(d), np.ones_like(d)
+    for k in range(1, STENCIL):  # weights: prefix times suffix products
+        pre[k] = pre[k - 1] * d[k - 1]
+        suf[-1 - k] = suf[-k] * d[-k]
+    return np.nan_to_num(i).astype(np.intp), pre * suf / _DENOM[:, None]
 
 
 class VelocityField1D:
@@ -78,10 +80,17 @@ class VelocityField2D:
         kx, ky = self.gx.wavenumbers, self.gy.wavenumbers
         dpsi_x = np.fft.ifft(1j * kx[:, None] * np.fft.fft(amp, axis=0), axis=0)
         dpsi_y = np.fft.ifft(1j * ky[None, :] * np.fft.fft(amp, axis=1), axis=1)
-        rho = psi.density()
-        jx = (np.conj(amp) * dpsi_x).imag
-        jy = (np.conj(amp) * dpsi_y).imag
-        self._fields = np.stack((jx, jy, rho), axis=-1).reshape(-1, 3)
+        # wrapped: cell (i, j)'s stencil is rows i..i+7, doubles 3j..3j+23
+        lo, (n_x, n_y) = -_OFFSETS[0], amp.shape
+        f = np.empty((n_x + STENCIL - 1, n_y + STENCIL - 1, 3))
+        core = f[lo:lo + n_x, lo:lo + n_y]
+        core[..., 0] = (np.conj(amp) * dpsi_x).imag
+        core[..., 1] = (np.conj(amp) * dpsi_y).imag
+        core[..., 2] = rho = psi.density()
+        f[:lo], f[lo + n_x:] = f[n_x:n_x + lo], f[lo:STENCIL - 1]
+        f[:, :lo], f[:, lo + n_y:] = f[:, n_y:n_y + lo], f[:, lo:STENCIL - 1]
+        self._blocks = np.lib.stride_tricks.sliding_window_view(
+            f.reshape(len(f), -1), (STENCIL, 3 * STENCIL))
         self.floor = NODE_FLOOR * float(rho.max())
 
     def _check_bounds(self, X, Y):
@@ -95,15 +104,12 @@ class VelocityField2D:
         X = np.atleast_1d(np.asarray(X, dtype=float))
         Y = np.atleast_1d(np.asarray(Y, dtype=float))
         self._check_bounds(X, Y)
-        ix, wx = _stencil(self.gx, X)
-        iy, wy = _stencil(self.gy, Y)
-        cells = (ix[:, :, None] * self.gy.n_points + iy[:, None, :]).reshape(
-            X.size, STENCIL**2)
-        w = (wx[:, :, None] * wy[:, None, :]).reshape(X.size, 1, STENCIL**2)
-        f = (w @ np.take(self._fields, cells, axis=0))[:, 0]
+        (ix, wx), (iy, wy) = _stencil(self.gx, X), _stencil(self.gy, Y)
+        f = np.einsum("an,nab->nb", wx, self._blocks[ix, 3 * iy])
+        f = np.einsum("an,nac->nc", wy, f.reshape(X.size, STENCIL, 3))
         ok = f[:, 2] >= self.floor
-        v = np.full((X.size, 2), np.nan)
-        v[ok] = f[ok, :2] / f[ok, 2:]
+        v = np.divide(f[:, :2], f[:, 2:], out=np.full((X.size, 2), np.nan),
+                      where=ok[:, None])
         return v[:, 0], v[:, 1], ok
 
 
@@ -167,16 +173,14 @@ def evolve_trajectories(psi0: WaveFunction2D, potential: np.ndarray,
     xs = np.empty((X.size, steps + 1))
     ys = np.empty((X.size, steps + 1))
     xs[:, 0], ys[:, 0] = X, Y
-    state = psi0
+    step, state = strang_step(psi0, potential, 0.5 * dt), psi0
     f0 = VelocityField2D(state)
     for s in range(steps):
-        half = propagate(state, potential, 0.5 * dt, 1)
-        state = propagate(half, potential, 0.5 * dt, 1)
-        f1 = VelocityField2D(half)
-        f2 = VelocityField2D(state)
+        half = replace(state, amplitudes=step(state.amplitudes))
+        state = replace(half, amplitudes=step(half.amplitudes))
+        f1, f2 = VelocityField2D(half), VelocityField2D(state)
         X, Y, alive = _rk4(f0, f1, f2, X, Y, dt, alive)
-        xs[:, s + 1], ys[:, s + 1] = X, Y
-        f0 = f2
+        f0, xs[:, s + 1], ys[:, s + 1] = f2, X, Y
     return EnsembleResult(xs, ys, ~alive, state)
 
 

@@ -25,10 +25,10 @@ def harmonic_potential(grid: Grid1D, omega: float, center: float = 0.0) -> np.nd
     return 0.5 * omega**2 * (grid.points - center) ** 2
 
 
-def propagate(wf, potential: np.ndarray, dt: float, steps: int):
-    """Advance wf by steps * dt in the potential (an array on wf's grid);
-    returns a new state."""
-    if steps < 0 or dt <= 0:
+def strang_step(wf, potential: np.ndarray, dt: float):
+    """psi -> exp(-i V dt/2) exp(-i T dt) exp(-i V dt/2) psi on wf's grids,
+    as a function of the amplitudes with its factors built once, here."""
+    if dt <= 0:
         raise ValidationError("need dt > 0 and steps >= 0")
     # fft/ifft rather than fftn/ifftn: the n-D pair costs more per 1-D step
     if isinstance(wf, WaveFunction1D):
@@ -43,9 +43,15 @@ def propagate(wf, potential: np.ndarray, dt: float, steps: int):
     exp_v = np.exp(-0.5j * potential * dt)
     kin = sum(k**2 for k in np.ix_(*(g.wavenumbers for g in grids)))
     exp_k = np.exp(-0.5j * dt * kin)
-    psi = wf.amplitudes.copy()
+    return lambda psi: ifft(exp_k * fft(psi * exp_v)) * exp_v
+
+
+def propagate(wf, potential: np.ndarray, dt: float, steps: int):
+    """Advance wf by steps * dt in the potential (an array on wf's grid);
+    returns a new state."""
+    if steps < 0:
+        raise ValidationError("need dt > 0 and steps >= 0")
+    step, psi = strang_step(wf, potential, dt), wf.amplitudes
     for _ in range(steps):
-        psi *= exp_v
-        psi = ifft(exp_k * fft(psi))
-        psi *= exp_v
+        psi = step(psi)
     return dataclasses.replace(wf, amplitudes=psi)

@@ -19,13 +19,13 @@ readout histograms, tested per bin with a two-sample chi-square.
 import numpy as np
 
 from ..errors import ValidationError
-from ..qgrid import Grid1D, WaveFunction2D, momentum_fft
+from ..qgrid import WaveFunction2D, momentum_fft
 from ..states import beam_splitter, two_branch_state
 from ..stats import chi2_two_sample
 from ..weakmeas import (RECORD_FIELDS, Cells, PointerProtocol, QubitTables,
                         ScanState, replay_records, tally)
 from .config import ScenarioConfig
-from .planes import split_at_zero
+from .planes import packet_grids, split_at_zero
 from .reports import check_record
 
 TABLE_TOL = 1e-12
@@ -75,9 +75,8 @@ def _arm_counts(tab, n_trials: int, seed: int, site: int) -> np.ndarray:
 
 def run_order_invariance(cfg: ScenarioConfig) -> dict:
     """Both orderings: table identity, exact weak values, seeded MC arms."""
-    g, st, pr = cfg.grid, cfg.state, cfg.protocol
-    gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
-    gy = Grid1D(g["y_min"], g["y_max"], g["n_y"])
+    st, pr = cfg.state, cfg.protocol
+    gx, gy = packet_grids(cfg)
     psi = two_branch_state(gx, gy, st["x_sep"], st["sigma_x"], st["sigma_y"])
 
     alpha = pr["coupling"] / (gx.dx * pr["pointer_width"])

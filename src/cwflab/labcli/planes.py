@@ -32,14 +32,30 @@ ORDERINGS = {"A": "detect_upstream_of_bs",
              "B": "detect_downstream, coupling_after_detection"}
 
 
+def packet_grids(cfg: ScenarioConfig):
+    """The (x, y) grids of a two-packet config, refused unless x = 0, where
+    the packets part, lies inside the x grid and both packet centers
+    +-x_sep/2 lie on it."""
+    g, x_sep = cfg.grid, cfg.state["x_sep"]
+    gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
+    if not gx.x_min < 0.0 < gx.x_max:
+        raise ValidationError(f"config.grid: x_min = {gx.x_min:g} and x_max "
+                              f"= {gx.x_max:g} must straddle x = 0")
+    if not gx.x_min <= -0.5 * x_sep <= 0.5 * x_sep <= gx.x_max:
+        raise ValidationError(
+            f"config.state.x_sep = {x_sep:g}: packet centers x = "
+            f"+-{0.5 * x_sep:g} outside the x range [{gx.x_min:g}, "
+            f"{gx.x_max:g}] of config.grid")
+    return gx, Grid1D(g["y_min"], g["y_max"], g["n_y"])
+
+
 def detection_state(cfg: ScenarioConfig):
     """Joint state seen by the Y detector, plus geometry and the tag.
 
     Returns (psi_det, psi1, psi2, collapsed, gx, gy).
     """
-    g, st, pr = cfg.grid, cfg.state, cfg.protocol
-    gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
-    gy = Grid1D(g["y_min"], g["y_max"], g["n_y"])
+    st, pr = cfg.state, cfg.protocol
+    gx, gy = packet_grids(cfg)
     psi_pre = two_branch_state(gx, gy, st["x_sep"], st["sigma_x"],
                                st["sigma_y"])
     psi1, psi2 = branch_waves(gx, st["x_sep"], st["sigma_x"])

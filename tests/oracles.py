@@ -8,11 +8,12 @@ measure. The dense box Hamiltonian is the reference that the
 split-operator box revival is checked against, the mode-pair sum is the
 reference for the fig1 impulse flow, the generic weak value
 <b|A|psi> / <b|psi> is the reference for the momentum scan of
-`cwflab.weakmeas`, and the dense 4 n_y x 4 n_y polarization algebra at the
-end is the reference for the factored density operators of `cwflab.polar`.
-The qubit-pointer readout rebuilds the polarization matrix the way an
-experiment would, through a coupled pointer, where `cwflab.polar` reads
-exact traces.
+`cwflab.weakmeas`, the dense stencil^2 Lagrange sum is the reference for
+the 2-D guidance field of `cwflab.bohm`, and the dense 4 n_y x 4 n_y
+polarization algebra at the end is the reference for the factored density
+operators of `cwflab.polar`. The qubit-pointer readout rebuilds the
+polarization matrix the way an experiment would, through a coupled
+pointer, where `cwflab.polar` reads exact traces.
 """
 
 import numpy as np
@@ -91,6 +92,41 @@ def fourier_velocity_2d(wf: WaveFunction2D, X, Y):
     dpx = np.sum(((1j * kx * ex) @ coef) * ey, axis=1)
     dpy = np.sum((ex @ coef) * (1j * ky * ey), axis=1)
     return (dpx / psi).imag, (dpy / psi).imag, np.abs(psi) ** 2
+
+
+def grid_fields_2d(wf: WaveFunction2D):
+    """(j_x, j_y, rho) of wf at its grid points, with spectral derivatives:
+    j = Im(conj(psi) grad psi)."""
+    amp = wf.amplitudes
+    kx = 2.0 * np.pi * np.fft.fftfreq(wf.grid_x.n_points, d=wf.grid_x.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(wf.grid_y.n_points, d=wf.grid_y.dx)
+    dpx = np.fft.ifft(1j * kx[:, None] * np.fft.fft(amp, axis=0), axis=0)
+    dpy = np.fft.ifft(1j * ky[None, :] * np.fft.fft(amp, axis=1), axis=1)
+    return (np.conj(amp) * dpx).imag, (np.conj(amp) * dpy).imag, np.abs(amp) ** 2
+
+
+def lagrange_fields_2d(wf: WaveFunction2D, X, Y, stencil=8):
+    """(j_x, j_y, rho), shape (n, 3), at the points as the dense sum over
+    the stencil^2 grid points around each: cell indexes taken modulo the
+    grid size and weights prod_{m != k} (d - o_m) / (o_k - o_m) over the
+    offsets o = 1 - stencil/2 .. stencil/2 from the cell below the point."""
+    fields = np.stack(grid_fields_2d(wf), axis=-1)
+    offsets = np.arange(1 - stencil // 2, 1 + stencil // 2)
+    others = np.array([np.delete(np.arange(stencil), k)
+                       for k in range(stencil)])
+    denom = np.prod(offsets[:, None] - offsets[others], axis=1)
+
+    def axis(g, x):
+        t = (np.asarray(x, dtype=float) - g.x_min) / g.dx
+        i = np.floor(t)
+        d = (t - i)[:, None] - offsets
+        return ((i.astype(int)[:, None] + offsets) % g.n_points,
+                np.prod(d[:, others], axis=2) / denom)
+
+    ix, wx = axis(wf.grid_x, X)
+    iy, wy = axis(wf.grid_y, Y)
+    cells = fields[ix[:, :, None], iy[:, None, :]]
+    return np.einsum("na,nb,nabc->nc", wx, wy, cells)
 
 
 def momentum_gaussian(p, sigma=1.0, center_x=0.0):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import random_state_2d
 from oracles import product_2d
 from cwflab.bohm import (
     NODE_FLOOR,
@@ -130,6 +131,40 @@ class TestVelocity2D:
         with pytest.raises(GridExitError):
             field.velocity(0.5, grid128.x_max + 1.0)
 
+    def test_matches_dense_stencil_oracle(self, grid128):
+        """The padded blocks and product-form weights against the dense
+        64-point sum (oracles.lagrange_fields_2d): random points, points in
+        the first and last cell of each axis, where the stencil reads the
+        periodic wrap, and grid points, where the weights are one-hot."""
+        gy = Grid1D(-6.0, 10.0, 64)
+        # smooth enough that the stencil keeps rho positive everywhere
+        psi = random_state_2d(grid128, gy, seed=4, band=0.05)
+        field = VelocityField2D(psi)
+        gx, rng = grid128, np.random.default_rng(2)
+        X = rng.uniform(gx.x_min, gx.x_max, 600)
+        Y = rng.uniform(gy.x_min, gy.x_max, 600)
+        for g, Z in ((gx, X), (gy, Y)):
+            u = rng.uniform(0.0, g.dx, 100)
+            Z[:100], Z[100:200] = g.x_min + u, g.x_max - u
+        # (X - x_min) / dx rounds up to n_x just below x_max
+        X[200], Y[200] = np.nextafter(gx.x_max, 0.0), gy.x_min
+        vx, vy, ok = field.velocity(X, Y)
+        ref = oracles.lagrange_fields_2d(psi, X, Y)
+        want = ref[:, :2] / ref[:, 2:]
+        assert ok.all() and (ref[:, 2] >= field.floor).all()
+        # fields f = (j, rho) off by e move v = j / rho by e (1 + |v|) / rho
+        err = (np.abs(np.column_stack((vx, vy)) - want) * ref[:, 2:]
+               / (1.0 + np.abs(want)))
+        assert err.max() < 1e-13 * np.abs(ref).max()
+        # at grid points, including the last row and column, exactly j / rho
+        jx, jy, rho = oracles.grid_fields_2d(psi)
+        i = np.append(rng.integers(0, gx.n_points, 200), gx.n_points - 1)
+        j = np.append(rng.integers(0, gy.n_points, 200), gy.n_points - 1)
+        vx, vy, ok = field.velocity(gx.points[i], gy.points[j])
+        assert ok.all()
+        assert np.array_equal(vx, jx[i, j] / rho[i, j])
+        assert np.array_equal(vy, jy[i, j] / rho[i, j])
+
 
 class TestConditionalIdentity:
     def test_cwf_velocity_matches_full_velocity(self, grid128):
@@ -185,6 +220,18 @@ class TestTrajectories2D:
         assert res.n_failed == 1
         assert np.all(res.xs[0] == 7.05) and np.all(res.ys[0] == 0.0)
         assert np.all(np.diff(res.xs[1]) > 0.0) and res.xs[1, -1] > 4.0
+
+    def test_strang_factors_change_no_bit(self, grid128):
+        """The ensemble runner builds its half-step factors once; its final
+        wave is bit for bit 2 * steps half steps of propagate."""
+        psi0 = two_packets(grid128, [(1.0, 0.5), (-1.0, -0.5)],
+                           [(2.0, -1.0), (-2.0, 1.5)])
+        x, y = grid128.points[:, None], grid128.points[None, :]
+        v = 0.5 * x**2 + 0.2 * y**2 + 0.3 * x * y
+        starts = np.array([[0.3, -0.2], [-1.1, 0.6], [0.9, 0.9]])
+        res = evolve_trajectories(psi0, v, 0.02, 6, starts)
+        ref = propagate(psi0, v, 0.01, 12)
+        assert np.array_equal(res.final_state.amplitudes, ref.amplitudes)
 
     def test_bad_starts_shape(self, grid128):
         wf = product_2d(gaussian_1d(grid128, 0.0, 1.0),

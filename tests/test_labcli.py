@@ -897,6 +897,13 @@ class TestCli:
         ("order", {"state": {"sigma_y": 1e300}}, []),
         ("density", {"state": {"width": 1e300}}, []),
         ("density", {"state": {"width": 1e-300}}, []),
+        # packets off the x grid, and an x grid on one side of x = 0: these
+        # used to name no key, or the state keys instead of config.grid
+        ("planes", {"state": {"x_sep": 180.0}}, []),
+        ("order", {"state": {"x_sep": 180.0}}, []),
+        ("planes", {"grid": {"x_min": 0.5}}, []),
+        ("planes", {"grid": {"x_max": -0.5}}, []),
+        ("order", {"grid": {"x_min": 0.5}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, recwarn, command,
                                     config, flags):
@@ -933,6 +940,16 @@ class TestCli:
         ("density", {"grid": {"y_min": -7.9}},
          "config.grid: Y = 0 is not a y grid point (y_min = -7.9, "
          "dy = 0.248438)"),
+        ("planes", {"state": {"x_sep": 180.0}},
+         "config.state.x_sep = 180: packet centers x = +-90 outside the x "
+         "range [-8, 8] of config.grid"),
+        ("order", {"state": {"x_sep": 180.0}},
+         "config.state.x_sep = 180: packet centers x = +-90 outside the x "
+         "range [-8, 8] of config.grid"),
+        ("planes", {"grid": {"x_min": 0.5}},
+         "config.grid: x_min = 0.5 and x_max = 8 must straddle x = 0"),
+        ("planes", {"grid": {"x_max": -0.5}},
+         "config.grid: x_min = -8 and x_max = -0.5 must straddle x = 0"),
     ])
     def test_off_grid_position_names_key_and_grid(self, tmp_path, capsys,
                                                   command, config, message):
