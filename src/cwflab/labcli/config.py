@@ -30,8 +30,6 @@ import numpy as np
 
 from ..errors import ValidationError
 
-SCENARIOS = ("fig1_collapse", "photon_planes", "density_dm", "order_invariance")
-
 COEFF_TOL = 1e-10
 
 # The qubit readout divides D/A and L/R imbalances, at most 2|sin a| in
@@ -129,6 +127,8 @@ DEFAULTS = {
         "report": {"records_cap": 10_000},
     },
 }
+
+SCENARIOS = tuple(DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -269,6 +269,15 @@ def parse_config(data: dict, scenario: str = None) -> ScenarioConfig:
                 f"config.state.{key} = {st[key]:.6g}: {key}^2 must be a "
                 f"normal double ({np.sqrt(sys.float_info.min):.6g} <= {key} "
                 f"<= {np.sqrt(sys.float_info.max):.6g})")
+    for key, axis in (("sigma_x", "x"), ("sigma_y", "y"), ("width", "y")):
+        # at width >= step/4 the point nearest a center keeps e^-2 of |g|^2
+        if key not in st:
+            continue
+        step = (grid[f"{axis}_max"] - grid[f"{axis}_min"]) / grid[f"n_{axis}"]
+        if not st[key] >= step / 4.0:
+            raise ConfigError(
+                f"config.state.{key} = {st[key]:.6g} is below d{axis} / 4 "
+                f"(d{axis} = {step:.6g}): the grid cannot resolve it")
     if "c" in st:
         c = parse_complex_list(st["c"])
         if abs(np.sum(np.abs(c) ** 2) - 1.0) > COEFF_TOL:

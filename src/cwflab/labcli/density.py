@@ -113,8 +113,6 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
                                tol=AVERAGING_TOL))
 
     report = {
-        "scenario": "density_dm",
-        "config": cfg.to_dict(),
         "bs_inserted": bs,
         "resample_n": resample_n,
         # the wrong-branch amplitude at Y = +-shift decays as exp(-r r) with
@@ -124,6 +122,5 @@ def run_density_dm(cfg: ScenarioConfig) -> dict:
         "matrices": matrices,
         "targets": targets,
         "checks": checks,
-        "pass": bool(all(c["pass"] for c in checks)),
     }
     return {"report": report, "records": None, "wf_tables": {}}

@@ -385,8 +385,6 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
                                    minimum=EQUIVARIANCE_P_MIN))
 
     report = {
-        "scenario": "fig1_collapse",
-        "config": cfg.to_dict(),
         "lam": float(lam),
         "eigenvalues": [float(a) for a in modes.a],
         "outcome_targets": [float(t) for t in targets],
@@ -396,7 +394,6 @@ def run_fig1(cfg: ScenarioConfig) -> dict:
                     "min": float(overlap[ok].min()) if n_ok else None},
         "equivariance": {"before": before, "after": after},
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
     m = min(n, cfg.report["records_cap"])

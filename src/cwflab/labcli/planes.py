@@ -32,11 +32,12 @@ ORDERINGS = {"A": "detect_upstream_of_bs",
              "B": "detect_downstream, coupling_after_detection"}
 
 
-def packet_grids(cfg: ScenarioConfig):
-    """The (x, y) grids of a two-packet config, refused unless x = 0, where
-    the packets part, lies inside the x grid and both packet centers
-    +-x_sep/2 lie on it."""
-    g, x_sep = cfg.grid, cfg.state["x_sep"]
+def packet_state(cfg: ScenarioConfig):
+    """The (x, y) grids of a two-packet config, its joint state and branch
+    waves: (gx, gy, psi, psi1, psi2). Refused unless x = 0, where the
+    packets part, lies inside the x grid, both packet centers +-x_sep/2
+    lie on it and the packets' supports do not overlap x = 0."""
+    g, st, x_sep = cfg.grid, cfg.state, cfg.state["x_sep"]
     gx = Grid1D(g["x_min"], g["x_max"], g["n_x"])
     if not gx.x_min < 0.0 < gx.x_max:
         raise ValidationError(f"config.grid: x_min = {gx.x_min:g} and x_max "
@@ -46,7 +47,20 @@ def packet_grids(cfg: ScenarioConfig):
             f"config.state.x_sep = {x_sep:g}: packet centers x = "
             f"+-{0.5 * x_sep:g} outside the x range [{gx.x_min:g}, "
             f"{gx.x_max:g}] of config.grid")
-    return gx, Grid1D(g["y_min"], g["y_max"], g["n_y"])
+    gy = Grid1D(g["y_min"], g["y_max"], g["n_y"])
+    psi = two_branch_state(gx, gy, x_sep, st["sigma_x"], st["sigma_y"])
+    psi1, psi2 = branch_waves(gx, x_sep, st["sigma_x"])
+
+    neg = gx.points < 0.0
+    leak1 = float(psi1.density()[neg].sum() * gx.dx)
+    leak2 = float(psi2.density()[~neg].sum() * gx.dx)
+    if max(leak1, leak2) > SUPPORT_LEAK_TOL:
+        raise ValidationError(
+            f"config.state.x_sep = {x_sep:g} and config.state.sigma_x = "
+            f"{st['sigma_x']:g}: packet supports overlap x = 0 (leaked mass "
+            f"{max(leak1, leak2):.3g} > {SUPPORT_LEAK_TOL:g}); increase x_sep "
+            "or shrink sigma_x")
+    return gx, gy, psi, psi1, psi2
 
 
 def detection_state(cfg: ScenarioConfig):
@@ -55,21 +69,7 @@ def detection_state(cfg: ScenarioConfig):
     Returns (psi_det, psi1, psi2, collapsed, gx, gy).
     """
     st, pr = cfg.state, cfg.protocol
-    gx, gy = packet_grids(cfg)
-    psi_pre = two_branch_state(gx, gy, st["x_sep"], st["sigma_x"],
-                               st["sigma_y"])
-    psi1, psi2 = branch_waves(gx, st["x_sep"], st["sigma_x"])
-
-    neg = gx.points < 0.0
-    leak1 = float(psi1.density()[neg].sum() * gx.dx)
-    leak2 = float(psi2.density()[~neg].sum() * gx.dx)
-    if max(leak1, leak2) > SUPPORT_LEAK_TOL:
-        raise ValidationError(
-            f"config.state.x_sep = {st['x_sep']:g} and config.state.sigma_x = "
-            f"{st['sigma_x']:g}: packet supports overlap x = 0 (leaked mass "
-            f"{max(leak1, leak2):.3g} > {SUPPORT_LEAK_TOL:g}); increase x_sep "
-            "or shrink sigma_x")
-
+    gx, gy, psi_pre, psi1, psi2 = packet_state(cfg)
     collapsed = bool(pr["bs_inserted"] and pr["plane"] == "B")
     psi_det = beam_splitter(psi_pre, st["bs_shift"]) if collapsed else psi_pre
     return psi_det, psi1, psi2, collapsed, gx, gy
@@ -198,8 +198,6 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
                              cfg.report["records_cap"])
 
     report = {
-        "scenario": "photon_planes",
-        "config": cfg.to_dict(),
         "plane": pr["plane"],
         "ordering": ORDERINGS[pr["plane"]],
         "bs_inserted": bool(pr["bs_inserted"]),
@@ -217,6 +215,5 @@ def run_photon_planes(cfg: ScenarioConfig) -> dict:
         "bins": bins_report,
         "empty_bins": empty_bins,
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
     return {"report": report, "records": records, "wf_tables": wf_tables}

@@ -11,11 +11,9 @@ import numpy as np
 
 from conftest import random_state_1d, random_state_2d
 from cwflab import bohm, polar, weakmeas
-from cwflab.labcli import selftest
+from cwflab.labcli import cli, selftest
 from cwflab.labcli.config import parse_config
 from cwflab.labcli.density import run_density_dm
-from cwflab.labcli.fig1 import run_fig1
-from cwflab.labcli.order import run_order_invariance
 from cwflab.qgrid import Grid1D, conditional_slice
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
 
@@ -168,7 +166,7 @@ def test_monte_carlo_bias_doubling():
 
 def test_collapse_statistics():
     t0 = time.time()
-    report = run_fig1(parse_config({"scenario": "fig1_collapse"}))["report"]
+    report = cli.run("fig1", {})["report"]
     z = max(abs(r["frequency"] - r["expected"]) / r["se"]
             for r in report["frequencies"])
     frac = report["overlap"]["fraction_above_0.999"]
@@ -220,9 +218,7 @@ def test_density_matrix_suite():
 
 def test_order_invariance():
     t0 = time.time()
-    cfg = parse_config({"scenario": "order_invariance",
-                        "n_trials": 1_000_000})
-    report = run_order_invariance(cfg)["report"]
+    report = cli.run("order", {"n_trials": 1_000_000})["report"]
     by_name = {c["name"]: c for c in report["checks"]}
     table_dev = by_name["table_identity"]["max_deviation"]
     wv_dev = by_name["exact_weak_values"]["max_deviation"]

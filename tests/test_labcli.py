@@ -40,7 +40,6 @@ from cwflab.labcli.config import (
     ConfigError,
     parse_config,
 )
-from cwflab.labcli.density import run_density_dm
 from cwflab.labcli import fig1
 from cwflab.labcli.fig1 import (
     POSITION_TOL,
@@ -58,7 +57,6 @@ from cwflab.labcli.planes import (
     run_photon_planes,
 )
 from cwflab.labcli.reports import check_record, jsonify, write_columns_csv
-from cwflab.labcli.selftest import run_selftest
 
 
 class TestConfig:
@@ -208,8 +206,13 @@ SHAPE_RUNS = [*BASES.values(),
 def test_every_verdict_is_a_check_record(tmp_path, capsys, command, config):
     """One check shape: every pass flag sits in the checks list, whose
     conjunction is the top-level pass, and the command prints one line per
-    check."""
+    check. In process, run returns the same report and writes nothing."""
     out_dir = tmp_path / "out"
+    result = cli.run(command, {**(config or {}), "output_dir": str(out_dir)})
+    assert list(tmp_path.iterdir()) == []
+    assert result["output_dir"] == str(out_dir)
+    assert result["report"]["pass"] == all(
+        c["pass"] for c in result["report"]["checks"])
     argv = [command, "--out", str(out_dir)]
     if config is not None:
         path = tmp_path / "config.json"
@@ -217,6 +220,7 @@ def test_every_verdict_is_a_check_record(tmp_path, capsys, command, config):
         argv += ["--config", str(path)]
     rc = cli.main(argv)
     rep = json.loads((out_dir / "report.json").read_text())
+    assert jsonify(result["report"]) == rep
     checks = rep["checks"]
     assert checks
     assert sorted(_pass_paths(rep)) == sorted(
@@ -237,8 +241,7 @@ def test_every_verdict_is_a_check_record(tmp_path, capsys, command, config):
 
 @pytest.fixture(scope="module")
 def fig1_result():
-    cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 2500})
-    return run_fig1(cfg)
+    return cli.run("fig1", {"n_trials": 2500})
 
 
 class TestFig1:
@@ -282,9 +285,8 @@ class TestFig1:
             json.dumps(jsonify(b["records"]))
 
     def test_single_mode_is_deterministic_outcome(self):
-        cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 800,
-                            "state": {"c": [[0.0, 0.0], [1.0, 0.0]]}})
-        out = run_fig1(cfg)
+        out = cli.run("fig1", {"n_trials": 800,
+                               "state": {"c": [[0.0, 0.0], [1.0, 0.0]]}})
         rep = out["report"]
         assert rep["pass"]
         assert [r["mode"] for r in rep["frequencies"]] == [2]
@@ -292,9 +294,8 @@ class TestFig1:
         assert rep["overlap"]["min"] >= 0.999
 
     def test_complex_coefficients_follow_weights(self):
-        cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 2500,
-                            "state": {"c": [[0.6, 0.0], [0.0, 0.8]]}})
-        rep = run_fig1(cfg)["report"]
+        rep = cli.run("fig1", {"n_trials": 2500, "state": {
+            "c": [[0.6, 0.0], [0.0, 0.8]]}})["report"]
         assert rep["pass"]
         expected = {1: 0.36, 2: 0.64}
         for row in rep["frequencies"]:
@@ -312,9 +313,8 @@ class TestFig1:
     def test_box_edges_off_grid_points(self):
         """Neither wall sits on an x-grid point: the run passes, and the
         sampled initial state vanishes outside the box."""
-        cfg = parse_config({"scenario": "fig1_collapse", "n_trials": 2500,
-                            "state": {"box_min": 0.0003, "box_length": 0.9}})
-        out = run_fig1(cfg)
+        out = cli.run("fig1", {"n_trials": 2500, "state": {
+            "box_min": 0.0003, "box_length": 0.9}})
         assert out["report"]["pass"]
         x, psi = out["wf_tables"]["psi_initial"]
         outside = (x <= 0.0003) | (x >= 0.9003)
@@ -469,9 +469,8 @@ class TestFig1Flow:
 
 @pytest.fixture(scope="module")
 def planes_uncollapsed():
-    cfg = parse_config({"scenario": "photon_planes", "n_trials": 30_000,
-                        "protocol": {"bs_inserted": False}})
-    return run_photon_planes(cfg)
+    return cli.run("planes", {"n_trials": 30_000,
+                              "protocol": {"bs_inserted": False}})
 
 
 def _rows(columns):
@@ -482,9 +481,8 @@ def _rows(columns):
 
 @pytest.fixture(scope="module")
 def planes_collapsed():
-    cfg = parse_config({"scenario": "photon_planes", "n_trials": 30_000,
-                        "protocol": {"bs_inserted": True, "plane": "B"}})
-    return run_photon_planes(cfg)
+    return cli.run("planes", {"n_trials": 30_000,
+                              "protocol": {"bs_inserted": True, "plane": "B"}})
 
 
 class TestPlanes:
@@ -544,7 +542,7 @@ class TestPlanes:
 
 class TestDensity:
     def test_exact_identities(self):
-        out = run_density_dm(parse_config({"scenario": "density_dm"}))
+        out = cli.run("density", {})
         rep = out["report"]
         assert rep["pass"] and rep["well_separated"]
         by_name = {c["name"]: c for c in rep["checks"]}
@@ -555,18 +553,16 @@ class TestDensity:
         assert out["records"] is None
 
     def test_bs_off_everything_is_half_identity(self):
-        cfg = parse_config({"scenario": "density_dm",
-                            "protocol": {"bs_inserted": False}})
-        rep = run_density_dm(cfg)["report"]
+        rep = cli.run("density",
+                      {"protocol": {"bs_inserted": False}})["report"]
         assert rep["pass"]
         names = [c["name"] for c in rep["checks"]]
         assert "direct_equals_cdm_Y_zero" in names
         assert "cdm_Y_zero_matches_branch_target" in names
 
     def test_resampled_rates_within_tolerance(self):
-        cfg = parse_config({"scenario": "density_dm",
-                            "protocol": {"resample_n": 1_000_000}})
-        rep = run_density_dm(cfg)["report"]
+        rep = cli.run("density",
+                      {"protocol": {"resample_n": 1_000_000}})["report"]
         assert rep["pass"]
         tol = max(1e-10, 6.0 / np.sqrt(1_000_000))
         by_name = {c["name"]: c for c in rep["checks"]}
@@ -574,9 +570,7 @@ class TestDensity:
         json.dumps(jsonify(rep))  # non-Hermitian estimates still serialize
 
     def test_overlapping_packets_fail_branch_targets(self):
-        cfg = parse_config({"scenario": "density_dm",
-                            "state": {"shift": 1.0}})
-        rep = run_density_dm(cfg)["report"]
+        rep = cli.run("density", {"state": {"shift": 1.0}})["report"]
         assert not rep["well_separated"]
         assert not rep["pass"]
         by_name = {c["name"]: c for c in rep["checks"]}
@@ -586,8 +580,7 @@ class TestDensity:
 
 @pytest.fixture(scope="module")
 def order_result():
-    cfg = parse_config({"scenario": "order_invariance", "n_trials": 60_000})
-    return run_order_invariance(cfg)
+    return cli.run("order", {"n_trials": 60_000})
 
 
 class TestOrder:
@@ -616,9 +609,8 @@ class TestOrder:
         assert tuple(recs) == RECORD_FIELDS and len(recs["trial"])
 
     def test_degenerate_no_coupling(self):
-        cfg = parse_config({"scenario": "order_invariance", "n_trials": 5000,
-                            "protocol": {"coupling": 0.0}})
-        out = run_order_invariance(cfg)
+        out = cli.run("order", {"n_trials": 5000,
+                                "protocol": {"coupling": 0.0}})
         rep = out["report"]
         assert rep["degenerate_no_coupling"]
         assert rep["pass"]
@@ -765,7 +757,7 @@ def test_config_field_replaced_parses_or_is_refused(field, value):
 
 class TestSelftest:
     def test_battery_passes(self):
-        rep = run_selftest()
+        rep = cli.run("selftest", {})["report"]
         assert rep["pass"]
         names = {c["name"] for c in rep["checks"]}
         assert {"transform_round_trip", "split_step_convergence_ratio",
@@ -904,6 +896,13 @@ class TestCli:
         ("planes", {"grid": {"x_min": 0.5}}, []),
         ("planes", {"grid": {"x_max": -0.5}}, []),
         ("order", {"grid": {"x_min": 0.5}}, []),
+        # overlapping packets: order used to pass where planes refused
+        ("order", {"state": {"x_sep": 1.0}}, []),
+        # widths below a quarter of the grid spacing: these used to print an
+        # overflow RuntimeWarning and exit 0
+        ("density", {"state": {"width": 2e-154}}, []),
+        ("planes", {"state": {"sigma_x": 2e-154}}, []),
+        ("order", {"state": {"sigma_y": 2e-154}}, []),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, recwarn, command,
                                     config, flags):
@@ -950,6 +949,10 @@ class TestCli:
          "config.grid: x_min = 0.5 and x_max = 8 must straddle x = 0"),
         ("planes", {"grid": {"x_max": -0.5}},
          "config.grid: x_min = -8 and x_max = -0.5 must straddle x = 0"),
+        ("order", {"state": {"x_sep": 1.0}},
+         "config.state.x_sep = 1 and config.state.sigma_x = 0.5: packet "
+         "supports overlap x = 0 (leaked mass 0.174 > 1e-06); increase x_sep "
+         "or shrink sigma_x"),
     ])
     def test_off_grid_position_names_key_and_grid(self, tmp_path, capsys,
                                                   command, config, message):
