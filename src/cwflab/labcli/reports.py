@@ -62,10 +62,23 @@ def write_report_json(path, report: dict):
 
 def _column_cells(column):
     """Text of each cell: str of its Python value (for a float, its shortest
-    repr), an empty cell for None."""
+    repr), an empty cell for None.
+
+    A column of bools, numbers or strings with at most half as many
+    distinct values as cells formats each distinct value once. Floats are
+    told apart by their bits, so 0.0 and -0.0 keep their own text."""
     values = np.asarray(column)
     if values.dtype == object:
         return ("" if v is None else str(v) for v in values.tolist())
+    if values.dtype.kind in "biufU":
+        keys = (np.ascontiguousarray(values).view(f"u{values.itemsize}")
+                if values.dtype.kind == "f" else values)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        if 2 * first.size <= values.size:
+            text = np.array(list(map(str, values[first].tolist())),
+                            dtype=object)
+            return text[inverse].tolist()
     return map(str, values.tolist())
 
 

@@ -59,21 +59,30 @@ size, so results do not depend on how chunks are spread over workers.
 The estimators need counts, not trials: each chunk is one multinomial
 draw (tally) over categories whose probabilities the coupling tables sum
 once per site. They are (Y bin, basis, outcome) for the qubit pointer and
-(window cell in a Y bin, basis) for the gaussian pointer, which then draws
-its window trials' readings from two rejection samplers; the last two
+(window cell in a Y bin, basis) for the gaussian pointer; the last two
 categories are "in the window but in no Y bin" and "outside the window".
-A qubit chunk thus costs O(categories) whatever its trial count. The
-tables hold the momentum-window rows only; their normaliser `total` is the
-state's norm, sum |den|^2 * measure, which the coupled cell weights also
-sum to over the whole grid (the coupling is unitary; Parseval).
+The gaussian pointer then draws its readings' count, sum and sum of
+squares per (Y bin, basis) slot, exactly: each cell's reading law is a
+mixture of pure Gaussians and two small interference shares, the counts
+split over them, and each pure Gaussian's sum and sum of squares over a
+slot is one normal and one chi-square draw; only the interference shares
+draw readings one by one, by rejection. A chunk thus costs O(categories)
+for the qubit pointer whatever its trial count, and O(categories) plus
+its interference readings for the gaussian pointer. The tables hold the
+momentum-window rows only; their normaliser `total` is the state's norm,
+sum |den|^2 * measure, which the coupled cell weights also sum to over
+the whole grid (the coupling is unitary; Parseval).
 
-The per-trial records (replay_records) are a view of chunk 0's draw: its
+The per-trial records (replay_records) view chunk 0's count draw: its
 category labels expanded and permuted with the chunk's rng, each record's
-cell drawn from its category's cell weights. Only cells outside the window
-need whole-grid weights, built for the one record site. Scans, all three
-arms of labcli.order and the records share this draw. The one runner,
-scan_pointer_protocol, returns per-(site, Y bin) arrays (ScanResult) and
-the ScanState it prepared, which the records reuse.
+cell drawn from its category's cell weights. The gaussian records draw
+their readings trial by trial from the same law on the same stream, so
+their counts are chunk 0's but their readings are not the run's. Only
+cells outside the window need whole-grid weights, built for the one
+record site. Scans, all three arms of labcli.order and the records share
+this draw. The one runner, scan_pointer_protocol, returns per-(site,
+Y bin) arrays (ScanResult) and the ScanState it prepared, which the
+records reuse.
 
 The public surface: weak_value_scan, PointerProtocol, Cells, ScanState,
 QubitTables, site_tables, tally, replay_records, RECORD_FIELDS,
@@ -203,8 +212,10 @@ class _CouplingTables:
     value), `kappa` (nu = |den|^2 - 2 kappa (Re(conj(den) num) - |num|^2)),
     `probs` (the chunk draw's category law), draw_cells(cat, u) (cells and
     bases of window trials of categories cat), readings(rng, drawn) (the
-    window trials' readings in category order) and moments(rng, drawn)
-    (their count, sum and sum of squares per (bin, basis)).
+    window trials' readings in category order, for the records) and
+    moments(rng, drawn) (the readings' count, sum and sum of squares per
+    (bin, basis), drawn without the readings themselves where the law
+    allows).
     """
 
     def __init__(self, cells: Cells, nu, weighted, total: float):
@@ -270,7 +281,14 @@ class QubitTables(_CouplingTables):
 class _GaussianTables(_CouplingTables):
     """Gaussian pointer shifted by s = g / dx on the coupled share num of the
     uncoupled amplitude den; reads position (re) or momentum (im). Category
-    2 j + basis, probability q / 2, is kept cell j read in that basis."""
+    2 j + basis, probability q / 2, is kept cell j read in that basis.
+
+    A cell's position reading has the density A N(0) + B N(s) + C N(s/2)
+    (widths sigma_q), with A = |rest|^2, B = |num|^2, C = 2 Re(conj(rest)
+    num) damp and rest = den - num; its momentum reading
+    N(0, sigma_p^2)(p) |rest + num e^{-i p s}|^2. readings draws these per
+    trial by rejection; moments draws per slot from the same law split
+    into shares (_split_laws)."""
 
     def __init__(self, cells, den, num, proto: PointerProtocol, total):
         self.sigma_q = proto.pointer_width
@@ -286,12 +304,45 @@ class _GaussianTables(_CouplingTables):
             total)
         self.A, self.B, self.C, self.rest, self.num = (
             t.ravel()[self.kept] for t in (A, B, C, rest, num))
-        self.slot = 2 * self.bin_of_kept[:, None] + np.array([0, 1])
         self.probs = np.append(np.repeat(0.5 * self.q.ravel()[self.kept], 2),
                                self.tail)
         self.gains = np.array([
             GAUSSIAN_POSITION_GAIN * proto.coupling,
             GAUSSIAN_MOMENTUM_GAIN * self.sigma_p**2 * proto.coupling])
+        self._split_laws(damp)
+
+    def _split_laws(self, damp):
+        """Each kept cell's reading laws as mixtures, for moments.
+
+        Position, C >= 0: A N(0) + B N(s) + C N(s/2). Position, C < 0:
+        (1 - r)(A N(0) + B N(s)) plus the r-share |sqrt A phi(q) -
+        sqrt B phi(q - s)|^2 of mass r (A + B - 2 sqrt(AB) damp), with
+        r = |C| / (2 sqrt(AB) damp) <= 1. `pos_split` holds the three
+        shares' probabilities; the third is N(s/2) where `interferes` is
+        False and the r-share where it is True. Momentum: the pure
+        (a - |b|) N(0, sigma_p^2) share, probability `mom_pure`, and the
+        |b| N(p) (1 + cos(p s - arg b)) share, with a = A + B and
+        b = 2 conj(rest) num of angle `arg_b`."""
+        A, B, C = self.A, self.B, self.C
+        self.interferes = inter = C < 0.0
+        split = np.stack([A, B, C], axis=1)
+        if inter.any():
+            a, b = A[inter], B[inter]
+            root = np.sqrt(a * b)
+            r = np.minimum(-C[inter] / (2.0 * root * damp), 1.0)
+            split[inter] = np.stack([
+                (1.0 - r) * a, (1.0 - r) * b,
+                r * np.maximum(a + b - 2.0 * root * damp, 0.0)], axis=1)
+        mass = split.sum(axis=1, keepdims=True)
+        self.pos_split = np.divide(split, mass, out=np.zeros_like(split),
+                                   where=mass > 0)
+        K = np.conj(self.rest) * self.num
+        size = np.abs(K)
+        pure = np.maximum(A + B - 2.0 * size, 0.0)
+        mass = pure + 2.0 * (size + K.real * damp)
+        self.mom_pure = np.divide(pure, mass, out=np.ones(A.size),
+                                  where=mass > 0)
+        self.arg_b = np.angle(K)
 
     def draw_cells(self, cat, u):
         return self.kept[cat // 2], cat % 2 == 1
@@ -326,11 +377,66 @@ class _GaussianTables(_CouplingTables):
         return out
 
     def moments(self, rng, drawn):
-        slots = np.repeat(self.slot.ravel(), drawn[:-2])
-        r = self.readings(rng, drawn)
-        n = 2 * self.cells.n_bins
-        return np.array([np.bincount(slots, weights=w, minlength=n)
-                         for w in (np.ones_like(r), r, r * r)])
+        """The readings' count, sum and sum of squares per (bin, basis),
+        drawn exactly at slot level from the same law as readings.
+
+        One multinomial splits each cell's position count over its three
+        shares (_split_laws) and one binomial its momentum count. Each pure
+        Gaussian N(mu, sigma^2) pools its n readings over the bin: their
+        sum is n mu + sigma sqrt(n) Z and their sum of squares
+        sum^2 / n + sigma^2 chi2_{n-1} (Cochran's theorem), O(1) per bin.
+        Only the position r-shares and the momentum |b| shares draw
+        readings one by one, by rejection."""
+        c = drawn[:-2].reshape(-1, 2)
+        n_bins, s = self.cells.n_bins, self.s
+        pos, mom = np.flatnonzero(c[:, 0]), np.flatnonzero(c[:, 1])
+        split = rng.multinomial(c[pos, 0], self.pos_split[pos])
+        pure = rng.binomial(c[mom, 1], self.mom_pure[mom])
+        inter = self.interferes[pos]
+
+        def per_bin(cells, weights):
+            return np.bincount(self.bin_of_kept[cells], weights=weights,
+                               minlength=n_bins)
+
+        # pure components N(0), N(s), N(s/2) in position, N(0) in momentum
+        n = np.stack([per_bin(pos, split[:, 0]), per_bin(pos, split[:, 1]),
+                      per_bin(pos[~inter], split[~inter, 2]),
+                      per_bin(mom, pure)], axis=1)
+        mu = np.array([0.0, s, 0.5 * s, 0.0])
+        sigma = np.array([self.sigma_q, self.sigma_q, self.sigma_q,
+                          self.sigma_p])
+        total = n * mu + sigma * np.sqrt(n) * rng.standard_normal(n.shape)
+        # chi2_{n-1} as 2 Gamma((n - 1) / 2): 0 for n <= 1, where
+        # rng.chisquare would refuse 0 degrees of freedom
+        chi2 = 2.0 * rng.standard_gamma(0.5 * np.maximum(n - 1.0, 0.0))
+        total_sq = np.divide(total * total, n, out=np.zeros(n.shape),
+                             where=n > 0) + sigma**2 * chi2
+
+        def pair(t):        # A N(0) + B N(s)
+            u = rng.random(t.size) * (self.A[t] + self.B[t])
+            return rng.normal(np.where(u < self.A[t], 0.0, s), self.sigma_q)
+
+        def r_share(t, q):  # |sqrt A phi(q) - sqrt B phi(q - s)|^2 / pair
+            a = np.sqrt(self.A[t]) * np.exp(-(q / self.sigma_q) ** 2 / 4.0)
+            b = np.sqrt(self.B[t]) * np.exp(-((q - s) / self.sigma_q) ** 2
+                                            / 4.0)
+            return (a - b) ** 2 / (a * a + b * b)
+
+        q_r = np.repeat(pos[inter], split[inter, 2])
+        x = _rejection(rng, q_r, pair, r_share)
+        p_b = np.repeat(mom, c[mom, 1] - pure)
+        p = _rejection(
+            rng, p_b, lambda t: rng.normal(0.0, self.sigma_p, t.size),
+            lambda t, p: 0.5 * (1.0 + np.cos(p * s - self.arg_b[t])))
+        out = np.empty((3, n_bins, 2))
+        for basis, cells, r, sums, sums_sq in (
+                (0, q_r, x, total[:, :3].sum(axis=1),
+                 total_sq[:, :3].sum(axis=1)),
+                (1, p_b, p, total[:, 3], total_sq[:, 3])):
+            out[:, :, basis] = (
+                per_bin(slice(None), c[:, basis]),
+                sums + per_bin(cells, r), sums_sq + per_bin(cells, r * r))
+        return out.reshape(3, -1)
 
 
 def _rejection(rng, cells, propose, ratio):
@@ -418,8 +524,10 @@ RECORD_FIELDS = ("trial", "accepted", "p_x", "y", "y_bin", "basis", "outcome")
 def replay_records(state: ScanState, site_index: int,
                    proto: PointerProtocol, cap: int) -> dict:
     """Columns of RECORD_FIELDS for the first min(n_trials, cap) trials of
-    chunk 0 of one site's run on state: a view of tally's draw of that
-    chunk.
+    chunk 0 of one site's run on state: a view of tally's count draw of
+    that chunk. Their readings come from the tables' readings on the
+    chunk's rng: for the qubit pointer the run's, for the gaussian pointer
+    a per-trial draw of the same law.
 
     The chunk's category labels, expanded and permuted with its rng, give
     the trials in order; each then draws a uniform for its cell within its

@@ -13,7 +13,9 @@ the 2-D guidance field of `cwflab.bohm`, and the dense 4 n_y x 4 n_y
 polarization algebra at the end is the reference for the factored density
 operators of `cwflab.polar`. The qubit-pointer readout rebuilds the
 polarization matrix the way an experiment would, through a coupled
-pointer, where `cwflab.polar` reads exact traces.
+pointer, where `cwflab.polar` reads exact traces. The per-trial
+gaussian-pointer readings at the end are the reference for the
+slot-level reading moments of `cwflab.weakmeas`.
 """
 
 import numpy as np
@@ -328,3 +330,37 @@ def product_2d(psi_x, phi_y):
            else "unnormalized")
     return WaveFunction2D(psi_x.grid, phi_y.grid,
                           np.outer(psi_x.amplitudes, phi_y.amplitudes), tag)
+
+
+def gaussian_pointer_readings(rest, num, s, sigma_q, momentum, rng):
+    """Cell-level reference draw of gaussian-pointer readings, one per
+    trial, from the trial's cell amplitudes: rest, the part the pointer
+    leaves alone, and num, the part that shifts it by s. The pointer mode
+    phi has |phi(q)|^2 = N(0, sigma_q^2)(q). A position reading q has the
+    density |rest phi(q) + num phi(q - s)|^2; a momentum reading p, where
+    the shift is the phase e^{-i p s}, has N(0, sigma_p^2)(p)
+    |rest + num e^{-i p s}|^2 with sigma_p = 1 / (2 sigma_q). Each is drawn
+    by rejection: from 2 (|rest|^2 N(0) + |num|^2 N(s)) in position (as
+    |x + y|^2 <= 2 |x|^2 + 2 |y|^2) and from (|rest| + |num|)^2
+    N(0, sigma_p^2) in momentum."""
+    sigma_p = 0.5 / sigma_q
+    out = np.empty(rest.size)
+    todo = np.arange(rest.size)
+    while todo.size:
+        r, n, mom = rest[todo], num[todo], momentum[todo]
+        r2, n2 = np.abs(r) ** 2, np.abs(n) ** 2
+        shifted = rng.random(todo.size) * (r2 + n2) >= r2
+        x = np.where(mom, rng.normal(0.0, sigma_p, todo.size),
+                     rng.normal(np.where(shifted, s, 0.0), sigma_q))
+        accept = np.empty(todo.size)
+        q, p = x[~mom], x[mom]
+        phi0 = np.exp(-(q / sigma_q) ** 2 / 4.0)
+        phis = np.exp(-((q - s) / sigma_q) ** 2 / 4.0)
+        accept[~mom] = (np.abs(r[~mom] * phi0 + n[~mom] * phis) ** 2
+                        / (2.0 * (r2[~mom] * phi0**2 + n2[~mom] * phis**2)))
+        accept[mom] = (np.abs(r[mom] + n[mom] * np.exp(-1j * p * s)) ** 2
+                       / (np.abs(r[mom]) + np.abs(n[mom])) ** 2)
+        ok = rng.random(todo.size) <= accept
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return out

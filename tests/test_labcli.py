@@ -152,6 +152,25 @@ class TestReports:
         write_columns_csv(tmp_path / "empty.csv", {"a": [], "b": []})
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\r\n"
 
+    def test_few_distinct_values_give_the_per_cell_bytes(self, tmp_path):
+        """Columns of few distinct values, formatted once per value, give
+        the bytes of str on every cell: -0.0 among 0.0 (keyed on bits, not
+        on value), NaNs of two payloads, bools, ints, two words, and a
+        column of mostly distinct floats."""
+        rng = np.random.default_rng(3)
+        zeros = np.where(np.arange(129) < 127, -0.0, 0.0)
+        nan = np.array([np.nan, -np.nan, np.inf, 1.5])[np.arange(129) % 4]
+        columns = {"z": rng.permutation(zeros), "nan": nan,
+                   "ok": rng.random(129) < 0.5,
+                   "n": rng.integers(-3, 3, 129),
+                   "basis": np.where(rng.random(129) < 0.5, "im", "re"),
+                   "x": np.append(rng.normal(size=120), np.zeros(9))}
+        write_columns_csv(tmp_path / "cols.csv", columns)
+        want = ",".join(columns) + "\r\n" + "".join(
+            ",".join(str(v[i].item()) for v in columns.values()) + "\r\n"
+            for i in range(129))
+        assert (tmp_path / "cols.csv").read_bytes() == want.encode()
+
     def test_check_record_bounds_are_inclusive(self):
         # 9,990 of 10,000 is exactly the double 0.999
         fraction = float(np.mean(np.arange(10_000) < 9_990))
@@ -661,15 +680,21 @@ class TestSharedStream:
                                               result.estimate[0])):
             in_bin = [r for r in rows if r["accepted"] and r["y_bin"] == b]
             assert len(in_bin) == counts.sum()
-            for basis, n, value, gain in zip(("re", "im"), counts, est,
-                                             gains):
+            for basis, n, value, se, gain in zip(
+                    ("re", "im"), counts, est, result.se[0, b], gains):
                 got = np.array([r["outcome"] for r in in_bin
                                 if r["basis"] == basis])
                 assert got.size == n > 0
                 if model == "qubit":
                     assert set(got) <= {-1.0, 1.0}
                     assert round(value * gain * n) == got.sum()
-                assert got.mean() / gain == pytest.approx(value, rel=1e-9)
+                    assert got.mean() / gain == pytest.approx(value,
+                                                              rel=1e-9)
+                else:
+                    # the run draws its gaussian readings per slot, the
+                    # records per trial: two samples of one law, same size
+                    assert abs(got.mean() / gain - value) < 5.0 * np.sqrt(
+                        2.0) * se
 
     def test_capped_records_are_a_prefix(self):
         cfg = parse_config({"scenario": "photon_planes", "n_trials": 20_000,
@@ -963,19 +988,37 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @staticmethod
+    def fresh_stdout(code):
+        """What code prints in a fresh interpreter that imports this tree's
+        cwflab."""
+        src = str(Path(cwflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
     def test_import_leaves_out_scipy_stats(self):
         """Importing the command line must load no scipy module at all:
         the runtime needs only numpy, and scipy.special alone was most of
         every command's start-up. Checked in a fresh interpreter."""
-        src = str(Path(cwflab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, cwflab.labcli.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert self.fresh_stdout(
+            "import sys, cwflab.labcli.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))") == "[]"
+
+    def test_setup_leaves_out_numpy_random(self):
+        """Importing the command line and parsing every scenario's defaults
+        loads no numpy.random module: it costs about 10 ms of a 200 ms
+        start-up, and only a run draws random numbers (stats.stream loads
+        it when called). Checked in a fresh interpreter."""
+        assert self.fresh_stdout(
+            "import sys, cwflab.labcli.cli; "
+            "from cwflab.labcli.config import DEFAULTS, parse_config; "
+            "[parse_config({'scenario': s}) for s in DEFAULTS]; "
+            "print(len(DEFAULTS), sorted(m for m in sys.modules "
+            "if m.startswith('numpy.random')))") == f"{len(DEFAULTS)} []"
 
     def test_selftest_exit_zero(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state_1d
-from oracles import product_2d, weak_value, window_weak_value
+from oracles import (
+    gaussian_pointer_readings,
+    product_2d,
+    weak_value,
+    window_weak_value,
+)
 from cwflab.errors import OffGridError, PostSelectionError, ValidationError
 from cwflab.qgrid import (
     Grid1D,
@@ -27,7 +32,7 @@ from cwflab.qgrid import (
     to_momentum,
 )
 from cwflab.states import beam_splitter, gaussian_1d, two_branch_state
-from cwflab.stats import chi2_gof, draw_cells
+from cwflab.stats import chi2_gof, draw_cells, stream
 from cwflab import weakmeas
 from cwflab.weakmeas import (
     CHUNK_TRIALS,
@@ -420,6 +425,42 @@ def coupled_cell_probs(Psi, site, proto):
     return nu * gx.conjugate().dx * gy.dx / (2.0 * np.pi) / norm
 
 
+def gaussian_law_site(system):
+    """(Psi, site, proto, tables) of a gaussian-pointer site: a planes B/on
+    site, or ("interfering") a packet three cells wide whose x y phase
+    gives a complex weak value, of opposite imaginary parts in the two Y
+    bins, and C < 0 cells in both bins, where |y| > 1.6."""
+    if system == "planes":
+        Psi, grid, proto = planes_b_on("gaussian")
+        site = grid.index_of(3.0)
+    else:
+        gx, gy = Grid1D(-8.0, 8.0, 32), Grid1D(-8.0, 8.0, 64)
+        x, y = gx.points[:, None], gy.points[None, :]
+        Psi = normalize(WaveFunction2D(gx, gy, np.exp(
+            -x**2 - y**2 / 9.0 + 2j * x * y)))
+        proto = PointerProtocol(coupling=0.5, n_trials=1, seed=2,
+                                pointer_width=0.5, p_x_bin=1.0,
+                                y_bins=[-8.0, 0.0, 8.0],
+                                pointer_model="gaussian")
+        site = gx.index_of(0.5)
+    state = ScanState(Psi, proto.p_x_bin, proto.y_bins)
+    tab = weakmeas.site_tables(state, site, proto)
+    if system == "interfering":
+        assert all((tab.C[tab.bin_of_kept == b] < 0).any() for b in (0, 1))
+    return Psi, site, proto, tab
+
+
+def kept_amplitudes(Psi, site, tab):
+    """(rest, num) at tab's kept cells: the momentum transforms of the state
+    with the site's column zeroed and of that column alone."""
+    c = tab.cells
+    rest, part = Psi.amplitudes.copy(), np.zeros_like(Psi.amplitudes)
+    part[site], rest[site] = rest[site], 0.0
+    flat = tab.kept + c.rows.start * c.n_y
+    return tuple(momentum_fft(a, Psi.grid_x).ravel()[flat]
+                 for a in (rest, part))
+
+
 class TestCountDraw:
     """The count draw of one site: its category law, the gaussian readings
     drawn for its window trials, and the records that view its chunk 0."""
@@ -499,6 +540,84 @@ class TestCountDraw:
         mean = total / n
         se = np.sqrt((total_sq / n - mean**2) / n)
         assert (np.abs(mean - tab.pooled()) < 3.0 * se).all()
+
+    @pytest.mark.parametrize("system", ["planes", "interfering"])
+    def test_slot_moments_follow_the_cell_law(self, system):
+        """The slot-level readings of moments against the cell-level
+        reference draw of tests/oracles.py, over 1,500 chunk keys of 4 to
+        1,024 trials at one site, both ways from each key's counts. Per
+        (bin, basis) slot the counts are equal, a slot of no reading has sum
+        and sum of squares 0, one of one reading has sum^2 = sum of
+        squares, and the pooled mean and mean square agree within 4 SE (a
+        ratio estimator over the keys)."""
+        Psi, site, proto, tab = gaussian_law_site(system)
+        c = tab.cells
+        sizes, n_keys, n_slots = (4, 16, 64, 256, 1024), 1500, 2 * c.n_bins
+        rngs = [stream(proto.seed, site, k) for k in range(n_keys)]
+        drawn = [rng.multinomial(sizes[k % len(sizes)], tab.probs)
+                 for k, rng in enumerate(rngs)]
+        got = np.array([tab.moments(rng, d) for rng, d in zip(rngs, drawn)])
+        # the reference: every window trial's reading from its cell's law
+        rest, num = kept_amplitudes(Psi, site, tab)
+        cat = [np.repeat(np.arange(d.size - 2), d[:-2]) for d in drawn]
+        key = np.repeat(np.arange(n_keys), [k.size for k in cat])
+        cat = np.concatenate(cat)
+        r = gaussian_pointer_readings(
+            rest[cat // 2], num[cat // 2], tab.s, proto.pointer_width,
+            cat % 2 == 1, np.random.default_rng(5))
+        index = key * n_slots + 2 * tab.bin_of_kept[cat // 2] + cat % 2
+        want = np.array([np.bincount(index, weights=w,
+                                     minlength=n_keys * n_slots)
+                         for w in (np.ones_like(r), r, r * r)])
+        want = want.reshape(3, n_keys, n_slots).transpose(1, 0, 2)
+        n, total, total_sq = got.transpose(1, 0, 2)
+        np.testing.assert_array_equal(n, want[:, 0])
+        assert (n == 0).any(axis=0).all() and (n == 1).any(axis=0).all()
+        assert not total[n == 0].any() and not total_sq[n == 0].any()
+        np.testing.assert_allclose(total_sq[n == 1], total[n == 1] ** 2,
+                                   rtol=1e-12)
+        for k in (1, 2):
+            ratio = [m[:, k].sum(axis=0) / n.sum(axis=0) for m in (got, want)]
+            var = sum(((m[:, k] - R * n) ** 2).sum(axis=0)
+                      for m, R in zip((got, want), ratio)) / n.sum(axis=0)**2
+            z = (ratio[0] - ratio[1]) / np.sqrt(var)
+            assert (np.abs(z) < 4.0).all(), (k, z)
+
+    @pytest.mark.parametrize("system", ["planes", "interfering"])
+    def test_reading_shares_mix_to_the_cell_law(self, system):
+        """The shares that moments splits each kept cell's readings into
+        mix back to the cell's reading density, pointwise on a fine grid.
+        Position: N(0), N(s) and N(s/2), all of width sigma_q, or where
+        C < 0 the share |sqrt A phi(q) - sqrt B phi(q - s)|^2 in place of
+        N(s/2); momentum: N(0, sigma_p^2) and N(0, sigma_p^2)(p)
+        (1 + cos(p s - arg b)). Each share is normalised numerically, and
+        the target is |rest phi(q) + num phi(q - s)|^2 and
+        N(0, sigma_p^2)(p) |rest + num e^{-i p s}|^2."""
+        Psi, site, proto, tab = gaussian_law_site(system)
+        rest, num = (a[:, None] for a in kept_amplitudes(Psi, site, tab))
+        s, sq, sp = tab.s, proto.pointer_width, 0.5 / proto.pointer_width
+
+        def unit(f, x):   # f normalised on the even grid x
+            return f / (f.sum(axis=-1, keepdims=True) * (x[1] - x[0]))
+
+        q = np.linspace(-10.0 * sq, s + 10.0 * sq, 4001)
+        phi0, phis = (np.exp(-((q - mu) / sq) ** 2 / 4.0) for mu in (0.0, s))
+        half = np.where(tab.interferes[:, None], unit(np.abs(
+            np.sqrt(tab.A)[:, None] * phi0 - np.sqrt(tab.B)[:, None] * phis)
+            ** 2, q), unit(phi0 * phis, q))
+        w0, ws, wh = tab.pos_split.T[:, :, None]
+        got = w0 * unit(phi0**2, q) + ws * unit(phis**2, q) + wh * half
+        want = unit(np.abs(rest * phi0 + num * phis) ** 2, q)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-9 * want.max())
+        p = np.linspace(-12.0 * sp, 12.0 * sp, 4001)
+        gauss = np.exp(-(p / sp) ** 2 / 2.0)
+        pure = tab.mom_pure[:, None]
+        got = pure * unit(gauss, p) + (1.0 - pure) * unit(
+            gauss * (1.0 + np.cos(p * s - tab.arg_b[:, None])), p)
+        want = unit(gauss * np.abs(rest + num * np.exp(-1j * p * s)) ** 2, p)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-9 * want.max())
 
     @pytest.mark.parametrize("model", ["qubit", "gaussian"])
     def test_window_of_every_row_leaves_no_trial_outside(self, model):
