@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,9 @@ from cwflab.labcli import fig1
 from cwflab.labcli.fig1 import (
     POSITION_TOL,
     BoxModes,
+    _harmonics,
     _pair_anti,
+    _tan_pair,
     flow_velocity,
     run_fig1,
     sample_initial,
@@ -56,7 +59,12 @@ from cwflab.labcli.planes import (
     replay_records,
     run_photon_planes,
 )
-from cwflab.labcli.reports import check_record, jsonify, write_columns_csv
+from cwflab.labcli.reports import (
+    SAMPLE_CELLS,
+    check_record,
+    jsonify,
+    write_columns_csv,
+)
 
 
 class TestConfig:
@@ -156,20 +164,31 @@ class TestReports:
         """Columns of few distinct values, formatted once per value, give
         the bytes of str on every cell: -0.0 among 0.0 (keyed on bits, not
         on value), NaNs of two payloads, bools, ints, two words, and a
-        column of mostly distinct floats."""
+        column of mostly distinct floats. So do columns longer than the
+        distinct-value sample: distinct floats, -0.0 among 0.0, and a
+        column whose sample is mostly distinct but whose second half
+        repeats one value."""
         rng = np.random.default_rng(3)
         zeros = np.where(np.arange(129) < 127, -0.0, 0.0)
         nan = np.array([np.nan, -np.nan, np.inf, 1.5])[np.arange(129) % 4]
-        columns = {"z": rng.permutation(zeros), "nan": nan,
-                   "ok": rng.random(129) < 0.5,
-                   "n": rng.integers(-3, 3, 129),
-                   "basis": np.where(rng.random(129) < 0.5, "im", "re"),
-                   "x": np.append(rng.normal(size=120), np.zeros(9))}
-        write_columns_csv(tmp_path / "cols.csv", columns)
-        want = ",".join(columns) + "\r\n" + "".join(
-            ",".join(str(v[i].item()) for v in columns.values()) + "\r\n"
-            for i in range(129))
-        assert (tmp_path / "cols.csv").read_bytes() == want.encode()
+        n = 3 * SAMPLE_CELLS + 7
+        tables = [
+            {"z": rng.permutation(zeros), "nan": nan,
+             "ok": rng.random(129) < 0.5,
+             "n": rng.integers(-3, 3, 129),
+             "basis": np.where(rng.random(129) < 0.5, "im", "re"),
+             "x": np.append(rng.normal(size=120), np.zeros(9))},
+            {"x": rng.normal(size=n),
+             "z": np.where(rng.random(n) < 0.9, -0.0, 0.0),
+             "half": np.append(rng.normal(size=n // 2),
+                               np.full(n - n // 2, 0.25))}]
+        for columns in tables:
+            write_columns_csv(tmp_path / "cols.csv", columns)
+            rows = len(next(iter(columns.values())))
+            want = ",".join(columns) + "\r\n" + "".join(
+                ",".join(str(v[i].item()) for v in columns.values()) + "\r\n"
+                for i in range(rows))
+            assert (tmp_path / "cols.csv").read_bytes() == want.encode()
 
     def test_check_record_bounds_are_inclusive(self):
         # 9,990 of 10,000 is exactly the double 0.999
@@ -348,7 +367,7 @@ class TestFig1:
 
 EQUAL_PAIR = [2.0**-0.5, 2.0**-0.5]
 THREE_MODES = [0.6, 0.48j, 0.64]
-# modes 1 and 48: the sine table reaches mode 48 by 47 recurrence steps
+# modes 1 and 48: the sine table restarts its recurrence at mode 48
 HIGH_PAIR = [2.0**-0.5 if n in (1, 48) else 0.0 for n in range(1, 49)]
 
 
@@ -367,6 +386,48 @@ class TestFig1Flow:
         for g, r in zip(got, want):
             np.testing.assert_allclose(g, r, rtol=0.0,
                                        atol=1e-12 * np.abs(r).max())
+
+    @pytest.mark.parametrize("coeffs, parts", [(EQUAL_PAIR, 1),
+                                               (THREE_MODES, 2)])
+    @pytest.mark.parametrize("x", [0.0, 1.0, -1e-3, 1.0 + 1e-3],
+                             ids=["left_wall", "right_wall", "left_outside",
+                                  "right_outside"])
+    def test_flow_matches_mode_pair_sum_at_the_walls(self, coeffs, parts, x):
+        """At each wall (the right one is t = pi, where tan(t / 2) is about
+        1.6e16) and 1e-3 outside it, where a stage point can stray: real
+        coefficients take one row of sums, complex ones two. No
+        RuntimeWarning on these finite inputs."""
+        modes = BoxModes(coeffs, 0.0, 1.0)
+        assert modes.flow_sums.shape[1] == parts
+        rng = np.random.default_rng(6)
+        X = np.full(200, x)
+        Y = rng.uniform(-0.3, 1.3, 200)
+        s = rng.uniform(0.0, 2.6 / modes.a.max(), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = flow_velocity(modes, 0.1, X, Y, s)
+        want = box_flow_pairs(modes.numbers, modes.c, 0.0, 1.0, 0.1, X, Y, s)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=0.0,
+                                       atol=1e-12 * np.abs(r).max())
+
+    def test_sparse_harmonics_restart_from_exact_pairs(self):
+        """Modes 1 and 48 restart the recurrence at 48 from the exact pair,
+        within 1e-14 of np.sin(48 t); stepping through all 48 harmonics
+        errs by about 48^2 eps here (5.6e-14). The field's tan pair is
+        within 1e-15 of libm's sin and cos, at 48 t too."""
+        t = np.random.default_rng(5).uniform(-0.01, np.pi + 0.01, 2000)
+        got = _harmonics(t, np.array([1, 48]))
+        np.testing.assert_allclose(got[1], np.sin(48 * t), rtol=0.0,
+                                   atol=1e-14)
+        np.testing.assert_array_equal(got[0], np.sin(t))
+        assert np.abs(_harmonics(t, np.arange(49))[48]
+                      - np.sin(48 * t)).max() > 1e-14
+        out = np.empty((2, 2, t.size))
+        _harmonics(t, np.array([1, 48]), out=out, pair=_tan_pair)
+        for n, rows in ((1, out[:, 0]), (48, out[:, 1])):
+            np.testing.assert_allclose(rows, [np.sin(n * t), np.cos(n * t)],
+                                       rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("coeffs", [EQUAL_PAIR, THREE_MODES, HIGH_PAIR])
     def test_pair_antiderivative_is_identity_at_far_wall(self, coeffs):
@@ -421,6 +482,48 @@ class TestFig1Flow:
         X, Y, failed = transport(modes, w, starts, lam, 32)
         assert not failed.any()
         assert np.all((X > 0.0) & (X < 1.0)) and np.isfinite(Y).all()
+
+    def test_transport_of_halves_matches_the_whole(self):
+        """Each trajectory takes its own steps: 64 starts transported at
+        once and in two halves of 32 fail alike and end together."""
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        lam = 8.0 * w / modes.min_gap()
+        starts = sample_initial(modes, w, 64, 11)
+        X, Y, failed = transport(modes, w, starts, lam, 32)
+        halves = [transport(modes, w, part, lam, 32)
+                  for part in (starts[:32], starts[32:])]
+        X2, Y2, failed2 = (np.concatenate(c) for c in zip(*halves))
+        np.testing.assert_array_equal(failed, failed2)
+        np.testing.assert_allclose(X, X2, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(Y, Y2, rtol=0.0, atol=1e-10)
+
+    def test_round_budget_freezes_every_trajectory(self, monkeypatch):
+        """Three rounds are too few for any trajectory to reach lam: each
+        fails and stays at its last accepted point, finite and in the
+        box."""
+        monkeypatch.setattr(fig1, "ROUND_BUDGET", 3)
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        lam = 8.0 * w / modes.min_gap()
+        starts = sample_initial(modes, w, 64, 12)
+        X, Y, failed = transport(modes, w, starts, lam, 32)
+        assert failed.all()
+        assert np.all((X > 0.0) & (X < 1.0)) and np.isfinite(Y).all()
+        assert np.any((X != starts[:, 0]) | (Y != starts[:, 1]))
+
+    def test_rejected_steps_fail_at_the_start(self, monkeypatch):
+        """With no error allowed every step is rejected, so each step
+        shrinks below MIN_STEP within a few rounds: every trajectory fails
+        where it started, not at a rejected trial point."""
+        monkeypatch.setattr(fig1, "POSITION_TOL", 1e-300)
+        modes = BoxModes(EQUAL_PAIR, 0.0, 1.0)
+        w = 0.1
+        lam = 8.0 * w / modes.min_gap()
+        starts = sample_initial(modes, w, 64, 13)
+        X, Y, failed = transport(modes, w, starts, lam, 32)
+        assert failed.all()
+        np.testing.assert_array_equal(np.column_stack([X, Y]), starts)
 
     def test_transport_matches_tight_reference(self, monkeypatch):
         """Each endpoint agrees with DOP853 at rtol = atol = 1e-12 on the
